@@ -126,8 +126,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _process_file(args, state: CalibrationState) -> int:
-    record = load_signal_record(args.input)
+def _process_file(args, record: SignalRecord, state: CalibrationState) -> int:
     if record.srate != state.srate:
         raise InvalidValue(
             "srate", f"record is {record.srate} Hz, calibration is {state.srate} Hz"
@@ -263,14 +262,14 @@ def _process_stream(args, stdin, stdout) -> int:
 def cmd_process(args) -> int:
     if args.stream:
         return _process_stream(args, sys.stdin, sys.stdout)
-    record_head = load_signal_record(args.input)
-    state = _load_any_calibration(args.calibration, record_head.srate)
-    if record_head.channels != state.channels:
+    record = load_signal_record(args.input)
+    state = _load_any_calibration(args.calibration, record.srate)
+    if record.channels != state.channels:
         raise InvalidValue(
             "channels",
-            f"record has {record_head.channels} channels, calibration has {state.channels}",
+            f"record has {record.channels} channels, calibration has {state.channels}",
         )
-    return _process_file(args, state)
+    return _process_file(args, record, state)
 
 
 def _parse_burst(text: str) -> ArtifactEvent:

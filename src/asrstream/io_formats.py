@@ -33,12 +33,19 @@ MAX_FILTER_ORDER = 8
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and atomic rename."""
+    """Write text to path via a same-directory temp file and atomic rename.
+
+    The file gets the mode a plain ``open`` would give it (0666 less the
+    umask), not the 0600 of the temp file.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

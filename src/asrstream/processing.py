@@ -10,7 +10,9 @@ reproduce exactly:
 3. at update instants (every ``stepsize`` samples, i.e. when
    ``(t + 1) % stepsize == 0``) the ring covariance ``sum(y y^T) / n_eff``
    with ``n_eff = min(t + 1, W)`` feeds a detection update and the
-   reconstruction pair rotates (previous <- current <- new),
+   reconstruction pair rotates (previous <- current <- new); a rejecting
+   update builds ``R = M pinv(D V^T M) V^T`` in closed form from a thin QR
+   of ``M V_k`` over the kept eigenvectors ``V_k`` (no SVD),
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
    ``ssu`` counts samples since the last update (0 at an update instant, and
@@ -25,16 +27,38 @@ invisible to the arithmetic.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
-from .errors import ChannelMismatch, InvalidInput
+from .errors import CalibrationDegenerate, ChannelMismatch, InvalidInput
 from .filters import iir_filter
-from .linalg import pinv, symmetric_eig
+# pinv stays bound though unused: perfbench/tracing.py wraps processing.pinv
+from .linalg import PINV_REL_TOL, pinv, symmetric_eig  # noqa: F401
 from .types import (
     CalibrationState,
     MultichannelChunk,
     ProcessorState,
     ReconstructionUpdate,
 )
+
+
+def _reconstruct(mixing: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``M Q R_q^-T V_k^T`` from the thin QR ``M V_k = Q R_q``.
+
+    LAPACK is called directly: at these channel counts the Python side of
+    ``numpy.linalg.qr`` and ``scipy.linalg.solve_triangular`` costs about as
+    much as the arithmetic.
+    """
+    qr, tau, _, _ = dgeqrf(mixing @ kept)
+    r_diag = np.abs(np.diagonal(qr))
+    # the cutoff pinv applies to singular values; a NaN fails it too
+    if not r_diag.min() > PINV_REL_TOL * mixing.shape[0] * r_diag.max():
+        raise CalibrationDegenerate(
+            "mixing matrix is singular; the reconstruction is undefined"
+        )
+    k = kept.shape[1]
+    coef, _ = dtrtrs(np.triu(qr[:k]), kept.T, trans=1)  # R_q^-T V_k^T
+    q, _, _ = dorgqr(qr, tau)
+    return (mixing @ q) @ coef
 
 
 def update_reconstruction(
@@ -47,7 +71,13 @@ def update_reconstruction(
     or below ``sum((threshold @ v_j)**2)``, or j lies below the rejection
     budget ``floor(max_dims_fraction * C)`` counted from the top. With
     nothing rejected the result is exactly the identity; otherwise
-    ``R = M @ pinv(keep * (V^T M)) @ V^T`` (all-real arithmetic throughout).
+    ``R = M @ pinv(keep * (V^T M)) @ V^T`` (all-real arithmetic throughout),
+    evaluated in closed form: the nonzero rows ``A = V_k^T M`` have full row
+    rank, so with the thin QR ``M V_k = A^T = Q R_q`` the pseudoinverse is
+    ``A^T (A A^T)^-1 = Q R_q^-T`` and ``R = M Q R_q^-T V_k^T``. Unlike the
+    Gram solve ``(V_k^T C V_k)^-1`` this does not square the condition number
+    of M. A numerically singular ``R_q`` means the mixing is singular (only a
+    hand-made or loaded state can be) and raises CalibrationDegenerate.
     """
     cov = np.asarray(cov, dtype=float)
     if not np.all(np.isfinite(cov)):
@@ -65,10 +95,10 @@ def update_reconstruction(
 
     if n_rejected == 0:
         recon = np.eye(c)
+    elif n_rejected == c:
+        recon = np.zeros((c, c))  # pinv of an all-zero projection
     else:
-        proj = eigvecs.T @ calib.mixing
-        proj[~keep] = 0.0
-        recon = calib.mixing @ pinv(proj) @ eigvecs.T
+        recon = _reconstruct(calib.mixing, eigvecs[:, keep])
     return ReconstructionUpdate(
         eigvals=eigvals,
         eigvecs=eigvecs,

@@ -350,10 +350,16 @@ class Pipeline:
                 cleaned, self._proc_state = asr_process_chunk(chunk, calib, self._proc_state)
                 payload = cleaned.data
                 self._processed_chunks += 1
-            except AsrError as exc:
-                # fail open: forward the chunk uncleaned rather than go silent
+            except Exception as exc:
+                # fail open on any error: forward the chunk uncleaned rather
+                # than let the worker die and leave the producer waiting
                 self._error_chunks += 1
-                logger.warning("chunk at sample %d passed through uncleaned: %s", seq, exc)
+                logger.warning(
+                    "chunk at sample %d passed through uncleaned: %s",
+                    seq,
+                    exc,
+                    exc_info=not isinstance(exc, AsrError),  # unexpected: keep the trace
+                )
                 payload = work
             outbound.push(payload, n, seq)
 

@@ -164,6 +164,32 @@ def test_criterion_01_oracle_equivalence(tmp_path):
            "; ".join(details))
 
 
+def test_oracle_agreement_where_rejection_is_common():
+    # at 24 ch most updates reject (about 2.6% do at 8 ch), so the
+    # reconstruction path is compared with the oracle's naive pinv at almost
+    # every update instead of at a handful
+    spec = SyntheticSpec(
+        channels=24,
+        srate=500.0,
+        duration=4.0,
+        calibration_duration=10.0,
+        mixing_seed=31,
+        noise_seed=301,
+        events=(ArtifactEvent(2.0, 0.5, 10.0),),
+    )
+    started = time.perf_counter()
+    calibration, recording, _ = generate_synthetic(spec)
+    state = asr.asr_calibrate(calibration, spec.srate)
+    got, proc = run_stream(recording, state, chunk_size=CHUNK)
+    want = oracle_process(recording, calibration, srate=spec.srate)
+    elapsed = time.perf_counter() - started
+    reject_share = np.mean([n > 0 for _, n in proc.update_log])
+    assert reject_share > 0.5, f"only {reject_share:.0%} of updates rejected"
+    rep = compare(got, want, 1e-5)
+    assert rep.passed, rep.summary()
+    assert elapsed < 10.0, f"took {elapsed:.1f}s (expected < 10s)"
+
+
 def test_criterion_02_shape_contract(clean_calibration):
     _, state = clean_calibration
     rng = np.random.default_rng(0)

@@ -98,6 +98,29 @@ def test_process_file_mode_shape_and_chunk_invariance(workspace, capsys):
     assert report.passed, report.summary()
 
 
+def test_process_file_mode_parses_input_once(workspace, monkeypatch, capsys):
+    from asrstream import cli
+
+    parsed: list[str] = []
+    real = cli.load_signal_record
+
+    def counting(path):
+        parsed.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_signal_record", counting)
+    rc = main(
+        [
+            "process",
+            "--calibration", str(workspace / "calib.csv"),
+            "--input", str(workspace / "rec.csv"),
+            "--output", str(workspace / "out.csv"),
+        ]
+    )
+    assert rc == 0
+    assert parsed == [str(workspace / "rec.csv")]
+
+
 def test_process_channel_mismatch_exits_1(workspace, tmp_path, capsys):
     rng = np.random.default_rng(0)
     bad = tmp_path / "bad.csv"

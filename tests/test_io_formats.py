@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -122,6 +125,16 @@ class TestSignalRecord:
         back = load_signal_record(p)
         assert back.srate == rec.srate
         assert np.array_equal(back.data, rec.data)
+
+    def test_saved_file_mode_follows_umask(self, tmp_path):
+        rec = SignalRecord(data=np.ones((2, 3)), srate=100.0)
+        p = tmp_path / "r.csv"
+        old = os.umask(0o027)
+        try:
+            save_signal_record(p, rec)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(p.stat().st_mode) == 0o640
 
     def test_header_body_consistency(self, tmp_path):
         p = tmp_path / "r.csv"

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import asrstream as asr
-from asrstream.errors import ChannelMismatch, InvalidInput
+from asrstream.errors import CalibrationDegenerate, ChannelMismatch, InvalidInput
 from conftest import SRATE, run_stream
 
 
@@ -58,6 +58,100 @@ class TestUpdateReconstruction:
         cov[0, 0] = np.nan
         with pytest.raises(InvalidInput):
             asr.update_reconstruction(cov, state, 0.66)
+
+
+def _detection_case(mixing, seed):
+    """A calibration state around ``mixing`` and a covariance whose update
+    rejects a random mask of components (at least one kept, one rejected)
+    when every component is within the rejection budget."""
+    c = mixing.shape[0]
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((c, c)))[0]
+    eigvals = np.sort(rng.uniform(0.5, 2.0, c))
+    reject = rng.random(c) < 0.5
+    reject[0], reject[-1] = False, True
+    limits = np.where(reject, eigvals / 2.0, eigvals * 2.0)
+    state = asr.CalibrationState(
+        mixing=mixing,
+        threshold=np.sqrt(limits)[:, None] * basis.T,
+        filter_b=(1.0,),
+        filter_a=(1.0,),
+        srate=SRATE,
+        params=asr.CalibrationParams(),
+    )
+    return state, (basis * eigvals) @ basis.T, reject
+
+
+def _pinv_reconstruction(upd, mixing):
+    """The textbook form ``M pinv(D V^T M) V^T`` through the SVD pinv."""
+    proj = upd.eigvecs.T @ mixing
+    proj[~upd.keep] = 0.0
+    return mixing @ asr.pinv(proj) @ upd.eigvecs.T
+
+
+def _clamped_mixing(c, rank, seed):
+    """PSD square root of a rank-deficient covariance, floored by
+    matrix_sqrt_psd's eigenvalue clamp (condition number ~1e6)."""
+    b = np.random.default_rng(seed).standard_normal((c, rank))
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        return asr.matrix_sqrt_psd(b @ b.T)
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestClosedFormReconstruction:
+    @pytest.mark.parametrize("c", [4, 24, 64])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_pinv_form(self, c, seed):
+        b = np.random.default_rng(1000 + seed).standard_normal((c, c))
+        mixing = asr.matrix_sqrt_psd(b @ b.T / c + 0.1 * np.eye(c))
+        state, cov, reject = _detection_case(mixing, seed)
+        upd = asr.update_reconstruction(cov, state, 1.0)
+        assert np.array_equal(~upd.keep, reject)
+        assert _rel_err(upd.reconstruction, _pinv_reconstruction(upd, mixing)) < 1e-10
+
+    @pytest.mark.parametrize("c, rank", [(4, 2), (4, 1), (24, 12), (24, 1), (64, 32), (64, 1)])
+    def test_matches_pinv_form_on_clamped_mixing(self, c, rank):
+        # both forms carry a forward error of order eps * cond(M) here (the
+        # mpmath test below measures it), so they agree to that order only
+        mixing = _clamped_mixing(c, rank, seed=c)
+        state, cov, reject = _detection_case(mixing, seed=c)
+        upd = asr.update_reconstruction(cov, state, 1.0)
+        assert np.array_equal(~upd.keep, reject)
+        bound = 10 * np.finfo(float).eps * np.linalg.cond(mixing)
+        assert _rel_err(upd.reconstruction, _pinv_reconstruction(upd, mixing)) < bound
+
+    @pytest.mark.parametrize("c", [4, 8, 24])
+    def test_accurate_on_clamped_mixing(self, c):
+        mp = pytest.importorskip("mpmath")
+        mixing = _clamped_mixing(c, 1, seed=c)
+        state, cov, _ = _detection_case(mixing, seed=c)
+        upd = asr.update_reconstruction(cov, state, 1.0)
+        with mp.workdps(60):
+            m = mp.matrix(mixing.tolist())
+            kept = mp.matrix(upd.eigvecs[:, upd.keep].tolist())
+            a = kept.T * m
+            exact = m * a.T * mp.inverse(a * a.T) * kept.T
+            exact = np.array(exact.tolist(), dtype=float)
+        # the Gram solve (V_k^T C V_k)^-1 squares cond(M) and lands near 1e-4
+        bound = 10 * np.finfo(float).eps * np.linalg.cond(mixing)
+        assert _rel_err(upd.reconstruction, exact) < bound
+
+    def test_everything_rejected_gives_zero(self):
+        mixing = np.diag([1.0, 2.0, 3.0])
+        state, cov, _ = _detection_case(mixing, seed=0)
+        upd = asr.update_reconstruction(cov * 1e9, state, 1.0)
+        assert upd.n_rejected == 3
+        assert np.array_equal(upd.reconstruction, _pinv_reconstruction(upd, mixing))
+
+    def test_singular_mixing_is_degenerate(self):
+        u = np.array([1.0, 2.0, -1.0, 0.5]) / 2.5
+        state, cov, reject = _detection_case(np.outer(u, u), seed=2)
+        assert np.count_nonzero(~reject) >= 2  # more kept rows than rank(M)
+        with pytest.raises(CalibrationDegenerate):
+            asr.update_reconstruction(cov, state, 1.0)
 
 
 class TestProcessChunk:

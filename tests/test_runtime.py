@@ -341,6 +341,47 @@ class TestPipelineDataPath:
         assert len(chunks) == 2
         pipeline.release()
 
+    def test_worker_survives_non_asr_error(self, pipeline_setup, monkeypatch):
+        from asrstream import runtime
+
+        config, registry, _ = pipeline_setup
+        calls = 0
+        real = runtime.asr_process_chunk
+
+        def flaky(chunk, calib, state):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise np.linalg.LinAlgError("injected failure")
+            return real(chunk, calib, state)
+
+        monkeypatch.setattr(runtime, "asr_process_chunk", flaky)
+        chunks: list[np.ndarray] = []
+        pipeline = Pipeline(
+            config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
+        )
+        pipeline.prepare()
+        try:
+            rng = np.random.default_rng(11)
+            for _ in range(6):
+                while pipeline.in_flight() >= config.fifo_capacity - 1:
+                    pipeline.process()
+                    time.sleep(0.0002)
+                registry.publish("eeg", rng.standard_normal((4, 16)))
+                pipeline.process()
+            pipeline.flush(timeout=5.0)
+            stats = pipeline.stats()
+            in_flight = pipeline.in_flight()
+        finally:
+            pipeline.release()
+
+        assert calls == 6
+        assert len(chunks) == 6
+        assert stats["errors"] == 1
+        assert stats["processed"] == 5
+        assert stats["drained"] == 6
+        assert in_flight == 0
+
     def test_drop_accounting_balances(self, pipeline_setup):
         config, registry, _ = pipeline_setup
         pipeline = Pipeline(config, registry)
