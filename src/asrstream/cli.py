@@ -13,16 +13,17 @@ import logging
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
 from .calibration import asr_calibrate
 from .comparison import compare
-from .errors import AsrError, InvalidValue, ParseError
-from .io_formats import (
+from .errors import AsrError, InvalidValue, ParseError, WorkerDied
+# load_calibration_state stays bound though unused: perfbench/tracing.py wraps it
+from .io_formats import (  # noqa: F401
     SignalRecord,
     atomic_write_text,
+    format_row,
     load_calibration_data,
     load_calibration_state,
     load_signal_record,
@@ -31,7 +32,7 @@ from .io_formats import (
     save_signal_record,
 )
 from .processing import asr_process_chunk
-from .runtime import Pipeline, SideChannelRegistry
+from .runtime import Pipeline, SideChannelRegistry, load_calibration
 from .synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
 from .types import (
     CalibrationParams,
@@ -63,20 +64,6 @@ class _Parser(argparse.ArgumentParser):
 def _configure_logging() -> None:
     level = _LOG_LEVELS.get(os.environ.get("ASR_LOG", "error").lower(), logging.ERROR)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
-def _load_any_calibration(path: str, srate: float) -> CalibrationState:
-    """Accept either a saved calibration state or a clean-data CSV."""
-    text_head = Path(path).read_text(encoding="utf-8", errors="replace").lstrip()[:1]
-    if text_head == "{":
-        state = load_calibration_state(path)
-        if srate and state.srate != srate:
-            raise InvalidValue(
-                "srate", f"calibration was made at {state.srate} Hz, not {srate} Hz"
-            )
-        return state
-    matrix, filter_b, filter_a = load_calibration_data(path)
-    return asr_calibrate(matrix, srate, filter_b=filter_b, filter_a=filter_a)
 
 
 def _print_report(lines: list[str]) -> None:
@@ -162,6 +149,8 @@ def _publish_paced(pipeline, registry, name: str, block: np.ndarray) -> None:
     """File-driven producer: apply backpressure instead of overrunning the
     inbound ring, so nothing is dropped when stdin outruns the worker."""
     while pipeline.in_flight() >= pipeline.config.fifo_capacity - 1:
+        if not pipeline.worker_alive():
+            raise WorkerDied("the worker thread stopped; the stream is incomplete")
         pipeline.process()
         time.sleep(0.0002)
     registry.publish(name, block)
@@ -186,7 +175,7 @@ def _process_stream(args, stdin, stdout) -> int:
     if not header:
         raise ParseError("empty stream: expected a header line")
     channels, srate = _parse_stream_header(header)
-    state = _load_any_calibration(args.calibration, srate)
+    state = load_calibration(args.calibration, srate)
     chunk = max(1, args.chunk)
     config = PipelineConfig(
         sampling_rate=srate,
@@ -208,13 +197,12 @@ def _process_stream(args, stdin, stdout) -> int:
     pipeline = Pipeline(
         config, registry, output_sink=lambda view, n, seq: spool.append(view.copy())
     )
-    pipeline.prepare()
+    pipeline.prepare(state)
 
     def _write_spool() -> None:
         while spool:
             block = spool.pop(0)
-            for col in block.T:
-                stdout.write(",".join(repr(float(v)) for v in col) + "\n")
+            stdout.write("".join(format_row(col) + "\n" for col in block.T))
 
     exit_code = 0
     rows: list[list[float]] = []
@@ -230,7 +218,7 @@ def _process_stream(args, stdin, stdout) -> int:
                     f"expected {channels} values per line, got {len(cells)}", row=lineno
                 )
             try:
-                rows.append([float(c) for c in cells])
+                rows.append(list(map(float, cells)))
             except ValueError:
                 raise ParseError("unparseable sample", row=lineno) from None
             if len(rows) >= chunk:
@@ -243,7 +231,9 @@ def _process_stream(args, stdin, stdout) -> int:
         pipeline.flush(timeout=5.0)
         _write_spool()
         stdout.flush()
-    except (BrokenPipeError, OSError) as exc:
+        if not pipeline.worker_alive():
+            raise WorkerDied("the worker thread stopped; the stream is incomplete")
+    except (OSError, WorkerDied) as exc:
         logger.error("stream aborted: %s", exc)
         exit_code = 2
     except ParseError:
@@ -263,7 +253,7 @@ def cmd_process(args) -> int:
     if args.stream:
         return _process_stream(args, sys.stdin, sys.stdout)
     record = load_signal_record(args.input)
-    state = _load_any_calibration(args.calibration, record.srate)
+    state = load_calibration(args.calibration, record.srate)
     if record.channels != state.channels:
         raise InvalidValue(
             "channels",

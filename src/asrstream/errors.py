@@ -45,6 +45,10 @@ class PrepareFailed(AsrError):
     """Pipeline preparation failed."""
 
 
+class WorkerDied(AsrError):
+    """The pipeline's worker thread stopped; chunks in flight are lost."""
+
+
 class ShapeMismatch(AsrError):
     """Operands must have identical dimensions."""
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import FilterDiverged, InvalidInput
 
@@ -59,6 +58,8 @@ def iir_filter(data: np.ndarray, b, a, state: np.ndarray | None = None):
         return data * (b[0] / a[0]), state
     if data.shape[1] == 0:
         return data.copy(), state.copy()
+    from scipy.signal import lfilter  # deferred: scipy.signal takes ~1 s to import
+
     filtered, new_state = lfilter(b, a, data, axis=1, zi=state)
     if not np.all(np.isfinite(filtered)):
         raise FilterDiverged("filter output is non-finite; coefficients are unstable")

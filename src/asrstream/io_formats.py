@@ -87,43 +87,63 @@ def _parse_coefficient_line(line: str, row: int):
     return None
 
 
-def _read_csv_body(text: str):
+def _read_csv_body(lines: list[str]):
     """Parse '#'-preamble plus comma-separated numeric rows.
 
-    Returns (matrix, preamble dict). Row/column positions in errors are
-    1-based and count physical lines.
+    ``lines[i]`` is physical line ``i + 1``. Returns (matrix, preamble dict).
+    Row/column positions in errors are 1-based and count physical lines; of
+    several faults, the first in reading order is reported.
     """
     preamble: dict[str, list[float]] = {}
     rows: list[list[float]] = []
+    linenos: list[int] = []  # physical line of each row
     width = None
-    first_data_row = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
-            if rows or preamble:
-                continue  # stray blank lines are tolerated
-            continue
+            continue  # stray blank lines are tolerated
         if line.startswith("#"):
             if rows:
+                _finite_matrix(rows, linenos, lines)
                 raise ParseError("comment lines are only allowed before data", row=lineno)
             coeffs = _parse_coefficient_line(line, lineno)
             if coeffs:
                 preamble[coeffs[0]] = coeffs[1]
             continue
         cells = line.split(",")
-        values = [_parse_cell(cell.strip(), lineno, col + 1) for col, cell in enumerate(cells)]
+        try:
+            values = list(map(float, cells))  # the same grammar as _parse_cell
+        except ValueError:
+            _finite_matrix(rows, linenos, lines, cells, lineno)
+            raise  # not reached: some cell of this line fails _parse_cell
         if width is None:
             width = len(values)
-            first_data_row = lineno
         elif len(values) != width:
+            _finite_matrix(rows, linenos, lines, cells, lineno)
             raise RaggedCsv(
                 lineno,
-                f"row {lineno} has {len(values)} cells, row {first_data_row} has {width}",
+                f"row {lineno} has {len(values)} cells, row {linenos[0]} has {width}",
             )
         rows.append(values)
+        linenos.append(lineno)
     if not rows:
         raise EmptyFile("no data rows found")
-    return np.array(rows, dtype=float), preamble
+    return _finite_matrix(rows, linenos, lines), preamble
+
+
+def _finite_matrix(rows, linenos, lines, cells=(), lineno=None) -> np.ndarray:
+    """Stack the parsed ``rows``, raising ParseError at their first non-finite
+    value; then at the first unparseable or non-finite one of ``cells``, the
+    split line ``lineno`` that follows them."""
+    matrix = np.array(rows, dtype=float)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)  # first in row-major order
+        cell = lines[linenos[i] - 1].strip().split(",")[j].strip()
+        raise ParseError(f"non-finite value {cell!r}", row=linenos[i], col=int(j) + 1)
+    for col, cell in enumerate(cells, start=1):
+        _parse_cell(cell.strip(), lineno, col)
+    return matrix
 
 
 def load_calibration_csv(path) -> np.ndarray:
@@ -135,25 +155,26 @@ def load_calibration_csv(path) -> np.ndarray:
 def load_calibration_data(path):
     """Like :func:`load_calibration_csv` but also returns any shaping-filter
     coefficients carried in the '#' preamble: (matrix, filter_b, filter_a)."""
-    text = Path(path).read_text(encoding="utf-8")
-    matrix, preamble = _read_csv_body(text)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    matrix, preamble = _read_csv_body(lines)
     if matrix.shape[1] < 2:
         raise ParseError("calibration data needs at least 2 columns (samples)", row=1)
     return matrix, preamble.get("filter_b"), preamble.get("filter_a")
 
 
-def _format_row(row) -> str:
-    return ",".join(repr(float(v)) for v in row)
+def format_row(row) -> str:
+    """Comma-separated shortest-repr floats: value-exact on reload."""
+    return ",".join(map(repr, np.asarray(row, dtype=float).tolist()))
 
 
 def save_calibration_csv(path, matrix, filter_b=None, filter_a=None) -> None:
     matrix = np.asarray(matrix, dtype=float)
     lines = []
     if filter_b is not None:
-        lines.append("# filter_b: " + ",".join(repr(float(v)) for v in filter_b))
+        lines.append("# filter_b: " + format_row(filter_b))
     if filter_a is not None:
-        lines.append("# filter_a: " + ",".join(repr(float(v)) for v in filter_a))
-    lines.extend(_format_row(row) for row in matrix)
+        lines.append("# filter_a: " + format_row(filter_a))
+    lines.extend(map(format_row, matrix))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -179,18 +200,18 @@ def save_signal_record(path, record: SignalRecord) -> None:
         f"# channels: {record.channels}",
         f"# srate: {repr(float(record.srate))}",
     ]
-    lines.extend(_format_row(row) for row in np.asarray(record.data, dtype=float))
+    lines.extend(map(format_row, np.asarray(record.data, dtype=float)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_signal_record(path) -> SignalRecord:
-    text = Path(path).read_text(encoding="utf-8")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     channels = None
     srate = None
-    body_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("#"):
+            lines[lineno - 1] = ""  # the body parser skips it; line numbers stay physical
             body = line.lstrip("#").strip()
             for key in ("channels", "srate"):
                 if body.startswith(key):
@@ -202,13 +223,11 @@ def load_signal_record(path) -> SignalRecord:
                             raise ParseError("channels header must be an integer", row=lineno) from None
                     else:
                         srate = _parse_cell(value, lineno, 1)
-            continue
-        body_lines.append(raw)
     if channels is None or srate is None:
         raise ParseError("missing '# channels:' or '# srate:' header")
     if srate <= 0:
         raise ParseError("srate must be > 0")
-    matrix, _ = _read_csv_body("\n".join(body_lines))
+    matrix, _ = _read_csv_body(lines)
     if matrix.shape[0] != channels:
         raise ParseError(
             f"header says {channels} channels but body has {matrix.shape[0]} rows"

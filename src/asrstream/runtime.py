@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -186,26 +185,23 @@ class SideChannelRegistry:
             self._vars[name].locked = False
 
 
-def _load_calibration(config: PipelineConfig) -> CalibrationState:
-    """Load a saved state, or calibrate from a clean-data CSV."""
-    path = Path(config.calibration_file_name)
-    head = path.read_text(encoding="utf-8", errors="replace").lstrip()[:1]
-    if head == "{":
-        state = load_calibration_state(path)
-        if state.srate != config.sampling_rate:
-            raise PrepareFailed(
-                f"calibration was made at {state.srate} Hz, config says "
-                f"{config.sampling_rate} Hz"
-            )
-        return state
+def _is_state_file(path) -> bool:
+    """A saved state is JSON, so its first non-blank byte is '{'; a CSV's is not."""
+    with open(path, "rb") as fh:
+        while block := fh.read(256):
+            head = block.lstrip()
+            if head:
+                return head.startswith(b"{")
+    return False
+
+
+def load_calibration(path, srate: float, params=None) -> CalibrationState:
+    """Load a saved calibration state, or calibrate at ``srate`` with
+    ``params`` from a clean-data CSV."""
+    if _is_state_file(path):
+        return load_calibration_state(path)
     matrix, filter_b, filter_a = load_calibration_data(path)
-    return asr_calibrate(
-        matrix,
-        config.sampling_rate,
-        config.algorithm_params(),
-        filter_b=filter_b,
-        filter_a=filter_a,
-    )
+    return asr_calibrate(matrix, srate, params, filter_b=filter_b, filter_a=filter_a)
 
 
 class Pipeline:
@@ -238,17 +234,27 @@ class Pipeline:
     def calibration(self) -> CalibrationState | None:
         return self._calib
 
-    def prepare(self) -> None:
-        """Load calibration, lock variables, allocate rings, start the worker."""
+    def prepare(self, calibration: CalibrationState | None = None) -> None:
+        """Lock variables, allocate rings and start the worker. Cleans with
+        ``calibration`` if given, else loads it from the config's file."""
         if self._prepared:
             raise InvalidLifecycle("pipeline is already prepared")
         cfg = self.config
-        try:
-            calib = _load_calibration(cfg)
-        except WindowTooShort:
-            raise
-        except (OSError, AsrError) as exc:
-            raise PrepareFailed(f"cannot load calibration: {exc}") from exc
+        calib = calibration
+        if calib is None:
+            try:
+                calib = load_calibration(
+                    cfg.calibration_file_name, cfg.sampling_rate, cfg.algorithm_params()
+                )
+            except WindowTooShort:
+                raise
+            except (OSError, AsrError) as exc:
+                raise PrepareFailed(f"cannot load calibration: {exc}") from exc
+        if calib.srate != cfg.sampling_rate:
+            raise PrepareFailed(
+                f"calibration was made at {calib.srate} Hz, config says "
+                f"{cfg.sampling_rate} Hz"
+            )
 
         c = calib.channels
         window = calib.window_samples()
@@ -382,19 +388,25 @@ class Pipeline:
         self._prepared = False
 
     def flush(self, timeout: float = 2.0) -> int:
-        """Drain until nothing is in flight or the timeout passes. Not
-        real-time safe; intended for end-of-stream shutdown. Returns the
-        number of chunks drained."""
+        """Drain until nothing is in flight, the worker is dead or the timeout
+        passes. Not real-time safe; intended for end-of-stream shutdown.
+        Returns the number of chunks drained."""
         if not self._prepared:
             raise InvalidLifecycle("pipeline is not prepared")
         deadline = time.perf_counter() + timeout
         drained = 0
         while time.perf_counter() < deadline:
+            alive = self.worker_alive()  # read first: a dead worker's last push is drained below
             drained += self.process()
-            if self.in_flight() == 0:
+            if self.in_flight() == 0 or not alive:
                 break
             time.sleep(0.001)
         return drained
+
+    def worker_alive(self) -> bool:
+        """Whether the worker thread runs; False before prepare, after
+        release, and after an error the worker cannot survive."""
+        return self._thread is not None and self._thread.is_alive()
 
     def in_flight(self) -> int:
         if not self._prepared:
@@ -411,4 +423,5 @@ class Pipeline:
             "drained": self._drained_chunks,
             "dropped_in": self._inbound.dropped if self._inbound else 0,
             "dropped_out": self._outbound.dropped if self._outbound else 0,
+            "worker_alive": int(self.worker_alive()),
         }

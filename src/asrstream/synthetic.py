@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidSpec
 from .types import round_samples
@@ -45,6 +44,8 @@ def generate_synthetic(spec: SyntheticSpec):
     direction; the mask marks exactly ``round(duration * srate)`` samples per
     event. Identical specs produce bit-identical outputs.
     """
+    from scipy.signal import lfilter  # deferred: scipy.signal takes ~1 s to import
+
     if spec.channels < 1:
         raise InvalidSpec("channels must be >= 1")
     if spec.srate <= 0:

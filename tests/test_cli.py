@@ -1,4 +1,6 @@
 import io
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -276,3 +278,90 @@ def test_stream_mode_rejects_bad_header(workspace):
 def test_file_mode_requires_input_and_output(workspace, capsys):
     rc = main(["process", "--calibration", str(workspace / "calib.csv")])
     assert rc == 1
+
+
+def _stream_args(calibration, chunk=32):
+    from asrstream.cli import build_parser
+
+    return build_parser().parse_args(
+        ["process", "--calibration", str(calibration), "--stream", "--chunk", str(chunk)]
+    )
+
+
+def test_stream_mode_calibrates_from_csv_once(workspace, monkeypatch, capsys):
+    from asrstream import cli, runtime
+
+    calls = 0
+    real = runtime.asr_calibrate
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "asr_calibrate", counting)
+    monkeypatch.setattr(cli, "asr_calibrate", counting)
+    rec = load_signal_record(workspace / "rec.csv")
+    rc = cli._process_stream(
+        _stream_args(workspace / "calib.csv"),
+        io.StringIO(_record_to_stream_text(rec)),
+        io.StringIO(),
+    )
+    assert rc == 0
+    assert calls == 1
+
+
+def test_stream_mode_golden_text(workspace, monkeypatch, capsys):
+    """With cleaning replaced by the identity, stream output is the input's
+    shortest-repr text, awkward values included."""
+    from asrstream import cli, runtime
+
+    monkeypatch.setattr(runtime, "asr_process_chunk", lambda chunk, calib, state: (chunk, state))
+    text = (
+        "# channels=4 srate=250.0\n"
+        "0.1,-0.0,1e-05,1e+16\n"
+        "5e-324,-1.5,2.0,1e-300\n"
+        "-0.0,0.1,5e-324,123456789.125\n"
+    )
+    stdout = io.StringIO()
+    rc = cli._process_stream(_stream_args(workspace / "calib.csv", chunk=2), io.StringIO(text), stdout)
+    assert rc == 0
+    assert stdout.getvalue() == text
+
+
+class _WorkerKilled(BaseException):
+    """Not an Exception, so the worker's fail-open handler does not catch it."""
+
+
+def test_stream_mode_exits_2_when_the_worker_dies(workspace, monkeypatch, capsys):
+    from asrstream import cli, runtime
+
+    calls = 0
+    real = runtime.asr_process_chunk
+
+    def dying(chunk, calib, state):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise _WorkerKilled()
+        return real(chunk, calib, state)
+
+    thread_errors = []
+    monkeypatch.setattr(runtime, "asr_process_chunk", dying)
+    monkeypatch.setattr(threading, "excepthook", lambda info: thread_errors.append(info.exc_type))
+    rec = load_signal_record(workspace / "rec.csv")
+    stdin = io.StringIO(_record_to_stream_text(rec))  # 157 chunks of 32 samples
+    result = {}
+
+    def run():
+        result["rc"] = cli._process_stream(_stream_args(workspace / "calib.csv"), stdin, io.StringIO())
+
+    start = time.perf_counter()
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=20.0)
+    assert not runner.is_alive(), "stream mode kept waiting for a dead worker"
+    assert time.perf_counter() - start < 10.0
+    assert result["rc"] == 2
+    assert thread_errors == [_WorkerKilled]
+    assert "worker_alive=0" in capsys.readouterr().err

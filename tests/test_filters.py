@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import asrstream
 from asrstream.errors import FilterDiverged, InvalidInput
 from asrstream.filters import (
     initial_filter_state,
@@ -87,3 +92,36 @@ def test_normalize_coefficients():
     assert a == (1.0, 0.5)
     with pytest.raises(InvalidInput):
         normalize_coefficients([1.0], [0.0])
+
+
+def test_iir_filter_matches_difference_equation():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 50))
+    b, a = [0.5, 0.2, -0.1], [1.0, -0.3, 0.05]
+    want = np.zeros_like(x)
+    for n in range(x.shape[1]):
+        for k in range(3):
+            if n - k >= 0:
+                want[:, n] += b[k] * x[:, n - k]
+                if k:
+                    want[:, n] -= a[k] * want[:, n - k]
+    got, state = iir_filter(x, b, a)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert state.shape == (2, 2)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """scipy.signal takes about a second to import and only a shaping filter
+    or the synthetic generator needs it."""
+    src = os.path.dirname(os.path.dirname(asrstream.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, asrstream.cli\n"
+        "assert 'scipy.signal' not in sys.modules\n"
+        "import numpy as np\n"
+        "from asrstream.filters import iir_filter\n"
+        "iir_filter(np.ones((1, 3)), [0.5, 0.5], [1.0])\n"
+        "assert 'scipy.signal' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

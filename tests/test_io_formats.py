@@ -149,6 +149,96 @@ class TestSignalRecord:
             load_signal_record(p)
 
 
+def _write_calibration(path, body: str):
+    path.write_text(body)
+    return load_calibration_data
+
+
+def _write_record(path, body: str):
+    path.write_text("# channels: 2\n# srate: 100.0\n" + body)
+    return load_signal_record
+
+
+class TestLocatedErrors:
+    """Errors carry the physical line and the 1-based column of the fault."""
+
+    LOADERS = pytest.mark.parametrize(
+        "write, header_lines", [(_write_calibration, 0), (_write_record, 2)]
+    )
+
+    @LOADERS
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("x", "cannot parse 'x'"), ("nan", "non-finite value 'nan'"),
+         ("1e999", "non-finite value '1e999'")],
+    )
+    def test_bad_cell(self, tmp_path, write, header_lines, bad, message):
+        load = write(tmp_path / "f.csv", f"1,2,3\n4,{bad},6\n")
+        with pytest.raises(ParseError) as err:
+            load(tmp_path / "f.csv")
+        assert (err.value.row, err.value.col) == (header_lines + 2, 2)
+        assert message in str(err.value)
+
+    @LOADERS
+    def test_ragged_row(self, tmp_path, write, header_lines):
+        load = write(tmp_path / "f.csv", "1,2,3\n4,5\n")
+        with pytest.raises(RaggedCsv) as err:
+            load(tmp_path / "f.csv")
+        assert err.value.row == header_lines + 2
+
+    @LOADERS
+    def test_blank_lines_keep_physical_numbering(self, tmp_path, write, header_lines):
+        load = write(tmp_path / "f.csv", "\n1,2,3\n\n4,5,inf\n")
+        with pytest.raises(ParseError) as err:
+            load(tmp_path / "f.csv")
+        assert (err.value.row, err.value.col) == (header_lines + 4, 3)
+
+    @pytest.mark.parametrize(
+        "body, row, col",
+        [
+            ("1,nan\n2,x\n", 1, 2),  # an earlier non-finite value beats a later parse error
+            ("1,nan\n2\n", 1, 2),  # ... and a later ragged row
+            ("1,2\nnan,x\n", 2, 1),  # within a row, the first column wins
+            ("1,2\n3,4,inf\n", 2, 3),  # a ragged row's own bad value comes first
+            ("1,-inf\n# late comment\n", 1, 2),
+        ],
+    )
+    def test_first_fault_in_reading_order(self, tmp_path, body, row, col):
+        p = tmp_path / "f.csv"
+        p.write_text(body)
+        with pytest.raises(ParseError) as err:
+            load_calibration_data(p)
+        assert (err.value.row, err.value.col) == (row, col)
+
+
+class TestTextFormat:
+    """Saved text is the shortest repr of each float, as it always was."""
+
+    AWKWARD = [0.1, -0.0, 1e-05, 1e16, 5e-324]
+
+    def test_signal_record_golden_text(self, tmp_path):
+        p = tmp_path / "r.csv"
+        save_signal_record(p, SignalRecord(np.array([self.AWKWARD, self.AWKWARD[::-1]]), 250.0))
+        assert p.read_text() == (
+            "# channels: 2\n"
+            "# srate: 250.0\n"
+            "0.1,-0.0,1e-05,1e+16,5e-324\n"
+            "5e-324,1e+16,1e-05,-0.0,0.1\n"
+        )
+        back = load_signal_record(p).data
+        assert np.array_equal(back, [self.AWKWARD, self.AWKWARD[::-1]])
+        assert np.signbit(back[0, 1])
+
+    def test_calibration_csv_golden_text(self, tmp_path):
+        p = tmp_path / "c.csv"
+        save_calibration_csv(p, [self.AWKWARD], filter_b=[1, 0.5], filter_a=(1.0, -0.0))
+        assert p.read_text() == (
+            "# filter_b: 1.0,0.5\n"
+            "# filter_a: 1.0,-0.0\n"
+            "0.1,-0.0,1e-05,1e+16,5e-324\n"
+        )
+
+
 class TestCalibrationStateFile:
     def test_roundtrip_every_field(self, tmp_path, clean_calibration):
         _, state = clean_calibration

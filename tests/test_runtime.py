@@ -7,7 +7,7 @@ import pytest
 import asrstream as asr
 from asrstream.errors import InvalidLifecycle, PrepareFailed, WindowTooShort
 from asrstream.io_formats import save_calibration_csv, save_calibration_state
-from asrstream.runtime import ChunkFifo, Pipeline, SideChannelRegistry
+from asrstream.runtime import ChunkFifo, Pipeline, SideChannelRegistry, _is_state_file
 from conftest import SRATE, run_stream
 
 
@@ -180,6 +180,46 @@ class TestPipelineLifecycle:
         )
         with pytest.raises(PrepareFailed):
             Pipeline(bad, registry).prepare()
+
+    def test_prepare_with_given_calibration_loads_nothing(self, pipeline_setup):
+        config, registry, state = pipeline_setup
+        elsewhere = asr.PipelineConfig(
+            sampling_rate=config.sampling_rate,
+            window_length=config.window_length,
+            var_name="eeg",
+            calibration_file_name="/nonexistent/calib.csv",
+            chunk_capacity=64,
+        )
+        pipeline = Pipeline(elsewhere, registry)
+        pipeline.prepare(state)
+        try:
+            assert pipeline.calibration is state
+            assert pipeline.stats()["worker_alive"] == 1
+        finally:
+            pipeline.release()
+        assert pipeline.stats()["worker_alive"] == 0
+
+    def test_prepare_rejects_calibration_at_another_srate(self, pipeline_setup):
+        config, registry, state = pipeline_setup
+        other = asr.PipelineConfig(
+            sampling_rate=2 * config.sampling_rate,
+            window_length=config.window_length,
+            var_name="eeg",
+            calibration_file_name=config.calibration_file_name,
+        )
+        for calibration in (None, state):  # loaded from the file, or given
+            with pytest.raises(PrepareFailed, match="Hz"):
+                Pipeline(other, registry).prepare(calibration)
+
+    @pytest.mark.parametrize(
+        "head, is_state",
+        [(b"", False), (b"1.0,2.0\n", False), (b"# filter_b: 1\n", False),
+         (b" \r\n\t{\n", True), (b" " * 1000 + b"{}", True)],
+    )
+    def test_state_file_sniffed_from_leading_bytes(self, tmp_path, head, is_state):
+        p = tmp_path / "calib"
+        p.write_bytes(head)
+        assert _is_state_file(p) is is_state
 
     def test_window_rule_checked_at_prepare(self, tmp_path, clean_calibration):
         data, _ = clean_calibration
@@ -381,6 +421,35 @@ class TestPipelineDataPath:
         assert stats["processed"] == 5
         assert stats["drained"] == 6
         assert in_flight == 0
+
+    def test_flush_stops_waiting_for_a_dead_worker(self, pipeline_setup, monkeypatch):
+        from asrstream import runtime
+
+        class Killed(BaseException):
+            pass
+
+        def dying(chunk, calib, state):
+            raise Killed()
+
+        monkeypatch.setattr(runtime, "asr_process_chunk", dying)
+        monkeypatch.setattr(threading, "excepthook", lambda info: None)
+        config, registry, _ = pipeline_setup
+        pipeline = Pipeline(config, registry)
+        pipeline.prepare()
+        try:
+            for _ in range(3):
+                registry.publish("eeg", np.zeros((4, 16)))
+                pipeline.process()
+            start = time.perf_counter()
+            pipeline.flush(timeout=5.0)
+            elapsed = time.perf_counter() - start
+            stats = pipeline.stats()
+            in_flight = pipeline.in_flight()
+        finally:
+            pipeline.release()
+        assert elapsed < 1.0
+        assert stats["worker_alive"] == 0
+        assert in_flight > 0  # the chunks the worker never cleaned stay counted
 
     def test_drop_accounting_balances(self, pipeline_setup):
         config, registry, _ = pipeline_setup
