@@ -10,8 +10,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 import asrstream as asr
 from asrstream.oracle import oracle_process
 from asrstream.synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
@@ -49,17 +47,7 @@ def run_spec(name, spec, tolerance, chunk):
     started = time.perf_counter()
     calibration, recording, mask = generate_synthetic(spec)
     state = asr.asr_calibrate(calibration, spec.srate)
-    proc = asr.ProcessorState.initial(state)
-    pieces = []
-    pos = 0
-    n = recording.shape[1]
-    while pos < n:
-        end = min(n, pos + chunk)
-        piece = asr.MultichannelChunk(recording[:, pos:end], spec.srate, pos)
-        out, proc = asr.asr_process_chunk(piece, state, proc)
-        pieces.append(out.data)
-        pos = end
-    streamed = np.hstack(pieces)
+    streamed, proc = asr.clean_recording(recording, state, chunk)
     reference = oracle_process(recording, calibration, srate=spec.srate)
     report = asr.compare(streamed, reference, tolerance)
     elapsed = time.perf_counter() - started

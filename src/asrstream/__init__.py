@@ -27,7 +27,7 @@ from .io_formats import (
 )
 from .linalg import geometric_median, matrix_sqrt_psd, pinv, symmetric_eig
 from .oracle import oracle_process
-from .processing import asr_process_chunk, update_reconstruction
+from .processing import asr_process_chunk, clean_recording, update_reconstruction
 from .runtime import ChunkFifo, Pipeline, SideChannelRegistry
 from .stats import robust_covariance, robust_stats, sliding_rms
 from .synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
@@ -62,6 +62,7 @@ __all__ = [
     "asr_calibrate",
     "asr_process_chunk",
     "attenuation_metrics",
+    "clean_recording",
     "compare",
     "generate_synthetic",
     "geometric_median",

@@ -31,16 +31,11 @@ from .io_formats import (  # noqa: F401
     save_calibration_state,
     save_signal_record,
 )
-from .processing import asr_process_chunk
+# asr_process_chunk stays bound though unused: perfbench/tracing.py wraps it
+from .processing import asr_process_chunk, clean_recording  # noqa: F401
 from .runtime import Pipeline, SideChannelRegistry, load_calibration
 from .synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
-from .types import (
-    CalibrationParams,
-    CalibrationState,
-    MultichannelChunk,
-    PipelineConfig,
-    ProcessorState,
-)
+from .types import CalibrationParams, CalibrationState, PipelineConfig
 
 logger = logging.getLogger(__name__)
 
@@ -118,17 +113,10 @@ def _process_file(args, record: SignalRecord, state: CalibrationState) -> int:
         raise InvalidValue(
             "srate", f"record is {record.srate} Hz, calibration is {state.srate} Hz"
         )
-    proc = ProcessorState.initial(state, stepsize=args.stepsize, lookahead=args.lookahead)
+    out, proc = clean_recording(
+        record.data, state, args.chunk, stepsize=args.stepsize, lookahead=args.lookahead
+    )
     n = record.samples
-    out = np.empty_like(record.data)
-    chunk = max(1, args.chunk)
-    pos = 0
-    while pos < n:
-        end = min(n, pos + chunk)
-        piece = MultichannelChunk(record.data[:, pos:end], record.srate, pos)
-        cleaned, proc = asr_process_chunk(piece, state, proc)
-        out[:, pos:end] = cleaned.data
-        pos = end
     save_signal_record(args.output, SignalRecord(data=out, srate=record.srate))
     if args.report:
         _print_report(
@@ -176,23 +164,18 @@ def _process_stream(args, stdin, stdout) -> int:
         raise ParseError("empty stream: expected a header line")
     channels, srate = _parse_stream_header(header)
     state = load_calibration(args.calibration, srate)
-    chunk = max(1, args.chunk)
     config = PipelineConfig(
         sampling_rate=srate,
-        window_length=state.params.window_len,
+        params=state.params,
         var_name=args.var_name,
         calibration_file_name=args.calibration,
-        chunk_capacity=chunk,
+        chunk_capacity=args.chunk,
         fifo_capacity=args.fifo_capacity,
-        cutoff=state.params.cutoff,
-        blocksize=state.params.blocksize,
-        window_overlap=state.params.window_overlap,
-        max_dims_fraction=state.params.max_dims_fraction,
         stepsize=args.stepsize,
         lookahead=args.lookahead,
     )
     registry = SideChannelRegistry()
-    registry.register(args.var_name, channels, chunk)
+    registry.register(args.var_name, channels, args.chunk)
     spool: list[np.ndarray] = []
     pipeline = Pipeline(
         config, registry, output_sink=lambda view, n, seq: spool.append(view.copy())
@@ -221,7 +204,7 @@ def _process_stream(args, stdin, stdout) -> int:
                 rows.append(list(map(float, cells)))
             except ValueError:
                 raise ParseError("unparseable sample", row=lineno) from None
-            if len(rows) >= chunk:
+            if len(rows) >= args.chunk:
                 _publish_paced(pipeline, registry, args.var_name, np.array(rows).T)
                 rows.clear()
                 _write_spool()
@@ -323,16 +306,9 @@ def cmd_bench(args) -> int:
     )
     calibration, recording, _ = generate_synthetic(spec)
     state = asr_calibrate(calibration, spec.srate)
-    proc = ProcessorState.initial(state, stepsize=args.stepsize)
-    chunk = max(1, args.chunk)
     n = recording.shape[1]
     start = time.perf_counter()
-    pos = 0
-    while pos < n:
-        end = min(n, pos + chunk)
-        piece = MultichannelChunk(recording[:, pos:end], spec.srate, pos)
-        _, proc = asr_process_chunk(piece, state, proc)
-        pos = end
+    clean_recording(recording, state, args.chunk, stepsize=args.stepsize)
     elapsed = time.perf_counter() - start
     samples_per_second = n / elapsed
     real_time_factor = samples_per_second / spec.srate

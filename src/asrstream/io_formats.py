@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +281,7 @@ def load_calibration_state(path) -> CalibrationState:
 # configuration keys, mirroring the runtime's variable names
 _REQUIRED_KEYS = {
     "SamplingRate": ("sampling_rate", float),
-    "WindowLength": ("window_length", float),
+    "WindowLength": ("window_len", float),
     "VarName": ("var_name", str),
     "CalibrationFileName": ("calibration_file_name", str),
 }
@@ -302,7 +302,8 @@ def parse_config(text: str) -> PipelineConfig:
     """Parse 'Key = value' lines into a PipelineConfig.
 
     Unknown keys are rejected; optional algorithm parameters fall back to
-    their defaults; every constraint of PipelineConfig is validated.
+    their defaults; every constraint of PipelineConfig and its
+    CalibrationParams is validated, and a violation names the key.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -327,4 +328,10 @@ def parse_config(text: str) -> PipelineConfig:
     for key, (field, _) in _REQUIRED_KEYS.items():
         if field not in values:
             raise MissingKey(key)
+    params = {f.name: values.pop(f.name) for f in fields(CalibrationParams) if f.name in values}
+    try:
+        values["params"] = CalibrationParams(**params)
+    except InvalidValue as exc:
+        key = next(k for k, (f, _) in (_REQUIRED_KEYS | _OPTIONAL_KEYS).items() if f == exc.name)
+        raise InvalidValue(key, exc.reason) from None
     return PipelineConfig(**values)  # InvalidValue propagates from validation

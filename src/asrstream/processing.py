@@ -29,11 +29,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
-from .errors import CalibrationDegenerate, ChannelMismatch, InvalidInput
+from .errors import CalibrationDegenerate, ChannelMismatch, InvalidInput, InvalidValue
 from .filters import iir_filter
 # pinv stays bound though unused: perfbench/tracing.py wraps processing.pinv
 from .linalg import PINV_REL_TOL, pinv, symmetric_eig  # noqa: F401
 from .types import (
+    DEFAULT_STEPSIZE,
     CalibrationState,
     MultichannelChunk,
     ProcessorState,
@@ -126,19 +127,23 @@ def _ring_write(ring: np.ndarray, start_index: int, block: np.ndarray) -> None:
 def _emit(
     out: np.ndarray,
     delayed: np.ndarray,
-    state: ProcessorState,
+    pair: tuple[np.ndarray, np.ndarray] | None,
+    stepsize: int,
     a: int,
     b: int,
     ssu_first: int,
 ) -> None:
-    """Blend-and-write output columns [a, b) using the current matrix pair."""
-    if state.trivial_current and state.trivial_previous:
+    """Blend-and-write output columns [a, b) using the matrix ``pair``
+    ``(r_current, r_previous)``, or copy them when ``pair`` is None (both
+    matrices are exactly the identity)."""
+    if pair is None:
         out[:, a:b] = delayed[:, a:b]
         return
+    r_current, r_previous = pair
     d = delayed[:, a:b]
     ssu = ssu_first + np.arange(b - a)
-    w = 0.5 * (1.0 - np.cos(np.pi * (ssu + 1) / state.stepsize))
-    out[:, a:b] = (state.r_current @ d) * w + (state.r_previous @ d) * (1.0 - w)
+    w = 0.5 * (1.0 - np.cos(np.pi * (ssu + 1) / stepsize))
+    out[:, a:b] = (r_current @ d) * w + (r_previous @ d) * (1.0 - w)
 
 
 def asr_process_chunk(
@@ -149,7 +154,8 @@ def asr_process_chunk(
 
     Output content is the input delayed by exactly ``state.lookahead``
     samples, passed through the blended reconstruction operators. A chunk of
-    zero samples is returned unchanged with the state untouched.
+    zero samples is returned unchanged with the state untouched. The call is
+    transactional: if it raises, ``state`` is left exactly as it was.
     """
     x = np.asarray(chunk.data, dtype=float)
     if x.ndim != 2:
@@ -172,47 +178,88 @@ def asr_process_chunk(
     # lookahead delay line (zeros emerge during the first L samples)
     joined = np.concatenate([state.delay_buffer, x], axis=1)
     delayed = joined[:, :n_samples]
-    state.delay_buffer = joined[:, n_samples:].copy()
-
-    filtered, state.filter_state = iir_filter(
+    filtered, filter_state = iir_filter(
         x, calib.filter_b, calib.filter_a, state.filter_state
     )
 
     out = np.empty((c, n_samples))
     t0 = state.total_samples_seen
     step = state.stepsize
-    window = state.cov_window.shape[1]
+    ring = state.cov_window
+    window = ring.shape[1]
     max_dims = calib.params.max_dims_fraction
+    # the ring is the one piece of state written in place: keep the columns
+    # this chunk overwrites, to put them back if an update raises
+    touched = np.arange(t0, t0 + min(n_samples, window)) % window
+    saved = ring[:, touched]
+    r_current, r_previous = state.r_current, state.r_previous
+    trivial_current, trivial_previous = state.trivial_current, state.trivial_previous
+    pair = None if trivial_current and trivial_previous else (r_current, r_previous)
+    log = []
 
     ssu_next = 0 if t0 == 0 else state.samples_since_update + 1
     first_update = (step - 1 - t0) % step
     pos = 0
-    for j in range(first_update, n_samples, step):
-        if j > pos:
-            _ring_write(state.cov_window, t0 + pos, filtered[:, pos:j])
-            _emit(out, delayed, state, pos, j, ssu_next)
-            ssu_next += j - pos
-        # update instant: the ring must already hold this sample's value
-        _ring_write(state.cov_window, t0 + j, filtered[:, j : j + 1])
-        cov = state.cov_window @ state.cov_window.T
-        cov /= min(t0 + j + 1, window)
-        upd = update_reconstruction(cov, calib, max_dims)
-        state.r_previous = state.r_current
-        state.trivial_previous = state.trivial_current
-        state.r_current = upd.reconstruction
-        state.trivial_current = upd.n_rejected == 0
-        state.update_log.append((t0 + j, upd.n_rejected))
-        _emit(out, delayed, state, j, j + 1, 0)
-        ssu_next = 1
-        pos = j + 1
+    try:
+        for j in range(first_update, n_samples, step):
+            if j > pos:
+                _ring_write(ring, t0 + pos, filtered[:, pos:j])
+                _emit(out, delayed, pair, step, pos, j, ssu_next)
+                ssu_next += j - pos
+            # update instant: the ring must already hold this sample's value
+            _ring_write(ring, t0 + j, filtered[:, j : j + 1])
+            cov = ring @ ring.T
+            cov /= min(t0 + j + 1, window)
+            upd = update_reconstruction(cov, calib, max_dims)
+            r_previous, trivial_previous = r_current, trivial_current
+            r_current, trivial_current = upd.reconstruction, upd.n_rejected == 0
+            pair = None if trivial_current and trivial_previous else (r_current, r_previous)
+            log.append((t0 + j, upd.n_rejected))
+            _emit(out, delayed, pair, step, j, j + 1, 0)
+            ssu_next = 1
+            pos = j + 1
+    except BaseException:
+        ring[:, touched] = saved
+        raise
     if pos < n_samples:
-        _ring_write(state.cov_window, t0 + pos, filtered[:, pos:n_samples])
-        _emit(out, delayed, state, pos, n_samples, ssu_next)
+        _ring_write(ring, t0 + pos, filtered[:, pos:n_samples])
+        _emit(out, delayed, pair, step, pos, n_samples, ssu_next)
         ssu_next += n_samples - pos
 
+    state.delay_buffer = joined[:, n_samples:].copy()
+    state.filter_state = filter_state
+    state.r_current, state.r_previous = r_current, r_previous
+    state.trivial_current, state.trivial_previous = trivial_current, trivial_previous
+    state.update_log.extend(log)
     state.samples_since_update = ssu_next - 1
     state.total_samples_seen = t0 + n_samples
     cleaned = MultichannelChunk(
         data=out, srate=chunk.srate, first_sample_index=chunk.first_sample_index
     )
     return cleaned, state
+
+
+def clean_recording(
+    data: np.ndarray,
+    calib: CalibrationState,
+    chunk: int,
+    stepsize: int = DEFAULT_STEPSIZE,
+    lookahead: int | None = None,
+) -> tuple[np.ndarray, ProcessorState]:
+    """Clean a whole ``(C, N)`` recording by feeding it through
+    ``asr_process_chunk`` in chunks of ``chunk`` samples from a fresh state.
+
+    Returns the cleaned ``(C, N)`` array, written chunk by chunk into one
+    preallocated array, and the final state.
+    """
+    if chunk < 1:
+        raise InvalidValue("chunk", "must be >= 1")
+    state = ProcessorState.initial(calib, stepsize=stepsize, lookahead=lookahead)
+    n = data.shape[1]
+    out = np.empty((data.shape[0], n))
+    for pos in range(0, n, chunk):
+        end = min(n, pos + chunk)
+        piece = MultichannelChunk(data[:, pos:end], calib.srate, pos)
+        cleaned, state = asr_process_chunk(piece, calib, state)
+        out[:, pos:end] = cleaned.data
+    return out, state

@@ -244,7 +244,7 @@ class Pipeline:
         if calib is None:
             try:
                 calib = load_calibration(
-                    cfg.calibration_file_name, cfg.sampling_rate, cfg.algorithm_params()
+                    cfg.calibration_file_name, cfg.sampling_rate, cfg.params
                 )
             except WindowTooShort:
                 raise
@@ -287,7 +287,7 @@ class Pipeline:
         self._outbound = ChunkFifo(cfg.fifo_capacity, c, cfg.chunk_capacity)
         self._drain_buf = np.zeros((c, cfg.chunk_capacity))
         self._proc_state = ProcessorState.initial(
-            calib, stepsize=cfg.stepsize, lookahead=cfg.resolved_lookahead()
+            calib, stepsize=cfg.stepsize, lookahead=cfg.lookahead
         )
         self._consumed_published = in_var.published_total
         self._input_seq = 0

@@ -188,24 +188,18 @@ class PipelineConfig:
     """Runtime configuration; immutable between prepare and release."""
 
     sampling_rate: float  # Hz
-    window_length: float  # seconds
+    params: CalibrationParams  # used when calibrating from a clean-data CSV
     var_name: str  # name of the input side-channel variable
     calibration_file_name: str  # CSV of clean data, or a saved calibration state
     chunk_capacity: int = 1024  # max samples per streamed chunk
     fifo_capacity: int = 8  # chunks per FIFO
-    cutoff: float = 5.0
-    blocksize: int = 10
-    window_overlap: float = 0.66
-    max_dims_fraction: float = 0.66
     stepsize: int = DEFAULT_STEPSIZE
-    lookahead: int | None = None  # samples; default round(window_length*srate/2)
+    lookahead: int | None = None  # samples; default: the calibration's default_lookahead()
     output_var_name: str | None = None  # default "<var_name>_clean"
 
     def __post_init__(self):
         if self.sampling_rate <= 0:
             raise InvalidValue("SamplingRate", "must be > 0")
-        if self.window_length <= 0:
-            raise InvalidValue("WindowLength", "must be > 0")
         if not self.var_name:
             raise InvalidValue("VarName", "must be non-empty")
         if not self.calibration_file_name:
@@ -218,22 +212,6 @@ class PipelineConfig:
             raise InvalidValue("Stepsize", "must be >= 1")
         if self.lookahead is not None and self.lookahead < 0:
             raise InvalidValue("Lookahead", "must be >= 0")
-        # delegate algorithm-parameter validation
-        self.algorithm_params()
-
-    def algorithm_params(self) -> CalibrationParams:
-        return CalibrationParams(
-            cutoff=self.cutoff,
-            blocksize=self.blocksize,
-            window_len=self.window_length,
-            window_overlap=self.window_overlap,
-            max_dims_fraction=self.max_dims_fraction,
-        )
-
-    def resolved_lookahead(self) -> int:
-        if self.lookahead is not None:
-            return self.lookahead
-        return round_samples(self.window_length * self.sampling_rate / 2.0)
 
     def resolved_output_var_name(self) -> str:
         return self.output_var_name or f"{self.var_name}_clean"

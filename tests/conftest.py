@@ -31,14 +31,4 @@ def clean_calibration():
 
 def run_stream(stream, state, chunk_size, stepsize=32, lookahead=None):
     """Feed a whole recording through asr_process_chunk in fixed-size chunks."""
-    proc = asr.ProcessorState.initial(state, stepsize=stepsize, lookahead=lookahead)
-    pieces = []
-    pos = 0
-    n = stream.shape[1]
-    while pos < n:
-        end = min(n, pos + chunk_size)
-        chunk = asr.MultichannelChunk(stream[:, pos:end], state.srate, pos)
-        out, proc = asr.asr_process_chunk(chunk, state, proc)
-        pieces.append(out.data)
-        pos = end
-    return np.hstack(pieces), proc
+    return asr.clean_recording(stream, state, chunk_size, stepsize, lookahead)

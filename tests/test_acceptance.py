@@ -97,7 +97,7 @@ def run_runtime_stream(calib_path, stream, channels, stepsize=32):
     """Feed a recording through the full runtime (FIFOs + worker), paced."""
     config = asr.PipelineConfig(
         sampling_rate=SRATE,
-        window_length=0.5,
+        params=asr.CalibrationParams(window_len=0.5),
         var_name="eeg",
         calibration_file_name=str(calib_path),
         chunk_capacity=CHUNK,
@@ -301,7 +301,7 @@ def realtime_pipeline(tmp_path, state, output_sink=None):
     save_calibration_state(calib_path, state)
     config = asr.PipelineConfig(
         sampling_rate=SRATE,
-        window_length=0.5,
+        params=asr.CalibrationParams(window_len=0.5),
         var_name="eeg",
         calibration_file_name=str(calib_path),
         chunk_capacity=64,
@@ -398,15 +398,9 @@ def test_criterion_07_throughput():
     )
     calibration, recording, _ = generate_synthetic(spec)
     state = asr.asr_calibrate(calibration, spec.srate)
-    proc = asr.ProcessorState.initial(state)
     n = recording.shape[1]
     started = time.perf_counter()
-    pos = 0
-    while pos < n:
-        end = min(n, pos + 256)
-        chunk = asr.MultichannelChunk(recording[:, pos:end], spec.srate, pos)
-        _, proc = asr.asr_process_chunk(chunk, state, proc)
-        pos = end
+    asr.clean_recording(recording, state, 256)
     elapsed = time.perf_counter() - started
     factor = (n / spec.srate) / elapsed
     report(
@@ -511,7 +505,7 @@ def test_criterion_09_formats_and_window_rule(tmp_path, clean_calibration):
     registry.register("eeg", stride=4, capacity=64)
     config = asr.PipelineConfig(
         sampling_rate=SRATE,
-        window_length=0.02,  # 5 samples < 1.5 * 4
+        params=asr.CalibrationParams(window_len=0.02),  # 5 samples < 1.5 * 4
         var_name="eeg",
         calibration_file_name=str(csv_path),
     )

@@ -222,6 +222,24 @@ def test_bench_reports_rate(capsys):
     assert float(fields["real_time_factor"]) > 1.0
 
 
+@pytest.mark.parametrize("chunk", ["0", "-5"])
+def test_chunk_below_1_exits_1(workspace, monkeypatch, capsys, chunk):
+    rec = load_signal_record(workspace / "rec.csv")
+    monkeypatch.setattr("sys.stdin", io.StringIO(_record_to_stream_text(rec)))
+    calib, out = str(workspace / "calib.csv"), str(workspace / "out.csv")
+    for argv in (
+        ["process", "--calibration", calib, "--input", str(workspace / "rec.csv"),
+         "--output", out],
+        ["process", "--calibration", calib, "--stream"],
+        ["bench", "--channels", "4", "--srate", "250", "--duration", "1"],
+    ):
+        assert main([*argv, "--chunk", chunk]) == 1, argv
+        captured = capsys.readouterr()
+        assert "chunk" in captured.err.lower(), argv
+        assert captured.out == "", argv
+    assert not (workspace / "out.csv").exists()
+
+
 def _record_to_stream_text(record):
     lines = [f"# channels={record.channels} srate={record.srate!r}"]
     for col in record.data.T:

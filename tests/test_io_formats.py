@@ -287,15 +287,15 @@ class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = parse_config(self.GOOD)
         assert cfg.sampling_rate == 250.0
-        assert cfg.window_length == 0.5
+        assert cfg.params.window_len == 0.5
         assert cfg.var_name == "eeg"
         assert cfg.calibration_file_name == "calib.csv"
-        assert cfg.cutoff == 5.0
+        assert cfg.params.cutoff == 5.0
         assert cfg.stepsize == 32
 
     def test_optional_keys(self):
         cfg = parse_config(self.GOOD + "Cutoff = 7.5\nStepsize = 16\n")
-        assert cfg.cutoff == 7.5
+        assert cfg.params.cutoff == 7.5
         assert cfg.stepsize == 16
 
     def test_comments_and_blanks(self):
@@ -316,6 +316,14 @@ class TestParseConfig:
         bad = self.GOOD.replace("WindowLength = 0.5", "WindowLength = 0")
         with pytest.raises(InvalidValue):
             parse_config(bad)
+
+    @pytest.mark.parametrize("line", ["WindowLength = 0", "Cutoff = 0", "MaxDimsFraction = 2"])
+    def test_bad_parameter_names_its_key(self, line):
+        key = line.split()[0]
+        lines = [l for l in self.GOOD.splitlines() if not l.startswith(key)] + [line]
+        with pytest.raises(InvalidValue) as err:
+            parse_config("\n".join(lines))
+        assert err.value.name == key
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(InvalidValue):

@@ -1,10 +1,18 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import asrstream as asr
-from asrstream.errors import CalibrationDegenerate, ChannelMismatch, InvalidInput
+from asrstream.errors import (
+    CalibrationDegenerate,
+    ChannelMismatch,
+    InvalidInput,
+    InvalidValue,
+)
 from conftest import SRATE, run_stream
 
 
@@ -201,6 +209,42 @@ class TestProcessChunk:
         assert proc.total_samples_seen == seen
         assert np.array_equal(proc.filter_state, filt)
 
+    def test_failed_update_leaves_every_field_untouched(self, clean_calibration):
+        _, state = clean_calibration
+        rng = np.random.default_rng(12)
+        stream = rng.standard_normal((4, 420)) * 3.0
+        stream[:, 200:300] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(100))
+
+        def feed(proc, starts):
+            parts = []
+            for pos in starts:
+                chunk = asr.MultichannelChunk(stream[:, pos : pos + 64], SRATE, pos)
+                out, proc = asr.asr_process_chunk(chunk, state, proc)
+                parts.append(out.data)
+            return np.hstack(parts), proc
+
+        proc = asr.ProcessorState.initial(state)
+        head = asr.MultichannelChunk(stream[:, :100], SRATE, 0)
+        _, proc = asr.asr_process_chunk(head, state, proc)
+        before = copy.deepcopy(proc)
+        # finite input whose covariance overflows: the update at sample 127 raises
+        bad = asr.MultichannelChunk(stream[:, 100:164] * 1e200, SRATE, 100)
+        with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="covariance"):
+            asr.asr_process_chunk(bad, state, proc)
+        for f in dataclasses.fields(proc):
+            got, want = getattr(proc, f.name), getattr(before, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+
+        starts = range(100, 420, 64)
+        got, proc = feed(proc, starts)
+        want, ref = feed(before, starts)
+        assert np.array_equal(got, want)
+        assert any(n > 0 for _, n in proc.update_log)  # the burst was cleaned
+        assert proc.update_log == ref.update_log
+
     def test_identity_path_matches_delayed_input(self, clean_calibration):
         data, _ = clean_calibration
         rng = np.random.default_rng(33)
@@ -300,3 +344,43 @@ class TestProcessChunk:
         _, proc = run_stream(stream, state, chunk_size=100)
         budget = int(np.floor(state.params.max_dims_fraction * 4))
         assert max(n for _, n in proc.update_log) <= budget
+
+
+def chunk_loop(stream, state, chunk):
+    """The per-chunk loop clean_recording stands for, written out by hand."""
+    proc = asr.ProcessorState.initial(state)
+    out = np.empty(stream.shape)
+    for pos in range(0, stream.shape[1], chunk):
+        piece = asr.MultichannelChunk(stream[:, pos : pos + chunk], SRATE, pos)
+        cleaned, proc = asr.asr_process_chunk(piece, state, proc)
+        out[:, pos : pos + chunk] = cleaned.data
+    return out, proc
+
+
+class TestCleanRecording:
+    @pytest.mark.parametrize("n, chunk", [(0, 5), (300, 1000), (300, 1)])
+    def test_edges_match_the_chunk_loop(self, clean_calibration, n, chunk):
+        _, state = clean_calibration
+        rng = np.random.default_rng(n + chunk)
+        stream = rng.standard_normal((4, n)) * 3.0
+        stream[:, 100:200] += 20 * np.array([[0.2], [1.0], [-0.7], [0.4]])
+        got, proc = asr.clean_recording(stream, state, chunk)
+        assert got.shape == (4, n)
+        assert proc.total_samples_seen == n
+        assert n == 0 or any(k > 0 for _, k in proc.update_log)  # not the identity path
+
+        same, _ = chunk_loop(stream, state, chunk)
+        assert np.array_equal(got, same)
+        # another partition differs by a few ULPs in the blend (BLAS blocking),
+        # within the partition-invariance bound; the state matches exactly
+        by7, proc7 = chunk_loop(stream, state, 7)
+        assert asr.compare(got, by7, 1e-10).passed
+        assert proc.update_log == proc7.update_log
+        assert np.array_equal(proc.cov_window, proc7.cov_window)
+        assert np.array_equal(proc.delay_buffer, proc7.delay_buffer)
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_below_one_rejected(self, clean_calibration, chunk):
+        _, state = clean_calibration
+        with pytest.raises(InvalidValue, match="chunk"):
+            asr.clean_recording(np.zeros((4, 10)), state, chunk)

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 
@@ -133,7 +134,7 @@ def pipeline_setup(tmp_path, clean_calibration):
     save_calibration_state(calib_path, state)
     config = asr.PipelineConfig(
         sampling_rate=SRATE,
-        window_length=state.params.window_len,
+        params=state.params,
         var_name="eeg",
         calibration_file_name=str(calib_path),
         chunk_capacity=64,
@@ -174,7 +175,7 @@ class TestPipelineLifecycle:
         config, registry, _ = pipeline_setup
         bad = asr.PipelineConfig(
             sampling_rate=config.sampling_rate,
-            window_length=config.window_length,
+            params=config.params,
             var_name="eeg",
             calibration_file_name="/nonexistent/calib.csv",
         )
@@ -185,7 +186,7 @@ class TestPipelineLifecycle:
         config, registry, state = pipeline_setup
         elsewhere = asr.PipelineConfig(
             sampling_rate=config.sampling_rate,
-            window_length=config.window_length,
+            params=config.params,
             var_name="eeg",
             calibration_file_name="/nonexistent/calib.csv",
             chunk_capacity=64,
@@ -199,11 +200,22 @@ class TestPipelineLifecycle:
             pipeline.release()
         assert pipeline.stats()["worker_alive"] == 0
 
+    def test_default_lookahead_follows_the_calibration(self, pipeline_setup):
+        config, registry, state = pipeline_setup
+        other = dataclasses.replace(config, params=asr.CalibrationParams(window_len=1.0))
+        assert other.params.default_lookahead(SRATE) != state.default_lookahead()
+        pipeline = Pipeline(other, registry)
+        pipeline.prepare(state)
+        try:
+            assert pipeline._proc_state.lookahead == state.default_lookahead()
+        finally:
+            pipeline.release()
+
     def test_prepare_rejects_calibration_at_another_srate(self, pipeline_setup):
         config, registry, state = pipeline_setup
         other = asr.PipelineConfig(
             sampling_rate=2 * config.sampling_rate,
-            window_length=config.window_length,
+            params=config.params,
             var_name="eeg",
             calibration_file_name=config.calibration_file_name,
         )
@@ -227,7 +239,7 @@ class TestPipelineLifecycle:
         save_calibration_csv(calib_csv, data)
         config = asr.PipelineConfig(
             sampling_rate=SRATE,
-            window_length=0.02,  # 5 samples < 1.5 * 4 channels
+            params=asr.CalibrationParams(window_len=0.02),  # 5 samples < 1.5 * 4 channels
             var_name="eeg",
             calibration_file_name=str(calib_csv),
         )
@@ -306,7 +318,7 @@ class TestPipelineDataPath:
         got = np.hstack(chunks)
         want, _ = run_stream(
             stream, state, chunk_size=32,
-            stepsize=config.stepsize, lookahead=config.resolved_lookahead(),
+            stepsize=config.stepsize, lookahead=config.lookahead,
         )
         assert np.array_equal(got, want)  # bit-identical to the direct path
 
@@ -325,7 +337,7 @@ class TestPipelineDataPath:
         config, registry, _ = pipeline_setup
         small = asr.PipelineConfig(
             sampling_rate=config.sampling_rate,
-            window_length=config.window_length,
+            params=config.params,
             var_name="eeg",
             calibration_file_name=config.calibration_file_name,
             chunk_capacity=64,
