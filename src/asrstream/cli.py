@@ -232,7 +232,14 @@ def _process_stream(args, stdin, stdout) -> int:
     return exit_code
 
 
+def _check_chunk(args) -> None:
+    """Reject ``--chunk`` below 1 before any input is read or calibrated."""
+    if args.chunk < 1:
+        raise _UsageError(f"--chunk must be >= 1, got {args.chunk}")
+
+
 def cmd_process(args) -> int:
+    _check_chunk(args)
     if args.stream:
         return _process_stream(args, sys.stdin, sys.stdout)
     record = load_signal_record(args.input)
@@ -296,6 +303,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_chunk(args)
     spec = SyntheticSpec(
         channels=args.channels,
         srate=args.srate,

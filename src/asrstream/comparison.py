@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ShapeMismatch
 
 REL_EPS = 1e-30  # denominator floor so zeros compare against zeros cleanly
+COMPARE_COLUMNS = 4096  # samples per pass: temporaries stay O(C * 4096)
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ def compare(a, b, rel_tol: float) -> ComparisonReport:
     """Per-sample relative comparison: |a-b| / max(|a|, |b|, 1e-30).
 
     Passes iff the maximum relative error stays at or below ``rel_tol``.
+    Walks the samples in blocks of ``COMPARE_COLUMNS``, so memory beyond the
+    inputs stays bounded; a NaN anywhere makes both maxima NaN and fails.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -53,15 +56,27 @@ def compare(a, b, rel_tol: float) -> ComparisonReport:
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     if a.size == 0:
         return ComparisonReport(0.0, 0.0, None, rel_tol, True)
-    abs_err = np.abs(a - b)
-    rel = abs_err / np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_EPS)
-    per_sample = rel.max(axis=0)
-    over = per_sample > rel_tol
-    first = int(np.argmax(over)) if over.any() else None
-    max_rel = float(rel.max())
+    rel_maxima, abs_maxima = [], []
+    first = None
+    for start in range(0, a.shape[1], COMPARE_COLUMNS):
+        pa = a[:, start : start + COMPARE_COLUMNS]
+        pb = b[:, start : start + COMPARE_COLUMNS]
+        abs_err = np.subtract(pa, pb)
+        np.abs(abs_err, out=abs_err)
+        rel = np.abs(pa)
+        np.maximum(rel, np.abs(pb), out=rel)
+        np.maximum(rel, REL_EPS, out=rel)
+        np.divide(abs_err, rel, out=rel)
+        if first is None:
+            over = rel.max(axis=0) > rel_tol
+            if over.any():
+                first = start + int(np.argmax(over))
+        rel_maxima.append(rel.max())
+        abs_maxima.append(abs_err.max())
+    max_rel = float(np.max(rel_maxima))
     return ComparisonReport(
         max_relative_error=max_rel,
-        max_absolute_error=float(abs_err.max()),
+        max_absolute_error=float(np.max(abs_maxima)),
         first_divergent_sample=first,
         tolerance=rel_tol,
         passed=max_rel <= rel_tol,

@@ -27,10 +27,9 @@ invisible to the arithmetic.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
 from .errors import CalibrationDegenerate, ChannelMismatch, InvalidInput, InvalidValue
-from .filters import iir_filter
+from .filters import filter_order, iir_filter
 # pinv stays bound though unused: perfbench/tracing.py wraps processing.pinv
 from .linalg import PINV_REL_TOL, pinv, symmetric_eig  # noqa: F401
 from .types import (
@@ -42,13 +41,28 @@ from .types import (
 )
 
 
+def load_kernels(calib: CalibrationState) -> None:
+    """Import the deferred libraries that cleaning with ``calib`` can call:
+    ``scipy.linalg.lapack`` for a rejecting update and, with a shaping
+    filter, ``scipy.signal``. Importing them takes a quarter to a whole
+    second, so a live stream does it before its first chunk."""
+    from scipy.linalg import lapack  # noqa: F401
+
+    if filter_order(calib.filter_b, calib.filter_a):
+        import scipy.signal  # noqa: F401
+
+
 def _reconstruct(mixing: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """``M Q R_q^-T V_k^T`` from the thin QR ``M V_k = Q R_q``.
 
     LAPACK is called directly: at these channel counts the Python side of
     ``numpy.linalg.qr`` and ``scipy.linalg.solve_triangular`` costs about as
-    much as the arithmetic.
+    much as the arithmetic. It is imported here, on first use, because it
+    loads all of ``scipy.linalg`` (about 0.25 s) and calibration never needs
+    it.
     """
+    from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
+
     qr, tau, _, _ = dgeqrf(mixing @ kept)
     r_diag = np.abs(np.diagonal(qr))
     # the cutoff pinv applies to singular values; a NaN fails it too
@@ -237,6 +251,27 @@ def asr_process_chunk(
         data=out, srate=chunk.srate, first_sample_index=chunk.first_sample_index
     )
     return cleaned, state
+
+
+def pass_chunk_through(
+    chunk: MultichannelChunk, state: ProcessorState
+) -> MultichannelChunk:
+    """The fail-open path: ``chunk``'s input delayed by ``state.lookahead``
+    samples, uncleaned, so a stream that skips cleaning one chunk keeps its
+    alignment (no sample repeats or goes missing).
+
+    Only the delay line advances; the filter, covariance ring, reconstruction
+    pair and sample counters stay as they were, so the chunk never enters the
+    statistics. The call is transactional like ``asr_process_chunk``.
+    """
+    n_samples = chunk.data.shape[1]
+    joined = np.concatenate([state.delay_buffer, chunk.data], axis=1)
+    state.delay_buffer = joined[:, n_samples:].copy()
+    return MultichannelChunk(
+        data=joined[:, :n_samples],
+        srate=chunk.srate,
+        first_sample_index=chunk.first_sample_index,
+    )
 
 
 def clean_recording(

@@ -26,7 +26,7 @@ from .errors import (
     WindowTooShort,
 )
 from .io_formats import load_calibration_data, load_calibration_state
-from .processing import asr_process_chunk
+from .processing import asr_process_chunk, load_kernels, pass_chunk_through
 from .types import CalibrationState, MultichannelChunk, PipelineConfig, ProcessorState
 
 logger = logging.getLogger(__name__)
@@ -298,6 +298,7 @@ class Pipeline:
         self._error_chunks = 0
         self._stop = False
 
+        load_kernels(calib)  # an import in the worker would stall a live stream
         self.registry.lock(cfg.var_name)
         self.registry.lock(out_var.name)
         self._thread = threading.Thread(
@@ -357,8 +358,9 @@ class Pipeline:
                 payload = cleaned.data
                 self._processed_chunks += 1
             except Exception as exc:
-                # fail open on any error: forward the chunk uncleaned rather
-                # than let the worker die and leave the producer waiting
+                # fail open on any error: forward the chunk uncleaned, still
+                # delayed by the lookahead, rather than let the worker die
+                # and leave the producer waiting
                 self._error_chunks += 1
                 logger.warning(
                     "chunk at sample %d passed through uncleaned: %s",
@@ -366,7 +368,7 @@ class Pipeline:
                     exc,
                     exc_info=not isinstance(exc, AsrError),  # unexpected: keep the trace
                 )
-                payload = work
+                payload = pass_chunk_through(chunk, self._proc_state).data
             outbound.push(payload, n, seq)
 
     def release(self) -> None:

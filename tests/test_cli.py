@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -238,6 +241,40 @@ def test_chunk_below_1_exits_1(workspace, monkeypatch, capsys, chunk):
         assert "chunk" in captured.err.lower(), argv
         assert captured.out == "", argv
     assert not (workspace / "out.csv").exists()
+
+
+def test_chunk_is_checked_before_any_input(tmp_path, monkeypatch, capsys):
+    stream = io.StringIO("# channels=4 srate=250.0\n" + "0,0,0,0\n" * 8)
+    monkeypatch.setattr("sys.stdin", stream)
+    missing = str(tmp_path / "missing.json")
+    for argv in (
+        ["process", "--calibration", missing, "--stream"],
+        ["process", "--calibration", missing, "--input", missing, "--output",
+         str(tmp_path / "out.csv")],
+    ):
+        assert main([*argv, "--chunk", "0"]) == 1, argv
+        err = capsys.readouterr().err
+        assert "--chunk" in err, argv
+        assert "missing" not in err and "ChunkCapacity" not in err, argv
+    assert stream.tell() == 0  # stream mode did not read its header
+
+
+def test_import_and_calibrate_leave_scipy_linalg_unloaded(workspace):
+    """scipy.linalg takes about 0.25 s to import and only a rejecting update
+    needs it (for LAPACK)."""
+    src = os.path.dirname(os.path.dirname(asr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from asrstream.cli import main\n"
+        "assert 'scipy.linalg' not in sys.modules, 'import'\n"
+        f"assert main(['calibrate', '--input', {str(workspace / 'calib.csv')!r}, "
+        f"'--srate', '250', '--output', {str(workspace / 'state.json')!r}]) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules, 'calibrate'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (workspace / "state.json").exists()
 
 
 def _record_to_stream_text(record):

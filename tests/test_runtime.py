@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -287,6 +290,31 @@ class TestPipelineLifecycle:
         assert time.perf_counter() - start < 0.1
 
 
+def test_prepare_imports_what_the_worker_needs():
+    """The worker must not import mid-stream: LAPACK (for a rejecting
+    update) and, with a shaping filter, scipy.signal load at prepare."""
+    src = os.path.dirname(os.path.dirname(asr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import dataclasses, sys\n"
+        "import numpy as np\n"
+        "import asrstream as asr\n"
+        "state = asr.asr_calibrate(np.random.default_rng(1).standard_normal((4, 2500)), 250.0)\n"
+        "state = dataclasses.replace(state, filter_b=(0.5, 0.5), filter_a=(1.0,))\n"
+        "registry = asr.SideChannelRegistry()\n"
+        "registry.register('eeg', stride=4, capacity=64)\n"
+        "config = asr.PipelineConfig(sampling_rate=250.0, params=state.params, var_name='eeg',\n"
+        "                            calibration_file_name='unused', chunk_capacity=64)\n"
+        "pipeline = asr.Pipeline(config, registry)\n"
+        "assert 'scipy.linalg' not in sys.modules and 'scipy.signal' not in sys.modules\n"
+        "pipeline.prepare(state)\n"
+        "pipeline.release()\n"
+        "assert 'scipy.linalg.lapack' in sys.modules and 'scipy.signal' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class TestPipelineDataPath:
     def test_end_to_end_equals_direct_processing(self, pipeline_setup, clean_calibration):
         config, registry, state = pipeline_setup
@@ -367,6 +395,7 @@ class TestPipelineDataPath:
 
     def test_nan_chunk_fails_open(self, pipeline_setup):
         config, registry, _ = pipeline_setup
+        config = dataclasses.replace(config, lookahead=8)
         chunks: list[np.ndarray] = []
         pipeline = Pipeline(
             config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
@@ -379,19 +408,68 @@ class TestPipelineDataPath:
         pipeline.flush(timeout=5.0)
         stats = pipeline.stats()
 
-        # the poisoned chunk is forwarded unmodified and counted
+        # the poisoned chunk is forwarded uncleaned, delayed by the lookahead,
+        # and counted
         assert stats["errors"] == 1
         assert len(chunks) == 1
-        assert np.array_equal(chunks[0], bad, equal_nan=True)
+        assert np.array_equal(chunks[0], np.hstack([np.zeros((4, 8)), bad[:, :8]]), equal_nan=True)
 
-        # and the stream keeps working afterwards
+        # and the stream keeps working afterwards, with the rest of it in line
         good = np.ones((4, 16))
         registry.publish("eeg", good)
         pipeline.process()
         pipeline.flush(timeout=5.0)
         assert pipeline.stats()["errors"] == 1
         assert len(chunks) == 2
+        assert np.array_equal(chunks[1], np.hstack([bad[:, 8:], good[:, :8]]))
         pipeline.release()
+
+    def test_fail_open_keeps_the_lookahead_alignment(self, pipeline_setup, monkeypatch):
+        from asrstream import runtime
+
+        config, registry, _ = pipeline_setup
+        real = runtime.asr_process_chunk
+        calls = 0
+
+        def flaky(chunk, calib, state):
+            nonlocal calls
+            calls += 1
+            if calls == 10:
+                raise np.linalg.LinAlgError("injected failure")
+            return real(chunk, calib, state)
+
+        monkeypatch.setattr(runtime, "asr_process_chunk", flaky)
+        chunks: list[np.ndarray] = []
+        pipeline = Pipeline(
+            config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
+        )
+        pipeline.prepare()
+        lookahead = pipeline._proc_state.lookahead
+        # half the calibration noise's scale: no update rejects anything
+        stream = 0.5 * np.random.default_rng(17).standard_normal((4, 20 * 16))
+        try:
+            for pos in range(0, stream.shape[1], 16):
+                while pipeline.in_flight() >= config.fifo_capacity - 1:
+                    pipeline.process()
+                    time.sleep(0.0002)
+                registry.publish("eeg", stream[:, pos : pos + 16])
+                pipeline.process()
+            pipeline.flush(timeout=5.0)
+            stats = pipeline.stats()
+            rejecting = sum(1 for _, r in pipeline._proc_state.update_log if r)
+        finally:
+            pipeline.release()
+
+        assert stats["errors"] == 1 and stats["drained"] == 20
+        got = np.hstack(chunks)
+        delayed = np.hstack([np.zeros((4, lookahead)), stream])[:, : stream.shape[1]]
+        assert got.shape == stream.shape
+        failed = slice(9 * 16, 10 * 16)
+        assert np.array_equal(got[:, failed], delayed[:, failed])
+        # with nothing rejected, every output sample is the input delayed by
+        # the lookahead: none repeats and none goes missing
+        assert rejecting == 0
+        assert np.array_equal(got, delayed)
 
     def test_worker_survives_non_asr_error(self, pipeline_setup, monkeypatch):
         from asrstream import runtime

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asrstream import stats
 from asrstream.errors import InsufficientData, InvalidInput
+from asrstream.linalg import geometric_median
 from asrstream.stats import robust_covariance, robust_stats, sliding_rms
+from asrstream.synthetic import SyntheticSpec, generate_synthetic
 
 
 class TestSlidingRms:
@@ -114,3 +119,103 @@ class TestRobustCovariance:
         x = rng.standard_normal((4, 500))
         cov = robust_covariance(x, blocksize=10)
         assert np.array_equal(cov, cov.T)
+
+
+def explicit_median(x, blocksize):
+    """The median over the explicitly built (n_blocks, C*C) block matrix."""
+    c, n = x.shape
+    b = blocksize
+    pts = np.array(
+        [(x[:, k * b : (k + 1) * b] @ x[:, k * b : (k + 1) * b].T / b).ravel() for k in range(n // b)]
+    )
+    med = geometric_median(pts, tol=1e-13, max_iter=2000).reshape(c, c)
+    return (med + med.T) / 2.0
+
+
+def rel_frobenius(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def clustered_blocks(c, b, n_blocks, spread, seed):
+    """Blocks whose covariances sit about ``spread`` (relative) from ``E``:
+    ``X_k = sqrt(b) L (I + s_k G_k) Q_k^T`` with ``L L^T = E``, Gaussian
+    ``G_k / sqrt(C)`` and orthonormal ``Q_k`` (needs b >= C), so
+    ``X_k X_k^T / b = L (I + s_k G_k)(I + s_k G_k)^T L^T``."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((c, c))
+    cov = a @ a.T / c + np.eye(c)
+    root = np.linalg.cholesky(cov)
+    spreads = np.broadcast_to(spread, (n_blocks,))
+    parts = []
+    for k in range(n_blocks):
+        g = rng.standard_normal((c, c)) / np.sqrt(c)
+        q, _ = np.linalg.qr(rng.standard_normal((b, c)))
+        parts.append(np.sqrt(b) * root @ (np.eye(c) + spreads[k] * g) @ q.T)
+    return np.hstack(parts), cov
+
+
+class TestSampleSpaceMedian:
+    @pytest.mark.parametrize(
+        "channels,srate,seconds,blocksize",
+        [(8, 250.0, 30.0, 10), (24, 500.0, 20.0, 10), (64, 1000.0, 8.0, 10), (24, 500.0, 20.0, 7)],
+    )
+    def test_equals_explicit_block_median(self, channels, srate, seconds, blocksize):
+        spec = SyntheticSpec(
+            channels=channels, srate=srate, duration=1.0,
+            calibration_duration=seconds, mixing_seed=7, noise_seed=13,
+        )
+        calib, _, _ = generate_synthetic(spec)
+        if blocksize == 7:
+            assert calib.shape[1] % blocksize  # a remainder is dropped
+        got = robust_covariance(calib, blocksize)
+        assert rel_frobenius(got, explicit_median(calib, blocksize)) <= 1e-12
+
+    def test_clustered_blocks_take_the_exact_distances(self):
+        x, cov = clustered_blocks(8, 16, 60, 1e-7, seed=5)
+        got = robust_covariance(x, 16)
+        assert rel_frobenius(got, explicit_median(x, 16)) <= 1e-12
+        assert rel_frobenius(got, cov) < 1e-6
+
+    def test_expanded_distance_is_accurate_above_the_threshold(self, monkeypatch):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("needs an extended-precision long double for the reference")
+        c, b, n_blocks = 24, 32, 160
+        x, cov = clustered_blocks(c, b, n_blocks, np.logspace(-3, 0.5, n_blocks), seed=9)
+        blocks = x.reshape(c, n_blocks, b).transpose(1, 0, 2)
+        block_sq = stats._block_sq_norms(blocks) / b**2
+        with monkeypatch.context() as patch:
+            patch.setattr(stats, "EXACT_DIST_SHARE", -np.inf)  # expansion only
+            expanded = stats._block_sq_dists(x, blocks, block_sq, cov, np.empty_like(x))
+        xl = x.astype(np.longdouble)
+        want = np.empty(n_blocks)
+        for k in range(n_blocks):
+            y = xl[:, k * b : (k + 1) * b]
+            diff = y @ y.T / b - cov.astype(np.longdouble)
+            want[k] = float((diff * diff).sum())
+        share = want / (block_sq + float(np.vdot(cov, cov)))
+        kept = share > stats.EXACT_DIST_SHARE
+        assert kept.sum() > 50 and (~kept).sum() > 50  # both sides are exercised
+        assert np.max(np.abs(expanded[kept] - want[kept]) / want[kept]) <= 1e-12
+        exact = stats._block_sq_dists(x, blocks, block_sq, cov, np.empty_like(x))
+        assert np.max(np.abs(exact - want) / want) <= 1e-12
+
+    def test_identical_blocks_return_the_block_covariance(self):
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((8, 10))
+        got = robust_covariance(np.tile(block, 50), blocksize=10)
+        want = block @ block.T / 10
+        assert rel_frobenius(got, (want + want.T) / 2.0) <= 1e-15
+
+    def test_all_zero_blocks(self):
+        out = robust_covariance(np.zeros((8, 1003)), blocksize=10)
+        assert np.array_equal(out, np.zeros((8, 8)))
+
+    def test_memory_stays_linear_in_the_input(self):
+        x = np.random.default_rng(21).standard_normal((64, 30_000))
+        tracemalloc.start()
+        try:
+            robust_covariance(x, blocksize=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
