@@ -19,8 +19,7 @@ import numpy as np
 from .calibration import asr_calibrate
 from .comparison import compare
 from .errors import AsrError, InvalidValue, ParseError, WorkerDied
-# load_calibration_state stays bound though unused: perfbench/tracing.py wraps it
-from .io_formats import (  # noqa: F401
+from .io_formats import (
     SignalRecord,
     atomic_write_text,
     format_row,
@@ -30,14 +29,17 @@ from .io_formats import (  # noqa: F401
     save_calibration_csv,
     save_calibration_state,
     save_signal_record,
+    stack_rows,
 )
 # asr_process_chunk stays bound though unused: perfbench/tracing.py wraps it
 from .processing import asr_process_chunk, clean_recording  # noqa: F401
-from .runtime import Pipeline, SideChannelRegistry, load_calibration
+from .runtime import Pipeline, SideChannelRegistry, _is_state_file, load_calibration
 from .synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
-from .types import CalibrationParams, CalibrationState, PipelineConfig
+from .types import DEFAULT_STEPSIZE, CalibrationParams, CalibrationState, PipelineConfig
 
 logger = logging.getLogger(__name__)
+
+STREAM_VAR = "eeg"  # the side-channel variable stream mode publishes into
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -124,7 +126,7 @@ def _process_file(args, record: SignalRecord, state: CalibrationState) -> int:
                 f"channels={record.channels}",
                 f"samples={n}",
                 f"lookahead={proc.lookahead}",
-                f"updates={len(proc.update_log)}",
+                f"updates={proc.total_samples_seen // proc.stepsize}",
                 f"output={args.output}",
             ]
         )
@@ -167,7 +169,7 @@ def _process_stream(args, stdin, stdout) -> int:
     config = PipelineConfig(
         sampling_rate=srate,
         params=state.params,
-        var_name=args.var_name,
+        var_name=STREAM_VAR,
         calibration_file_name=args.calibration,
         chunk_capacity=args.chunk,
         fifo_capacity=args.fifo_capacity,
@@ -175,7 +177,7 @@ def _process_stream(args, stdin, stdout) -> int:
         lookahead=args.lookahead,
     )
     registry = SideChannelRegistry()
-    registry.register(args.var_name, channels, args.chunk)
+    registry.register(STREAM_VAR, channels, args.chunk)
     spool: list[np.ndarray] = []
     pipeline = Pipeline(
         config, registry, output_sink=lambda view, n, seq: spool.append(view.copy())
@@ -187,8 +189,16 @@ def _process_stream(args, stdin, stdout) -> int:
             block = spool.pop(0)
             stdout.write("".join(format_row(col) + "\n" for col in block.T))
 
-    exit_code = 0
     rows: list[list[float]] = []
+    row_lines: dict[int, str] = {}  # physical line number -> text of each row
+
+    def _publish_rows() -> None:
+        block = stack_rows(rows, row_lines).T  # raises at a non-finite sample
+        rows.clear()
+        row_lines.clear()
+        _publish_paced(pipeline, registry, STREAM_VAR, block)
+
+    exit_code = 0
     try:
         stdout.write(f"# channels={channels} srate={srate!r}\n")
         for lineno, raw in enumerate(stdin, start=2):
@@ -197,20 +207,21 @@ def _process_stream(args, stdin, stdout) -> int:
                 continue
             cells = line.split(",")
             if len(cells) != channels:
+                stack_rows(rows, row_lines, cells, lineno)
                 raise ParseError(
                     f"expected {channels} values per line, got {len(cells)}", row=lineno
                 )
             try:
-                rows.append(list(map(float, cells)))
+                rows.append(list(map(float, cells)))  # the grammar of the file loaders
             except ValueError:
-                raise ParseError("unparseable sample", row=lineno) from None
+                stack_rows(rows, row_lines, cells, lineno)
+                raise  # not reached: some cell of this line fails to parse
+            row_lines[lineno] = line
             if len(rows) >= args.chunk:
-                _publish_paced(pipeline, registry, args.var_name, np.array(rows).T)
-                rows.clear()
+                _publish_rows()
                 _write_spool()
         if rows:
-            _publish_paced(pipeline, registry, args.var_name, np.array(rows).T)
-            rows.clear()
+            _publish_rows()
         pipeline.flush(timeout=5.0)
         _write_spool()
         stdout.flush()
@@ -242,8 +253,13 @@ def cmd_process(args) -> int:
     _check_chunk(args)
     if args.stream:
         return _process_stream(args, sys.stdin, sys.stdout)
+    # a saved state is checked before the record is parsed; a clean-data CSV
+    # is calibrated at the record's srate, so after it
+    is_state = _is_state_file(args.calibration)
+    state = load_calibration_state(args.calibration) if is_state else None
     record = load_signal_record(args.input)
-    state = load_calibration(args.calibration, record.srate)
+    if state is None:
+        state = load_calibration(args.calibration, record.srate)
     if record.channels != state.channels:
         raise InvalidValue(
             "channels",
@@ -346,11 +362,12 @@ def build_parser() -> _Parser:
     cal = sub.add_parser("calibrate", help="learn a calibration state from clean data")
     cal.add_argument("--input", required=True, help="calibration CSV (rows are channels)")
     cal.add_argument("--srate", "--sampling-rate", dest="srate", type=float, required=True)
-    cal.add_argument("--window-length", type=float, default=0.5, help="seconds")
-    cal.add_argument("--cutoff", type=float, default=5.0)
-    cal.add_argument("--blocksize", type=int, default=10)
-    cal.add_argument("--window-overlap", type=float, default=0.66)
-    cal.add_argument("--max-dims-fraction", type=float, default=0.66)
+    defaults = CalibrationParams()
+    cal.add_argument("--window-length", type=float, default=defaults.window_len, help="seconds")
+    cal.add_argument("--cutoff", type=float, default=defaults.cutoff)
+    cal.add_argument("--blocksize", type=int, default=defaults.blocksize)
+    cal.add_argument("--window-overlap", type=float, default=defaults.window_overlap)
+    cal.add_argument("--max-dims-fraction", type=float, default=defaults.max_dims_fraction)
     cal.add_argument("--filter-b", type=float, nargs="+", default=None)
     cal.add_argument("--filter-a", type=float, nargs="+", default=None)
     cal.add_argument("--output", required=True, help="calibration state file to write")
@@ -366,9 +383,8 @@ def build_parser() -> _Parser:
     proc.add_argument("--output", help="cleaned signal record (file mode)")
     proc.add_argument("--chunk", type=int, default=256, help="samples per chunk")
     proc.add_argument("--stream", action="store_true", help="stdin -> stdout streaming")
-    proc.add_argument("--var-name", default="eeg", help="stream-mode variable label")
     proc.add_argument("--fifo-capacity", type=int, default=8)
-    proc.add_argument("--stepsize", type=int, default=32)
+    proc.add_argument("--stepsize", type=int, default=DEFAULT_STEPSIZE)
     proc.add_argument("--lookahead", type=int, default=None)
     proc.add_argument("--report", action="store_true")
     proc.set_defaults(func=cmd_process)
@@ -401,7 +417,7 @@ def build_parser() -> _Parser:
     bench.add_argument("--srate", "--sampling-rate", dest="srate", type=float, default=500.0)
     bench.add_argument("--duration", type=float, default=10.0)
     bench.add_argument("--chunk", type=int, default=256)
-    bench.add_argument("--stepsize", type=int, default=32)
+    bench.add_argument("--stepsize", type=int, default=DEFAULT_STEPSIZE)
     bench.add_argument("--report", action="store_true")
     bench.set_defaults(func=cmd_bench)
     return parser

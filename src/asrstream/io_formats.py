@@ -96,7 +96,7 @@ def _read_csv_body(lines: list[str]):
     """
     preamble: dict[str, list[float]] = {}
     rows: list[list[float]] = []
-    linenos: list[int] = []  # physical line of each row
+    row_lines: dict[int, str] = {}  # physical line number -> text of each row
     width = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -104,7 +104,7 @@ def _read_csv_body(lines: list[str]):
             continue  # stray blank lines are tolerated
         if line.startswith("#"):
             if rows:
-                _finite_matrix(rows, linenos, lines)
+                stack_rows(rows, row_lines)
                 raise ParseError("comment lines are only allowed before data", row=lineno)
             coeffs = _parse_coefficient_line(line, lineno)
             if coeffs:
@@ -114,33 +114,35 @@ def _read_csv_body(lines: list[str]):
         try:
             values = list(map(float, cells))  # the same grammar as _parse_cell
         except ValueError:
-            _finite_matrix(rows, linenos, lines, cells, lineno)
+            stack_rows(rows, row_lines, cells, lineno)
             raise  # not reached: some cell of this line fails _parse_cell
         if width is None:
             width = len(values)
         elif len(values) != width:
-            _finite_matrix(rows, linenos, lines, cells, lineno)
+            stack_rows(rows, row_lines, cells, lineno)
             raise RaggedCsv(
                 lineno,
-                f"row {lineno} has {len(values)} cells, row {linenos[0]} has {width}",
+                f"row {lineno} has {len(values)} cells, row {next(iter(row_lines))} has {width}",
             )
         rows.append(values)
-        linenos.append(lineno)
+        row_lines[lineno] = line
     if not rows:
         raise EmptyFile("no data rows found")
-    return _finite_matrix(rows, linenos, lines), preamble
+    return stack_rows(rows, row_lines), preamble
 
 
-def _finite_matrix(rows, linenos, lines, cells=(), lineno=None) -> np.ndarray:
+def stack_rows(rows, row_lines, cells=(), lineno=None) -> np.ndarray:
     """Stack the parsed ``rows``, raising ParseError at their first non-finite
     value; then at the first unparseable or non-finite one of ``cells``, the
-    split line ``lineno`` that follows them."""
+    split line ``lineno`` that follows them. ``row_lines`` maps the physical
+    line number of each row, in order, to its text."""
     matrix = np.array(rows, dtype=float)
     finite = np.isfinite(matrix)
     if not finite.all():
         i, j = np.unravel_index(np.argmin(finite), finite.shape)  # first in row-major order
-        cell = lines[linenos[i] - 1].strip().split(",")[j].strip()
-        raise ParseError(f"non-finite value {cell!r}", row=linenos[i], col=int(j) + 1)
+        row, text = list(row_lines.items())[i]
+        cell = text.split(",")[j].strip()
+        raise ParseError(f"non-finite value {cell!r}", row=row, col=int(j) + 1)
     for col, cell in enumerate(cells, start=1):
         _parse_cell(cell.strip(), lineno, col)
     return matrix

@@ -15,9 +15,11 @@ reproduce exactly:
    of ``M V_k`` over the kept eigenvectors ``V_k`` (no SVD),
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
-   ``ssu`` counts samples since the last update (0 at an update instant, and
-   0 at stream start). When both matrices are the identity the blend is
-   skipped and the delayed sample is passed through bit-exactly.
+   ``ssu = (t + 1) mod stepsize`` counts samples since the last update (0 at
+   an update instant; before the first update both matrices are the
+   identity, so the weight is never read). An identity operator is held as
+   ``None`` and applied as the delayed sample itself; when both are ``None``
+   the blend is skipped and the delayed sample is passed through bit-exactly.
 
 The implementation below vectorizes runs of samples between update instants;
 all state is keyed off global sample indices, so chunk boundaries are
@@ -45,7 +47,8 @@ def load_kernels(calib: CalibrationState) -> None:
     """Import the deferred libraries that cleaning with ``calib`` can call:
     ``scipy.linalg.lapack`` for a rejecting update and, with a shaping
     filter, ``scipy.signal``. Importing them takes a quarter to a whole
-    second, so a live stream does it before its first chunk."""
+    second, so a live stream and ``clean_recording`` do it before their
+    first chunk rather than in the middle of the pass."""
     from scipy.linalg import lapack  # noqa: F401
 
     if filter_order(calib.filter_b, calib.filter_a):
@@ -141,23 +144,25 @@ def _ring_write(ring: np.ndarray, start_index: int, block: np.ndarray) -> None:
 def _emit(
     out: np.ndarray,
     delayed: np.ndarray,
-    pair: tuple[np.ndarray, np.ndarray] | None,
+    r_current: np.ndarray | None,
+    r_previous: np.ndarray | None,
     stepsize: int,
     a: int,
     b: int,
-    ssu_first: int,
+    t_first: int,
 ) -> None:
-    """Blend-and-write output columns [a, b) using the matrix ``pair``
-    ``(r_current, r_previous)``, or copy them when ``pair`` is None (both
-    matrices are exactly the identity)."""
-    if pair is None:
-        out[:, a:b] = delayed[:, a:b]
-        return
-    r_current, r_previous = pair
+    """Blend-and-write output columns [a, b), whose first is global sample
+    ``t_first``; a ``None`` operator is the identity, and with both ``None``
+    the columns are copied."""
     d = delayed[:, a:b]
-    ssu = ssu_first + np.arange(b - a)
+    if a == b or (r_current is None and r_previous is None):
+        out[:, a:b] = d
+        return
+    ssu = (t_first + 1 + np.arange(b - a)) % stepsize
     w = 0.5 * (1.0 - np.cos(np.pi * (ssu + 1) / stepsize))
-    out[:, a:b] = (r_current @ d) * w + (r_previous @ d) * (1.0 - w)
+    current = d if r_current is None else r_current @ d
+    previous = d if r_previous is None else r_previous @ d
+    out[:, a:b] = current * w + previous * (1.0 - w)
 
 
 def asr_process_chunk(
@@ -207,45 +212,33 @@ def asr_process_chunk(
     touched = np.arange(t0, t0 + min(n_samples, window)) % window
     saved = ring[:, touched]
     r_current, r_previous = state.r_current, state.r_previous
-    trivial_current, trivial_previous = state.trivial_current, state.trivial_previous
-    pair = None if trivial_current and trivial_previous else (r_current, r_previous)
     log = []
 
-    ssu_next = 0 if t0 == 0 else state.samples_since_update + 1
-    first_update = (step - 1 - t0) % step
     pos = 0
     try:
-        for j in range(first_update, n_samples, step):
-            if j > pos:
-                _ring_write(ring, t0 + pos, filtered[:, pos:j])
-                _emit(out, delayed, pair, step, pos, j, ssu_next)
-                ssu_next += j - pos
-            # update instant: the ring must already hold this sample's value
-            _ring_write(ring, t0 + j, filtered[:, j : j + 1])
+        for j in range(step - 1 - t0 % step, n_samples, step):
+            # up to and including the update instant, whose value the
+            # covariance must already hold
+            _ring_write(ring, t0 + pos, filtered[:, pos : j + 1])
+            _emit(out, delayed, r_current, r_previous, step, pos, j, t0 + pos)
             cov = ring @ ring.T
             cov /= min(t0 + j + 1, window)
             upd = update_reconstruction(cov, calib, max_dims)
-            r_previous, trivial_previous = r_current, trivial_current
-            r_current, trivial_current = upd.reconstruction, upd.n_rejected == 0
-            pair = None if trivial_current and trivial_previous else (r_current, r_previous)
+            r_previous = r_current
+            r_current = None if upd.n_rejected == 0 else upd.reconstruction
             log.append((t0 + j, upd.n_rejected))
-            _emit(out, delayed, pair, step, j, j + 1, 0)
-            ssu_next = 1
+            _emit(out, delayed, r_current, r_previous, step, j, j + 1, t0 + j)
             pos = j + 1
     except BaseException:
         ring[:, touched] = saved
         raise
-    if pos < n_samples:
-        _ring_write(ring, t0 + pos, filtered[:, pos:n_samples])
-        _emit(out, delayed, pair, step, pos, n_samples, ssu_next)
-        ssu_next += n_samples - pos
+    _ring_write(ring, t0 + pos, filtered[:, pos:])
+    _emit(out, delayed, r_current, r_previous, step, pos, n_samples, t0 + pos)
 
     state.delay_buffer = joined[:, n_samples:].copy()
     state.filter_state = filter_state
     state.r_current, state.r_previous = r_current, r_previous
-    state.trivial_current, state.trivial_previous = trivial_current, trivial_previous
     state.update_log.extend(log)
-    state.samples_since_update = ssu_next - 1
     state.total_samples_seen = t0 + n_samples
     cleaned = MultichannelChunk(
         data=out, srate=chunk.srate, first_sample_index=chunk.first_sample_index
@@ -290,6 +283,7 @@ def clean_recording(
     if chunk < 1:
         raise InvalidValue("chunk", "must be >= 1")
     state = ProcessorState.initial(calib, stepsize=stepsize, lookahead=lookahead)
+    load_kernels(calib)
     n = data.shape[1]
     out = np.empty((data.shape[0], n))
     for pos in range(0, n, chunk):

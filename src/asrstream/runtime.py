@@ -70,17 +70,11 @@ class ChunkFifo:
     def pushed(self) -> int:
         return self._tail
 
-    def size(self) -> int:
-        return max(0, self._tail - self._head)
-
-    def push(self, data: np.ndarray, n: int, seq: int, overwrite: bool = True) -> bool:
-        """Copy ``data[:, :n]`` into the ring. With ``overwrite`` the push
-        always succeeds, dropping the oldest unconsumed chunk when full;
-        otherwise a full ring returns False."""
+    def push(self, data: np.ndarray, n: int, seq: int) -> None:
+        """Copy ``data[:, :n]`` into the ring, dropping the oldest unconsumed
+        chunk when it is full."""
         ticket = self._tail
         if ticket - self._head >= self._capacity:
-            if not overwrite:
-                return False
             self.dropped += 1
         i = ticket % self._capacity
         self._begin[i] = ticket
@@ -90,7 +84,6 @@ class ChunkFifo:
         self._seqs[i] = seq
         self._done[i] = ticket
         self._tail = ticket + 1
-        return True
 
     def pop_into(self, dst: np.ndarray):
         """Copy the oldest valid chunk into ``dst``; returns (n, seq) or None.
@@ -157,9 +150,6 @@ class SideChannelRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._vars
-
-    def names(self) -> list[str]:
-        return sorted(self._vars)
 
     def publish(self, name: str, data: np.ndarray) -> None:
         """Copy one chunk into the variable and advance its sample counter.

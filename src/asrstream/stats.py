@@ -18,6 +18,8 @@ MIN_STATS_VALUES = 8
 # 64 channels), so above the threshold its relative error is at most ~2e-13.
 EXACT_DIST_SHARE = 1e-2
 GROUP_FLOATS = 1 << 18  # bound on the per-group temporaries of block passes
+MEDIAN_TOL = 1e-13  # Weiszfeld stops when a step is this small relative to the estimate
+MEDIAN_MAX_ITER = 2000
 
 
 def sliding_rms(
@@ -102,13 +104,7 @@ def _block_sq_dists(
     return sq
 
 
-def robust_covariance(
-    data: np.ndarray,
-    blocksize: int,
-    *,
-    median_tol: float = 1e-13,
-    median_max_iter: int = 2000,
-) -> np.ndarray:
+def robust_covariance(data: np.ndarray, blocksize: int) -> np.ndarray:
     """Geometric median of per-block mean outer products, symmetrized.
 
     Samples are split into ``N // blocksize`` consecutive blocks (any
@@ -123,7 +119,7 @@ def robust_covariance(
     ``sum_k w_k B_k / sum_k w_k`` as ``X diag(w_k / b per sample) X^T``,
     two ``C x N`` matmuls in all. A block that coincides with the estimate
     is skipped, and the loop stops when the step's Frobenius norm drops below
-    ``median_tol * (1 + ||estimate||)`` or after ``median_max_iter`` steps.
+    ``MEDIAN_TOL * (1 + ||estimate||)`` or after ``MEDIAN_MAX_ITER`` steps.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -143,7 +139,7 @@ def robust_covariance(
     block_sq = _block_sq_norms(blocks) / blocksize**2
     buf = np.empty_like(samples)
     est = (samples @ samples.T) / samples.shape[1]
-    for _ in range(median_max_iter):
+    for _ in range(MEDIAN_MAX_ITER):
         dist = np.sqrt(_block_sq_dists(samples, blocks, block_sq, est, buf))
         good = dist > 0.0
         if not good.any():
@@ -154,6 +150,6 @@ def robust_covariance(
         new = (buf @ samples.T) / inv.sum()
         step = float(np.linalg.norm(new - est))
         est = new
-        if step < median_tol * (1.0 + float(np.linalg.norm(est))):
+        if step < MEDIAN_TOL * (1.0 + float(np.linalg.norm(est))):
             break
     return (est + est.T) / 2.0

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidValue
+from .filters import initial_filter_state
 
 
 def round_samples(x: float) -> int:
@@ -95,15 +96,16 @@ class CalibrationState:
         m = self.mixing
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidValue("mixing", "must be a square matrix")
+        if self.threshold.shape != m.shape:
+            raise InvalidValue("threshold", "must match the mixing matrix shape")
+        for name in ("mixing", "threshold", "filter_b", "filter_a"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidValue(name, "entries must be finite")
         scale = max(float(np.linalg.norm(m)), 1e-300)
         if float(np.linalg.norm(m - m.T)) > 1e-12 * scale:
             raise InvalidValue("mixing", "must be symmetric within 1e-12 relative")
         if float(np.linalg.eigvalsh((m + m.T) / 2.0).min()) < -1e-10 * scale:
             raise InvalidValue("mixing", "must be positive semidefinite")
-        if self.threshold.shape != m.shape:
-            raise InvalidValue("threshold", "must match the mixing matrix shape")
-        if not np.all(np.isfinite(self.threshold)):
-            raise InvalidValue("threshold", "entries must be finite")
         if not self.filter_a or self.filter_a[0] != 1.0:
             raise InvalidValue("filter_a", "leading coefficient must be 1 (normalized)")
         if self.srate <= 0:
@@ -124,20 +126,19 @@ class CalibrationState:
 class ProcessorState:
     """All mutable streaming state; exclusively owned by one processing sequence.
 
-    Ring positions are keyed off global sample indices, so any partition of a
-    stream into chunks leaves identical state at identical stream positions.
+    Ring positions and the blend phase are keyed off global sample indices,
+    so any partition of a stream into chunks leaves identical state at
+    identical stream positions.
     """
 
     filter_state: np.ndarray  # (C, order) IIR delay-line memory
     delay_buffer: np.ndarray  # (C, L) most recent raw samples, oldest first
     cov_window: np.ndarray  # (C, W) filtered-sample ring, zero-filled at start
-    r_current: np.ndarray  # (C, C) reconstruction applied with weight w
-    r_previous: np.ndarray  # (C, C) reconstruction applied with weight 1 - w
+    # (C, C) reconstructions applied with weights w and 1 - w; None is the identity
+    r_current: np.ndarray | None
+    r_previous: np.ndarray | None
     stepsize: int  # samples between detection updates
-    samples_since_update: int = 0  # in [0, stepsize); 0 right at an update instant
     total_samples_seen: int = 0
-    trivial_current: bool = True  # r_current is exactly the identity
-    trivial_previous: bool = True
     # most recent update instants as (sample index, n_rejected)
     update_log: deque[tuple[int, int]] = field(
         default_factory=lambda: deque(maxlen=UPDATE_LOG_LIMIT)
@@ -161,13 +162,12 @@ class ProcessorState:
         la = calib.default_lookahead() if lookahead is None else int(lookahead)
         if la < 0:
             raise InvalidValue("lookahead", "must be >= 0")
-        order = max(len(calib.filter_b), len(calib.filter_a)) - 1
         return cls(
-            filter_state=np.zeros((c, order)),
+            filter_state=initial_filter_state(c, calib.filter_b, calib.filter_a),
             delay_buffer=np.zeros((c, la)),
             cov_window=np.zeros((c, w)),
-            r_current=np.eye(c),
-            r_previous=np.eye(c),
+            r_current=None,
+            r_previous=None,
             stepsize=int(stepsize),
         )
 

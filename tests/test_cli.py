@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -420,3 +421,128 @@ def test_stream_mode_exits_2_when_the_worker_dies(workspace, monkeypatch, capsys
     assert result["rc"] == 2
     assert thread_errors == [_WorkerKilled]
     assert "worker_alive=0" in capsys.readouterr().err
+
+
+def test_parser_defaults_come_from_the_library(capsys):
+    from asrstream.cli import build_parser
+    from asrstream.types import DEFAULT_STEPSIZE
+
+    parser = build_parser()
+    cal = parser.parse_args(["calibrate", "--input", "c.csv", "--srate", "250", "--output", "s.json"])
+    assert asr.CalibrationParams(
+        cutoff=cal.cutoff,
+        blocksize=cal.blocksize,
+        window_len=cal.window_length,
+        window_overlap=cal.window_overlap,
+        max_dims_fraction=cal.max_dims_fraction,
+    ) == asr.CalibrationParams()
+    assert parser.parse_args(["process", "--calibration", "s.json"]).stepsize == DEFAULT_STEPSIZE
+    assert parser.parse_args(["bench"]).stepsize == DEFAULT_STEPSIZE
+    assert main(["process", "--calibration", "s.json", "--stream", "--var-name", "x"]) == 1
+
+
+def test_report_counts_updates_past_the_log_limit(workspace, monkeypatch, capsys):
+    from asrstream import types
+
+    monkeypatch.setattr(types, "UPDATE_LOG_LIMIT", 4)
+    rc = main(
+        [
+            "process",
+            "--calibration", str(workspace / "calib.csv"),
+            "--input", str(workspace / "rec.csv"),
+            "--output", str(workspace / "out.csv"),
+            "--stepsize", "32",
+            "--report",
+        ]
+    )
+    assert rc == 0
+    n = load_signal_record(workspace / "rec.csv").samples
+    assert n // 32 > 4
+    assert f"updates={n // 32}" in capsys.readouterr().out.splitlines()
+
+
+def _stream_text_with(record, edits):
+    """Stream text of ``record`` with a blank line after the header and the
+    cells ``edits`` maps (physical line, 1-based column) to replaced."""
+    lines = _record_to_stream_text(record).splitlines()
+    lines.insert(1, "")
+    for (row, col), text in edits.items():
+        cells = lines[row - 1].split(",")
+        cells[col - 1] = text
+        lines[row - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_stream_mode_rejects_non_finite_samples(workspace, monkeypatch, capsys, bad):
+    rec = load_signal_record(workspace / "rec.csv")
+    row = 50  # in the second chunk of 32 samples
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_stream_text_with(rec, {(row, 2): bad})))
+    rc = main(["process", "--calibration", str(workspace / "calib.csv"), "--stream", "--chunk", "32"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: non-finite value {bad!r} (row {row}, col 2)" in captured.err
+    assert bad not in captured.out
+
+
+def test_stream_mode_reports_the_first_fault_in_reading_order(workspace, monkeypatch, capsys):
+    rec = load_signal_record(workspace / "rec.csv")
+    text = _stream_text_with(rec, {(50, 3): "nan", (52, 1): "x"})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc = main(["process", "--calibration", str(workspace / "calib.csv"), "--stream", "--chunk", "32"])
+    assert rc == 1
+    assert "error: non-finite value 'nan' (row 50, col 3)" in capsys.readouterr().err
+
+
+def test_non_finite_filter_state_exits_1_before_the_record_is_read(workspace, monkeypatch, capsys):
+    from asrstream import cli
+
+    state = workspace / "state.json"
+    assert main(["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250",
+                 "--output", str(state)]) == 0
+    payload = json.loads(state.read_text())
+    payload["filter_b"] = [float("nan")]
+    state.write_text(json.dumps(payload))
+    rec = load_signal_record(workspace / "rec.csv")
+    capsys.readouterr()
+
+    parsed = []
+    monkeypatch.setattr(cli, "load_signal_record", parsed.append)
+    argv = ["process", "--calibration", str(state)]
+    assert main([*argv, "--input", str(workspace / "rec.csv"),
+                 "--output", str(workspace / "out.csv")]) == 1
+    assert parsed == []
+    assert "filter_b: entries must be finite" in capsys.readouterr().err
+    assert not (workspace / "out.csv").exists()
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_record_to_stream_text(rec)))
+    assert main([*argv, "--stream"]) == 1
+    captured = capsys.readouterr()
+    assert "filter_b: entries must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_clean_recording_loads_lapack_before_its_first_chunk(workspace):
+    """Imported at the first rejecting update, scipy.linalg.lapack cost more
+    than up front, so a cleaning pass loads it before its first chunk."""
+    src = os.path.dirname(os.path.dirname(asr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "import asrstream as asr\n"
+        "from asrstream import processing\n"
+        f"matrix, _, _ = asr.load_calibration_data({str(workspace / 'calib.csv')!r})\n"
+        "state = asr.asr_calibrate(matrix, 250.0)\n"
+        f"rec = asr.load_signal_record({str(workspace / 'rec.csv')!r})\n"
+        "assert 'scipy.linalg' not in sys.modules, 'before the pass'\n"
+        "real = processing.asr_process_chunk\n"
+        "loaded = []\n"
+        "def watched(chunk, calib, proc):\n"
+        "    loaded.append('scipy.linalg.lapack' in sys.modules)\n"
+        "    return real(chunk, calib, proc)\n"
+        "processing.asr_process_chunk = watched\n"
+        "processing.clean_recording(rec.data, state, 256)\n"
+        "assert loaded and loaded[0], 'at the first chunk'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -1,3 +1,4 @@
+import json
 import os
 import stat
 
@@ -273,6 +274,24 @@ class TestCalibrationStateFile:
         p = tmp_path / "s.json"
         p.write_text('{"something": "else"}')
         with pytest.raises(ParseError):
+            load_calibration_state(p)
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("filter_b", lambda v: [float("nan")]),
+            ("filter_a", lambda v: [1.0, float("inf")]),
+            ("mixing", lambda v: [[float("nan")] + row[1:] for row in v]),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, tmp_path, clean_calibration, key, edit):
+        _, state = clean_calibration
+        p = tmp_path / "s.json"
+        save_calibration_state(p, state)
+        payload = json.loads(p.read_text())
+        payload[key] = edit(payload[key])
+        p.write_text(json.dumps(payload))  # writes the bare NaN/Infinity tokens json reads
+        with pytest.raises(InvalidValue, match=f"{key}: entries must be finite"):
             load_calibration_state(p)
 
 

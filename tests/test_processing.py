@@ -321,7 +321,8 @@ class TestProcessChunk:
         out, proc = run_stream(stream, state, chunk_size=17, stepsize=25)
         assert [t for t, _ in proc.update_log] == list(range(24, 1000, 25))
         assert proc.total_samples_seen == 1000
-        assert 0 <= proc.samples_since_update < 25
+        # updates fall where (t + 1) % stepsize == 0, so their count has a closed form
+        assert proc.total_samples_seen // proc.stepsize == len(proc.update_log)
 
     def test_window_covariance_matches_naive_recomputation(self, clean_calibration):
         _, state = clean_calibration

@@ -51,13 +51,6 @@ class TestChunkFifo:
             seqs.append(res[1])
         assert seqs == [1, 2, 3, 4]  # oldest (0) is gone
 
-    def test_non_overwrite_push_fails_when_full(self):
-        fifo = make_fifo(capacity=2)
-        assert fifo.push(np.zeros((2, 2)), 2, 0, overwrite=False)
-        assert fifo.push(np.zeros((2, 2)), 2, 1, overwrite=False)
-        assert not fifo.push(np.zeros((2, 2)), 2, 2, overwrite=False)
-        assert fifo.dropped == 0
-
     def test_quiesced_accounting_exact(self):
         fifo = make_fifo(capacity=3)
         for i in range(10):
