@@ -11,8 +11,9 @@ reproduce exactly:
    ``(t + 1) % stepsize == 0``) the ring covariance ``sum(y y^T) / n_eff``
    with ``n_eff = min(t + 1, W)`` feeds a detection update and the
    reconstruction pair rotates (previous <- current <- new); a rejecting
-   update builds ``R = M pinv(D V^T M) V^T`` in closed form from a thin QR
-   of ``M V_k`` over the kept eigenvectors ``V_k`` (no SVD),
+   update builds ``R = M pinv(D V^T M) V^T`` in its closed complement form
+   ``I - V_r pinv(M^-1 V_r) M^-1`` from a thin QR of ``M^-1 V_r`` over the
+   rejected eigenvectors ``V_r`` (no SVD, numpy only),
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
    ``ssu = (t + 1) mod stepsize`` counts samples since the last update (0 at
@@ -32,8 +33,9 @@ import numpy as np
 
 from .errors import CalibrationDegenerate, ChannelMismatch, InvalidInput, InvalidValue
 from .filters import filter_order, iir_filter
-# pinv stays bound though unused: perfbench/tracing.py wraps processing.pinv
-from .linalg import PINV_REL_TOL, pinv, symmetric_eig  # noqa: F401
+# pinv and symmetric_eig stay bound though unused: perfbench/tracing.py wraps
+# processing.pinv and processing.symmetric_eig
+from .linalg import pinv, signed_eigh, symmetric_eig  # noqa: F401
 from .types import (
     DEFAULT_STEPSIZE,
     CalibrationState,
@@ -44,39 +46,26 @@ from .types import (
 
 
 def load_kernels(calib: CalibrationState) -> None:
-    """Import the deferred libraries that cleaning with ``calib`` can call:
-    ``scipy.linalg.lapack`` for a rejecting update and, with a shaping
-    filter, ``scipy.signal``. Importing them takes a quarter to a whole
-    second, so a live stream and ``clean_recording`` do it before their
-    first chunk rather than in the middle of the pass."""
-    from scipy.linalg import lapack  # noqa: F401
-
+    """Import the deferred library that cleaning with ``calib`` can call:
+    ``scipy.signal``, and only when ``calib`` has a shaping filter. Its
+    import takes about a second, so a live stream and ``clean_recording``
+    do it before their first chunk rather than in the middle of the pass.
+    Without a filter, cleaning loads no part of scipy."""
     if filter_order(calib.filter_b, calib.filter_a):
         import scipy.signal  # noqa: F401
 
 
-def _reconstruct(mixing: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """``M Q R_q^-T V_k^T`` from the thin QR ``M V_k = Q R_q``.
-
-    LAPACK is called directly: at these channel counts the Python side of
-    ``numpy.linalg.qr`` and ``scipy.linalg.solve_triangular`` costs about as
-    much as the arithmetic. It is imported here, on first use, because it
-    loads all of ``scipy.linalg`` (about 0.25 s) and calibration never needs
-    it.
-    """
-    from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
-
-    qr, tau, _, _ = dgeqrf(mixing @ kept)
-    r_diag = np.abs(np.diagonal(qr))
-    # the cutoff pinv applies to singular values; a NaN fails it too
-    if not r_diag.min() > PINV_REL_TOL * mixing.shape[0] * r_diag.max():
+def _reconstruct(calib: CalibrationState, rejected: np.ndarray) -> np.ndarray:
+    """``I - V_r R_q^-1 Q^T N`` from the thin QR ``N V_r = Q R_q``, where
+    ``N = M^-1`` and ``V_r`` holds the rejected eigenvectors."""
+    inverse = calib.inverse_mixing
+    if inverse is None:
         raise CalibrationDegenerate(
             "mixing matrix is singular; the reconstruction is undefined"
         )
-    k = kept.shape[1]
-    coef, _ = dtrtrs(np.triu(qr[:k]), kept.T, trans=1)  # R_q^-T V_k^T
-    q, _, _ = dorgqr(qr, tau)
-    return (mixing @ q) @ coef
+    q, r_q = np.linalg.qr(inverse @ rejected)
+    coef = np.linalg.solve(r_q, q.T @ inverse)  # r_q is r x r upper triangular
+    return np.eye(rejected.shape[0]) - rejected @ coef
 
 
 def update_reconstruction(
@@ -85,25 +74,31 @@ def update_reconstruction(
     """One detection step: compare covariance eigenvalues against the
     calibration thresholds and build the reconstruction matrix.
 
+    ``cov`` is checked for finiteness once and symmetrized once, so an
+    asymmetric covariance gives the update of its symmetric part.
     Component j (eigenvalues ascending) is kept iff its eigenvalue stays at
     or below ``sum((threshold @ v_j)**2)``, or j lies below the rejection
     budget ``floor(max_dims_fraction * C)`` counted from the top. With
-    nothing rejected the result is exactly the identity; otherwise
-    ``R = M @ pinv(keep * (V^T M)) @ V^T`` (all-real arithmetic throughout),
-    evaluated in closed form: the nonzero rows ``A = V_k^T M`` have full row
-    rank, so with the thin QR ``M V_k = A^T = Q R_q`` the pseudoinverse is
-    ``A^T (A A^T)^-1 = Q R_q^-T`` and ``R = M Q R_q^-T V_k^T``. Unlike the
-    Gram solve ``(V_k^T C V_k)^-1`` this does not square the condition number
-    of M. A numerically singular ``R_q`` means the mixing is singular (only a
-    hand-made or loaded state can be) and raises CalibrationDegenerate.
+    nothing rejected the result is exactly the identity, and with everything
+    rejected exactly zero; otherwise it is ``R = M @ pinv(keep * (V^T M)) @ V^T``
+    (all-real arithmetic throughout), evaluated from the r rejected
+    eigenvectors ``V_r`` alone. With M symmetric positive definite, N = M^-1
+    and V orthogonal, ``R`` is the oblique projector that annuls ``V_r`` and
+    fixes the range of ``M^2 V_k``, so ``R = I - V_r pinv(N V_r) N``; with the
+    thin QR ``N V_r = Q R_q`` that is ``I - V_r R_q^-1 Q^T N``. Unlike the
+    Gram solve ``(V_r^T N^2 V_r)^-1`` this does not square the condition
+    number of M, and its cost scales with r rather than with the C - r kept
+    components. A numerically singular M (only a hand-made or loaded state
+    can have one) raises CalibrationDegenerate at any update that rejects
+    some but not all components.
     """
     cov = np.asarray(cov, dtype=float)
-    if not np.all(np.isfinite(cov)):
-        raise InvalidInput("covariance contains non-finite entries")
     c = calib.channels
     if cov.shape != (c, c):
         raise InvalidInput(f"covariance must be {c}x{c}")
-    eigvals, eigvecs = symmetric_eig((cov + cov.T) / 2.0)
+    if not np.isfinite(cov).all():
+        raise InvalidInput("covariance contains non-finite entries")
+    eigvals, eigvecs = signed_eigh((cov + cov.T) / 2.0)
 
     budget = int(np.floor(max_dims_fraction * c))
     protected = np.arange(c) < c - budget  # smallest components, never rejected
@@ -116,7 +111,7 @@ def update_reconstruction(
     elif n_rejected == c:
         recon = np.zeros((c, c))  # pinv of an all-zero projection
     else:
-        recon = _reconstruct(calib.mixing, eigvecs[:, keep])
+        recon = _reconstruct(calib, eigvecs[:, ~keep])
     return ReconstructionUpdate(
         eigvals=eigvals,
         eigvecs=eigvecs,

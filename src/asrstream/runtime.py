@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 
 WORKER_IDLE_PARK_S = 0.0002  # bounded park between polls when the inbound ring is empty
 WORKER_JOIN_TIMEOUT_S = 2.0
+FAIL_OPEN_LOG_INTERVAL_S = 1.0  # at most one fail-open summary line per interval
 
 
 class ChunkFifo:
@@ -286,6 +287,7 @@ class Pipeline:
         self._popped_chunks = 0
         self._processed_chunks = 0
         self._error_chunks = 0
+        self._last_error_sample = -1
         self._stop = False
 
         load_kernels(calib)  # an import in the worker would stall a live stream
@@ -335,6 +337,9 @@ class Pipeline:
         srate = calib.srate
         work = np.zeros((calib.channels, self.config.chunk_capacity))
         inbound, outbound = self._inbound, self._outbound
+        unlogged = 0  # fail-open chunks since the last warning
+        logged_at = 0.0
+        error = None
         while not self._stop:
             res = inbound.pop_into(work)
             if res is None:
@@ -352,14 +357,25 @@ class Pipeline:
                 # delayed by the lookahead, rather than let the worker die
                 # and leave the producer waiting
                 self._error_chunks += 1
-                logger.warning(
-                    "chunk at sample %d passed through uncleaned: %s",
-                    seq,
-                    exc,
-                    exc_info=not isinstance(exc, AsrError),  # unexpected: keep the trace
-                )
+                self._last_error_sample, error = seq, exc
                 payload = pass_chunk_through(chunk, self._proc_state).data
+                now = time.monotonic()
+                if self._error_chunks == 1:
+                    logger.warning(
+                        "chunk at sample %d passed through uncleaned: %s",
+                        seq,
+                        exc,
+                        exc_info=not isinstance(exc, AsrError),  # unexpected: keep the trace
+                    )
+                    logged_at = now
+                else:
+                    unlogged += 1
+                    if now - logged_at >= FAIL_OPEN_LOG_INTERVAL_S:
+                        _log_unlogged(unlogged, seq, exc)
+                        unlogged, logged_at = 0, now
             outbound.push(payload, n, seq)
+        if unlogged:
+            _log_unlogged(unlogged, self._last_error_sample, error)
 
     def release(self) -> None:
         """Stop and join the worker, free the rings, unlock configuration."""
@@ -406,7 +422,9 @@ class Pipeline:
         return self._pushed_chunks - self._drained_chunks - self._inbound.dropped - self._outbound.dropped
 
     def stats(self) -> dict[str, int]:
-        """Monitoring counters; not for use inside the real-time callback."""
+        """Monitoring counters, all integers; not for use inside the real-time
+        callback. ``last_error_sample`` is the first sample index of the most
+        recent chunk that failed open, or -1 when none has."""
         return {
             "pushed": self._pushed_chunks,
             "popped": self._popped_chunks,
@@ -416,4 +434,16 @@ class Pipeline:
             "dropped_in": self._inbound.dropped if self._inbound else 0,
             "dropped_out": self._outbound.dropped if self._outbound else 0,
             "worker_alive": int(self.worker_alive()),
+            "last_error_sample": self._last_error_sample,
         }
+
+
+def _log_unlogged(count: int, seq: int, exc: Exception) -> None:
+    """The rate-limited fail-open summary: ``count`` chunks since the last
+    warning, the latest at sample ``seq`` failing with ``exc``."""
+    logger.warning(
+        "%d more chunks passed through uncleaned, the latest at sample %d: %s",
+        count,
+        seq,
+        exc,
+    )

@@ -7,11 +7,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidValue
 from .filters import initial_filter_state
+from .linalg import PINV_REL_TOL
 
 
 def round_samples(x: float) -> int:
@@ -114,6 +116,17 @@ class CalibrationState:
     @property
     def channels(self) -> int:
         return self.mixing.shape[0]
+
+    @cached_property
+    def inverse_mixing(self) -> np.ndarray | None:
+        """``M^-1`` from ``eigh(M)``, computed on first use and never saved;
+        None when M is numerically singular (its smallest eigenvalue at or
+        below ``PINV_REL_TOL * C`` times its largest), which only a hand-made
+        or loaded state can be."""
+        vals, vecs = np.linalg.eigh(self.mixing)
+        if not vals[0] > PINV_REL_TOL * self.channels * vals[-1]:
+            return None
+        return (vecs / vals) @ vecs.T
 
     def window_samples(self) -> int:
         return self.params.window_samples(self.srate)

@@ -261,8 +261,8 @@ def test_chunk_is_checked_before_any_input(tmp_path, monkeypatch, capsys):
 
 
 def test_import_and_calibrate_leave_scipy_linalg_unloaded(workspace):
-    """scipy.linalg takes about 0.25 s to import and only a rejecting update
-    needs it (for LAPACK)."""
+    """scipy.linalg takes about 0.25 s to import and neither import nor
+    calibration needs it."""
     src = os.path.dirname(os.path.dirname(asr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -319,6 +319,20 @@ def test_stream_mode_matches_file_mode(workspace, capsys):
     ) == 0
     want = load_signal_record(workspace / "file_out.csv")
     assert np.array_equal(got, want.data)
+
+
+def test_stream_done_counters_are_integers(workspace, capsys):
+    from asrstream.cli import build_parser, _process_stream
+
+    rec = load_signal_record(workspace / "rec.csv")
+    args = build_parser().parse_args(
+        ["process", "--calibration", str(workspace / "calib.csv"), "--stream"]
+    )
+    assert _process_stream(args, io.StringIO(_record_to_stream_text(rec)), io.StringIO()) == 0
+    line = [l for l in capsys.readouterr().err.splitlines() if l.startswith("stream done: ")]
+    counters = {k: int(v) for k, v in (p.split("=") for p in line[-1].split()[2:])}
+    assert counters["errors"] == 0 and counters["last_error_sample"] == -1
+    assert counters["worker_alive"] == 1
 
 
 def test_stream_mode_rejects_bad_header(workspace):
@@ -522,27 +536,38 @@ def test_non_finite_filter_state_exits_1_before_the_record_is_read(workspace, mo
     assert captured.out == ""
 
 
-def test_clean_recording_loads_lapack_before_its_first_chunk(workspace):
-    """Imported at the first rejecting update, scipy.linalg.lapack cost more
-    than up front, so a cleaning pass loads it before its first chunk."""
+def test_cleaning_never_loads_scipy_linalg(workspace):
+    """Without a shaping filter no part of cleaning imports scipy.linalg
+    (about 0.25 s): not a rejecting update, not a whole clean_recording
+    pass, and not process in file or stream mode."""
+    rec = load_signal_record(workspace / "rec.csv")
+    (workspace / "stream.txt").write_text(_record_to_stream_text(rec))
+    state, out = str(workspace / "state.json"), str(workspace / "out.csv")
     src = os.path.dirname(os.path.dirname(asr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys\n"
         "import asrstream as asr\n"
-        "from asrstream import processing\n"
+        "from asrstream.cli import main\n"
         f"matrix, _, _ = asr.load_calibration_data({str(workspace / 'calib.csv')!r})\n"
-        "state = asr.asr_calibrate(matrix, 250.0)\n"
+        "calib = asr.asr_calibrate(matrix, 250.0)\n"
         f"rec = asr.load_signal_record({str(workspace / 'rec.csv')!r})\n"
-        "assert 'scipy.linalg' not in sys.modules, 'before the pass'\n"
-        "real = processing.asr_process_chunk\n"
-        "loaded = []\n"
-        "def watched(chunk, calib, proc):\n"
-        "    loaded.append('scipy.linalg.lapack' in sys.modules)\n"
-        "    return real(chunk, calib, proc)\n"
-        "processing.asr_process_chunk = watched\n"
-        "processing.clean_recording(rec.data, state, 256)\n"
-        "assert loaded and loaded[0], 'at the first chunk'\n"
+        "_, proc = asr.clean_recording(rec.data, calib, 256)\n"
+        "assert any(r for _, r in proc.update_log), 'no update rejected'\n"
+        "assert 'scipy.linalg' not in sys.modules, 'clean_recording'\n"
+        f"assert main(['calibrate', '--input', {str(workspace / 'calib.csv')!r}, "
+        f"'--srate', '250', '--output', {state!r}]) == 0\n"
+        f"assert main(['process', '--calibration', {state!r}, "
+        f"'--input', {str(workspace / 'rec.csv')!r}, '--output', {out!r}]) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules, 'process'\n"
+        f"assert main(['process', '--calibration', {state!r}, '--stream']) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules, 'process --stream'\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    with open(workspace / "stream.txt") as stdin:
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, stdin=stdin, capture_output=True, text=True
+        )
     assert result.returncode == 0, result.stderr
+    assert "errors=0" in result.stderr
+    stream_out = result.stdout[result.stdout.index("# channels="):]
+    assert len(stream_out.splitlines()) == rec.samples + 1  # header + samples

@@ -67,17 +67,31 @@ class TestUpdateReconstruction:
         with pytest.raises(InvalidInput):
             asr.update_reconstruction(cov, state, 0.66)
 
+    def test_asymmetric_covariance_gives_the_symmetrized_update(self, clean_calibration):
+        _, state = clean_calibration
+        c = state.channels
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal((c, c))
+        cov = 50.0 * b @ b.T + rng.standard_normal((c, c))  # far from symmetric
+        got = asr.update_reconstruction(cov, state, 0.66)
+        want = asr.update_reconstruction((cov + cov.T) / 2.0, state, 0.66)
+        assert got.n_rejected == want.n_rejected > 0
+        for name in ("eigvals", "eigvecs", "keep", "reconstruction"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
-def _detection_case(mixing, seed):
+
+def _detection_case(mixing, seed, reject=None):
     """A calibration state around ``mixing`` and a covariance whose update
-    rejects a random mask of components (at least one kept, one rejected)
-    when every component is within the rejection budget."""
+    rejects the components flagged in ``reject`` (ascending order; by
+    default a random mask with at least one kept and one rejected) when
+    every component is within the rejection budget."""
     c = mixing.shape[0]
     rng = np.random.default_rng(seed)
     basis = np.linalg.qr(rng.standard_normal((c, c)))[0]
     eigvals = np.sort(rng.uniform(0.5, 2.0, c))
-    reject = rng.random(c) < 0.5
-    reject[0], reject[-1] = False, True
+    if reject is None:
+        reject = rng.random(c) < 0.5
+        reject[0], reject[-1] = False, True
     limits = np.where(reject, eigvals / 2.0, eigvals * 2.0)
     state = asr.CalibrationState(
         mixing=mixing,
@@ -153,6 +167,36 @@ class TestClosedFormReconstruction:
         upd = asr.update_reconstruction(cov * 1e9, state, 1.0)
         assert upd.n_rejected == 3
         assert np.array_equal(upd.reconstruction, _pinv_reconstruction(upd, mixing))
+
+    @pytest.mark.parametrize("clamped", [False, True])
+    @pytest.mark.parametrize("fraction", [1 / 64, 0.66])
+    def test_one_and_the_whole_budget_at_64_channels(self, fraction, clamped):
+        c = 64
+        n_reject = int(np.floor(fraction * c))  # 1, and the default budget 42
+        if clamped:
+            mixing = _clamped_mixing(c, 32, seed=n_reject)
+            bound = 10 * np.finfo(float).eps * np.linalg.cond(mixing)
+        else:
+            b = np.random.default_rng(n_reject).standard_normal((c, c))
+            mixing = asr.matrix_sqrt_psd(b @ b.T / c + 0.1 * np.eye(c))
+            bound = 1e-10
+        reject = np.arange(c) >= c - n_reject
+        state, cov, _ = _detection_case(mixing, seed=n_reject, reject=reject)
+        upd = asr.update_reconstruction(cov, state, fraction)
+        assert upd.n_rejected == n_reject
+        assert np.array_equal(~upd.keep, reject)
+        assert _rel_err(upd.reconstruction, _pinv_reconstruction(upd, mixing)) < bound
+
+    def test_singular_mixing_is_degenerate_with_few_kept(self):
+        # rank 3 of 4 with one kept vector: M V_k has full column rank, so
+        # the pinv form is defined, but the reconstruction from the rejected
+        # vectors needs M^-1 and a singular M is out of its domain
+        b = np.random.default_rng(3).standard_normal((4, 3))
+        reject = np.array([False, True, True, True])
+        state, cov, _ = _detection_case(b @ b.T, seed=3, reject=reject)
+        assert np.linalg.matrix_rank(state.mixing) == 3
+        with pytest.raises(CalibrationDegenerate, match="singular"):
+            asr.update_reconstruction(cov, state, 1.0)
 
     def test_singular_mixing_is_degenerate(self):
         u = np.array([1.0, 2.0, -1.0, 0.5]) / 2.5
