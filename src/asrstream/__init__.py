@@ -16,7 +16,6 @@ from .errors import AsrError
 from .filters import iir_filter
 from .io_formats import (
     SignalRecord,
-    load_calibration_csv,
     load_calibration_data,
     load_calibration_state,
     load_signal_record,
@@ -67,7 +66,6 @@ __all__ = [
     "generate_synthetic",
     "geometric_median",
     "iir_filter",
-    "load_calibration_csv",
     "load_calibration_data",
     "load_calibration_state",
     "load_signal_record",

@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidInput, WindowTooShort
+from .errors import InsufficientData, InvalidInput
 from .filters import NOOP_A, NOOP_B, initial_filter_state, iir_filter, normalize_coefficients
 from .linalg import matrix_sqrt_psd, symmetric_eig
 from .stats import MIN_STATS_VALUES, robust_covariance, robust_stats, sliding_rms
@@ -63,12 +63,8 @@ def asr_calibrate(
     if c < 1 or n < 1:
         raise InvalidInput("data must have at least one channel and one sample")
 
+    params.check_window(srate, c)
     w = params.window_samples(srate)
-    if w < 1.5 * c:
-        raise WindowTooShort(
-            f"statistics window of {w} samples is shorter than 1.5x the "
-            f"channel count ({c}); increase window_len or srate"
-        )
     if n < w:
         raise InsufficientData(
             f"need at least {w} samples (one statistics window), got {n}"

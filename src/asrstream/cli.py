@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -26,10 +27,11 @@ from .io_formats import (
     load_calibration_data,
     load_calibration_state,
     load_signal_record,
+    parse_rows,
+    read_preamble,
     save_calibration_csv,
     save_calibration_state,
     save_signal_record,
-    stack_rows,
 )
 # asr_process_chunk stays bound though unused: perfbench/tracing.py wraps it
 from .processing import asr_process_chunk, clean_recording  # noqa: F401
@@ -141,8 +143,8 @@ def _publish_paced(pipeline, registry, name: str, block: np.ndarray) -> None:
     while pipeline.in_flight() >= pipeline.config.fifo_capacity - 1:
         if not pipeline.worker_alive():
             raise WorkerDied("the worker thread stopped; the stream is incomplete")
-        pipeline.process()
-        time.sleep(0.0002)
+        if not pipeline.process():
+            time.sleep(0.0002)
     registry.publish(name, block)
     pipeline.process()
 
@@ -189,39 +191,13 @@ def _process_stream(args, stdin, stdout) -> int:
             block = spool.pop(0)
             stdout.write("".join(format_row(col) + "\n" for col in block.T))
 
-    rows: list[list[float]] = []
-    row_lines: dict[int, str] = {}  # physical line number -> text of each row
-
-    def _publish_rows() -> None:
-        block = stack_rows(rows, row_lines).T  # raises at a non-finite sample
-        rows.clear()
-        row_lines.clear()
-        _publish_paced(pipeline, registry, STREAM_VAR, block)
-
     exit_code = 0
     try:
         stdout.write(f"# channels={channels} srate={srate!r}\n")
-        for lineno, raw in enumerate(stdin, start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if len(cells) != channels:
-                stack_rows(rows, row_lines, cells, lineno)
-                raise ParseError(
-                    f"expected {channels} values per line, got {len(cells)}", row=lineno
-                )
-            try:
-                rows.append(list(map(float, cells)))  # the grammar of the file loaders
-            except ValueError:
-                stack_rows(rows, row_lines, cells, lineno)
-                raise  # not reached: some cell of this line fails to parse
-            row_lines[lineno] = line
-            if len(rows) >= args.chunk:
-                _publish_rows()
-                _write_spool()
-        if rows:
-            _publish_rows()
+        _, lines = read_preamble(stdin, {}, start=2)
+        while block := parse_rows(islice(lines, args.chunk), channels):
+            _publish_paced(pipeline, registry, STREAM_VAR, np.array(block).T)
+            _write_spool()
         pipeline.flush(timeout=5.0)
         _write_spool()
         stdout.flush()
@@ -230,8 +206,6 @@ def _process_stream(args, stdin, stdout) -> int:
     except (OSError, WorkerDied) as exc:
         logger.error("stream aborted: %s", exc)
         exit_code = 2
-    except ParseError:
-        raise
     finally:
         stats = pipeline.stats()
         pipeline.release()

@@ -1,6 +1,10 @@
 """File formats: calibration CSV, signal records, calibration-state files,
 and key-value pipeline configuration.
 
+The text tables (the calibration CSV, the signal record and the CLI's
+stream) share one line grammar: :func:`read_preamble` reads the '#' lines
+that open a table, :func:`parse_row` each data line after them.
+
 All text is UTF-8 with '.' decimals (locale-independent); both LF and CRLF
 line endings are accepted. Floats are written with repr precision, so every
 save/load round trip is value-exact. Writers go through a temp file and an
@@ -11,8 +15,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -55,110 +62,106 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _parse_cell(cell: str, row: int, col: int) -> float:
+def _parse_cell(cell: str, row: int, col: int = 1) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise ParseError(f"cannot parse {cell!r} as a number", row=row, col=col) from None
-    if not np.isfinite(value):
+    if not isfinite(value):
         raise ParseError(f"non-finite value {cell!r}", row=row, col=col)
     return value
 
 
-def _parse_coefficient_line(line: str, row: int):
-    """Recognize '# filter_b: v,v,...' / '# filter_a: ...' preamble lines."""
-    body = line.lstrip("#").strip()
-    for key in ("filter_b", "filter_a"):
-        if body.startswith(key):
-            rest = body[len(key) :].lstrip(" :=")
-            values = [
-                _parse_cell(cell.strip(), row, i + 1)
-                for i, cell in enumerate(rest.split(","))
-                if cell.strip()
-            ]
-            if not values:
-                raise ParseError(f"{key} preamble carries no values", row=row)
-            if len(values) > MAX_FILTER_ORDER + 1:
-                raise ParseError(
-                    f"{key} exceeds the supported filter order of {MAX_FILTER_ORDER}",
-                    row=row,
-                )
-            return key, values
-    return None
+def parse_row(line: str, lineno: int, width: int | None = None) -> list[float]:
+    """The comma-separated finite floats of data line ``lineno``; ``width`` of
+    them when it is given.
 
-
-def _read_csv_body(lines: list[str]):
-    """Parse '#'-preamble plus comma-separated numeric rows.
-
-    ``lines[i]`` is physical line ``i + 1``. Returns (matrix, preamble dict).
-    Row/column positions in errors are 1-based and count physical lines; of
-    several faults, the first in reading order is reported.
+    Of several faults the first in reading order is raised: a '#' line, then
+    the first unparseable or non-finite cell (ParseError with its 1-based
+    column), then a wrong cell count (RaggedCsv). A good line costs one
+    ``float()`` per cell and one finiteness test of their sum; only a line
+    that fails that screen is parsed again, cell by cell.
     """
-    preamble: dict[str, list[float]] = {}
-    rows: list[list[float]] = []
-    row_lines: dict[int, str] = {}  # physical line number -> text of each row
-    width = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue  # stray blank lines are tolerated
-        if line.startswith("#"):
-            if rows:
-                stack_rows(rows, row_lines)
-                raise ParseError("comment lines are only allowed before data", row=lineno)
-            coeffs = _parse_coefficient_line(line, lineno)
-            if coeffs:
-                preamble[coeffs[0]] = coeffs[1]
-            continue
-        cells = line.split(",")
-        try:
-            values = list(map(float, cells))  # the same grammar as _parse_cell
-        except ValueError:
-            stack_rows(rows, row_lines, cells, lineno)
-            raise  # not reached: some cell of this line fails _parse_cell
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            stack_rows(rows, row_lines, cells, lineno)
-            raise RaggedCsv(
-                lineno,
-                f"row {lineno} has {len(values)} cells, row {next(iter(row_lines))} has {width}",
-            )
-        rows.append(values)
-        row_lines[lineno] = line
-    if not rows:
-        raise EmptyFile("no data rows found")
-    return stack_rows(rows, row_lines), preamble
-
-
-def stack_rows(rows, row_lines, cells=(), lineno=None) -> np.ndarray:
-    """Stack the parsed ``rows``, raising ParseError at their first non-finite
-    value; then at the first unparseable or non-finite one of ``cells``, the
-    split line ``lineno`` that follows them. ``row_lines`` maps the physical
-    line number of each row, in order, to its text."""
-    matrix = np.array(rows, dtype=float)
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        i, j = np.unravel_index(np.argmin(finite), finite.shape)  # first in row-major order
-        row, text = list(row_lines.items())[i]
-        cell = text.split(",")[j].strip()
-        raise ParseError(f"non-finite value {cell!r}", row=row, col=int(j) + 1)
+    cells = line.split(",")
+    try:
+        values = list(map(float, cells))  # the grammar of _parse_cell
+    except ValueError:
+        pass  # some cell fails _parse_cell below
+    else:
+        if isfinite(sum(values)) and (width is None or len(values) == width):
+            return values
+    if line.lstrip().startswith("#"):
+        raise ParseError("comment lines are only allowed before data", row=lineno)
     for col, cell in enumerate(cells, start=1):
         _parse_cell(cell.strip(), lineno, col)
-    return matrix
+    if width is not None and len(cells) != width:
+        raise RaggedCsv(lineno, f"row {lineno} has {len(cells)} cells, expected {width}")
+    return values  # every value is finite; only their sum overflowed
 
 
-def load_calibration_csv(path) -> np.ndarray:
-    """Calibration data: every row is a channel, every column a sample."""
-    matrix, _, _ = load_calibration_data(path)
-    return matrix
+_KEY_LINE = re.compile(r"#+\s*([^\s:=]+)[\s:=]+(.*)")
+
+
+def read_preamble(lines, keys: dict, start: int = 1):
+    """Read the '#' lines that open a table.
+
+    ``lines`` yields text lines, the first of them physical line ``start``.
+    A '#' line whose first word is a key of ``keys`` followed by ':', '='
+    or whitespace sets that key to ``keys[key](value, lineno)``; any other
+    '#' line is a comment. Blank lines are skipped everywhere. Returns
+    ``(found, rows)``: the values set, and an iterator over the non-blank
+    lines from the first data line on, as (line number, text) pairs.
+    """
+    numbered = ((n, line) for n, line in enumerate(lines, start) if line.strip())
+    found = {}
+    for lineno, line in numbered:
+        line = line.strip()
+        if not line.startswith("#"):
+            return found, chain([(lineno, line)], numbered)
+        match = _KEY_LINE.fullmatch(line)
+        if match and match[1] in keys:
+            found[match[1]] = keys[match[1]](match[2], lineno)
+    return found, numbered
+
+
+def parse_rows(rows, width: int | None = None) -> list[list[float]]:
+    """Parse ``rows``, (line number, text) pairs as :func:`read_preamble`
+    returns them; every row must have ``width`` cells, or as many as the
+    first."""
+    parsed = []
+    for lineno, line in rows:
+        parsed.append(parse_row(line, lineno, width))
+        width = len(parsed[0])
+    return parsed
+
+
+def _matrix(rows) -> np.ndarray:
+    parsed = parse_rows(rows)
+    if not parsed:
+        raise EmptyFile("no data rows found")
+    return np.array(parsed)
+
+
+def _parse_coefficients(value: str, lineno: int) -> list[float]:
+    if not value:
+        raise ParseError("filter preamble carries no values", row=lineno)
+    coefficients = parse_row(value, lineno)
+    if len(coefficients) > MAX_FILTER_ORDER + 1:
+        raise ParseError(
+            f"filter preamble exceeds the supported filter order of {MAX_FILTER_ORDER}",
+            row=lineno,
+        )
+    return coefficients
 
 
 def load_calibration_data(path):
-    """Like :func:`load_calibration_csv` but also returns any shaping-filter
-    coefficients carried in the '#' preamble: (matrix, filter_b, filter_a)."""
+    """Calibration data, every row a channel and every column a sample, with
+    the shaping-filter coefficients its '#' preamble may carry: (matrix,
+    filter_b, filter_a)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    matrix, preamble = _read_csv_body(lines)
+    keys = {"filter_b": _parse_coefficients, "filter_a": _parse_coefficients}
+    preamble, rows = read_preamble(lines, keys)
+    matrix = _matrix(rows)
     if matrix.shape[1] < 2:
         raise ParseError("calibration data needs at least 2 columns (samples)", row=1)
     return matrix, preamble.get("filter_b"), preamble.get("filter_a")
@@ -206,35 +209,27 @@ def save_signal_record(path, record: SignalRecord) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _parse_channels(value: str, lineno: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError("channels header must be an integer", row=lineno) from None
+
+
 def load_signal_record(path) -> SignalRecord:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    channels = None
-    srate = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            lines[lineno - 1] = ""  # the body parser skips it; line numbers stay physical
-            body = line.lstrip("#").strip()
-            for key in ("channels", "srate"):
-                if body.startswith(key):
-                    value = body[len(key) :].lstrip(" :=")
-                    if key == "channels":
-                        try:
-                            channels = int(value)
-                        except ValueError:
-                            raise ParseError("channels header must be an integer", row=lineno) from None
-                    else:
-                        srate = _parse_cell(value, lineno, 1)
-    if channels is None or srate is None:
+    keys = {"channels": _parse_channels, "srate": _parse_cell}
+    header, rows = read_preamble(lines, keys)
+    if len(header) < len(keys):
         raise ParseError("missing '# channels:' or '# srate:' header")
-    if srate <= 0:
+    if header["srate"] <= 0:
         raise ParseError("srate must be > 0")
-    matrix, _ = _read_csv_body(lines)
-    if matrix.shape[0] != channels:
+    matrix = _matrix(rows)
+    if matrix.shape[0] != header["channels"]:
         raise ParseError(
-            f"header says {channels} channels but body has {matrix.shape[0]} rows"
+            f"header says {header['channels']} channels but body has {matrix.shape[0]} rows"
         )
-    return SignalRecord(data=matrix, srate=srate)
+    return SignalRecord(data=matrix, srate=header["srate"])
 
 
 def save_calibration_state(path, state: CalibrationState) -> None:

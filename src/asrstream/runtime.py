@@ -248,12 +248,6 @@ class Pipeline:
             )
 
         c = calib.channels
-        window = calib.window_samples()
-        if window < 1.5 * c:
-            raise WindowTooShort(
-                f"statistics window of {window} samples is shorter than 1.5x "
-                f"the channel count ({c})"
-            )
         if cfg.var_name not in self.registry:
             raise PrepareFailed(f"input variable {cfg.var_name!r} is not registered")
         in_var = self.registry.get(cfg.var_name)
@@ -282,6 +276,7 @@ class Pipeline:
         )
         self._consumed_published = in_var.published_total
         self._input_seq = 0
+        self._overwritten_in_samples = 0
         self._pushed_chunks = 0
         self._drained_chunks = 0
         self._popped_chunks = 0
@@ -300,37 +295,38 @@ class Pipeline:
         self._prepared = True
 
     def process(self) -> int:
-        """Real-time callback: enqueue any newly published input chunk, drain
-        cleaned chunks into the output variable. Never blocks; a full inbound
-        ring drops the oldest chunk and counts it. Returns the number of
-        chunks drained."""
+        """Real-time callback: enqueue any newly published input chunk and
+        move at most one cleaned chunk into the output variable, so a host
+        that reads the variable after each call sees every chunk. Never
+        blocks; a full inbound ring drops the oldest chunk and counts it.
+        Returns the number of chunks moved, 0 or 1."""
         if not self._prepared:
             raise InvalidLifecycle("pipeline is not prepared")
         in_var = self._in_var
         published = in_var.published_total
         if published != self._consumed_published:
             n = in_var.valid_samples
+            # samples published since the last call that a later chunk overwrote
+            missed = published - self._consumed_published - n
             self._consumed_published = published
-            if n > 0:
-                self._inbound.push(in_var.payload, n, self._input_seq)
-                self._input_seq += n
-                self._pushed_chunks += 1
-        drained = 0
-        out_var = self._out_var
+            self._overwritten_in_samples += missed
+            self._input_seq += missed
+            self._inbound.push(in_var.payload, n, self._input_seq)
+            self._input_seq += n
+            self._pushed_chunks += 1
         buf = self._drain_buf
-        while True:
-            res = self._outbound.pop_into(buf)
-            if res is None:
-                break
-            n, seq = res
-            np.copyto(out_var.payload[:, :n], buf[:, :n])
-            out_var.valid_samples = n
-            out_var.published_total += n
-            drained += 1
-            self._drained_chunks += 1
-            if self._sink is not None:
-                self._sink(buf[:, :n], n, seq)
-        return drained
+        res = self._outbound.pop_into(buf)
+        if res is None:
+            return 0
+        n, seq = res
+        out_var = self._out_var
+        np.copyto(out_var.payload[:, :n], buf[:, :n])
+        out_var.valid_samples = n
+        out_var.published_total += n
+        self._drained_chunks += 1
+        if self._sink is not None:
+            self._sink(buf[:, :n], n, seq)
+        return 1
 
     def _worker_loop(self) -> None:
         calib = self._calib
@@ -396,19 +392,22 @@ class Pipeline:
         self._prepared = False
 
     def flush(self, timeout: float = 2.0) -> int:
-        """Drain until nothing is in flight, the worker is dead or the timeout
-        passes. Not real-time safe; intended for end-of-stream shutdown.
-        Returns the number of chunks drained."""
+        """Drain until nothing is in flight, the worker is dead and its last
+        chunks are drained, or the timeout passes. Not real-time safe;
+        intended for end-of-stream shutdown. Returns the number of chunks
+        drained."""
         if not self._prepared:
             raise InvalidLifecycle("pipeline is not prepared")
         deadline = time.perf_counter() + timeout
         drained = 0
         while time.perf_counter() < deadline:
             alive = self.worker_alive()  # read first: a dead worker's last push is drained below
-            drained += self.process()
-            if self.in_flight() == 0 or not alive:
+            moved = self.process()
+            drained += moved
+            if self.in_flight() == 0 or not (alive or moved):
                 break
-            time.sleep(0.001)
+            if not moved:
+                time.sleep(0.001)
         return drained
 
     def worker_alive(self) -> bool:
@@ -433,6 +432,7 @@ class Pipeline:
             "drained": self._drained_chunks,
             "dropped_in": self._inbound.dropped if self._inbound else 0,
             "dropped_out": self._outbound.dropped if self._outbound else 0,
+            "overwritten_in_samples": self._overwritten_in_samples,
             "worker_alive": int(self.worker_alive()),
             "last_error_sample": self._last_error_sample,
         }

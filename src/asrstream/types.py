@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidValue
+from .errors import InvalidValue, WindowTooShort
 from .filters import initial_filter_state
 from .linalg import PINV_REL_TOL
 
@@ -67,6 +67,15 @@ class CalibrationParams:
     def window_samples(self, srate: float) -> int:
         return round_samples(self.window_len * srate)
 
+    def check_window(self, srate: float, channels: int) -> None:
+        """The statistics window must span at least 1.5x the channel count."""
+        w = self.window_samples(srate)
+        if w < 1.5 * channels:
+            raise WindowTooShort(
+                f"statistics window of {w} samples is shorter than 1.5x the "
+                f"channel count ({channels}); increase window_len or srate"
+            )
+
     def window_stride(self, srate: float) -> int:
         w = self.window_samples(srate)
         return max(1, round_samples(w * (1.0 - self.window_overlap)))
@@ -112,6 +121,7 @@ class CalibrationState:
             raise InvalidValue("filter_a", "leading coefficient must be 1 (normalized)")
         if self.srate <= 0:
             raise InvalidValue("srate", "must be > 0")
+        self.params.check_window(self.srate, self.channels)
 
     @property
     def channels(self) -> int:

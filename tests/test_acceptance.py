@@ -15,7 +15,7 @@ from asrstream.cli import main
 from asrstream.comparison import align_for_delay, attenuation_metrics, compare
 from asrstream.errors import WindowTooShort
 from asrstream.io_formats import (
-    load_calibration_csv,
+    load_calibration_data,
     load_calibration_state,
     load_signal_record,
     save_calibration_csv,
@@ -470,7 +470,7 @@ def test_criterion_09_formats_and_window_rule(tmp_path, clean_calibration):
     data, state = clean_calibration
     csv_path = tmp_path / "c.csv"
     save_calibration_csv(csv_path, data[:, :500], filter_b=[0.5, 0.5], filter_a=[1.0])
-    csv_ok = np.array_equal(load_calibration_csv(csv_path), data[:, :500])
+    csv_ok = np.array_equal(load_calibration_data(csv_path)[0], data[:, :500])
 
     state_path = tmp_path / "s.json"
     save_calibration_state(state_path, state)

@@ -508,6 +508,38 @@ def test_stream_mode_reports_the_first_fault_in_reading_order(workspace, monkeyp
     assert "error: non-finite value 'nan' (row 50, col 3)" in capsys.readouterr().err
 
 
+def test_stream_mode_rejects_a_ragged_line(workspace, monkeypatch, capsys):
+    rec = load_signal_record(workspace / "rec.csv")
+    text = _stream_text_with(rec, {(50, 4): "1.0,2.0"})  # 5 cells on a 4-channel line
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc = main(["process", "--calibration", str(workspace / "calib.csv"), "--stream", "--chunk", "32"])
+    assert rc == 1
+    assert "error: row 50 has 5 cells, expected 4" in capsys.readouterr().err
+
+
+def test_short_window_state_exits_1_in_both_modes(workspace, monkeypatch, capsys):
+    state = workspace / "state.json"
+    assert main(["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250",
+                 "--output", str(state)]) == 0
+    payload = json.loads(state.read_text())
+    payload["params"]["window_len"] = 0.02  # 5 samples < 1.5 * 4 channels
+    state.write_text(json.dumps(payload))
+    rec = load_signal_record(workspace / "rec.csv")
+    capsys.readouterr()
+
+    argv = ["process", "--calibration", str(state)]
+    assert main([*argv, "--input", str(workspace / "rec.csv"),
+                 "--output", str(workspace / "out.csv")]) == 1
+    assert "1.5x" in capsys.readouterr().err
+    assert not (workspace / "out.csv").exists()
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_record_to_stream_text(rec)))
+    assert main([*argv, "--stream"]) == 1
+    captured = capsys.readouterr()
+    assert "1.5x" in captured.err
+    assert captured.out == ""
+
+
 def test_non_finite_filter_state_exits_1_before_the_record_is_read(workspace, monkeypatch, capsys):
     from asrstream import cli
 

@@ -17,7 +17,6 @@ from asrstream.errors import (
 )
 from asrstream.io_formats import (
     SignalRecord,
-    load_calibration_csv,
     load_calibration_data,
     load_calibration_state,
     load_signal_record,
@@ -36,26 +35,26 @@ class TestCalibrationCsv:
     def test_basic_layout(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("1,2,3\n4,5,6\n")
-        m = load_calibration_csv(p)
+        m = load_calibration_data(p)[0]
         assert np.array_equal(m, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
     def test_crlf_and_no_final_newline(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_bytes(b"1,2\r\n3,4")
-        assert np.array_equal(load_calibration_csv(p), [[1, 2], [3, 4]])
+        assert np.array_equal(load_calibration_data(p)[0], [[1, 2], [3, 4]])
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("1,2\n3\n")
         with pytest.raises(RaggedCsv) as err:
-            load_calibration_csv(p)
+            load_calibration_data(p)[0]
         assert err.value.row == 2
 
     def test_unparseable_cell_positions(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("1,2\n3,x\n")
         with pytest.raises(ParseError) as err:
-            load_calibration_csv(p)
+            load_calibration_data(p)[0]
         assert err.value.row == 2
         assert err.value.col == 2
 
@@ -63,24 +62,24 @@ class TestCalibrationCsv:
         p = tmp_path / "c.csv"
         p.write_text("1,nan\n2,3\n")
         with pytest.raises(ParseError):
-            load_calibration_csv(p)
+            load_calibration_data(p)[0]
 
     def test_comma_decimal_rejected(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text('1;2\n')
         with pytest.raises(ParseError):
-            load_calibration_csv(p)
+            load_calibration_data(p)[0]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("")
         with pytest.raises(EmptyFile):
-            load_calibration_csv(p)
+            load_calibration_data(p)[0]
 
     def test_scientific_notation(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("1e-3,2.5E2\n-1.5e1,0\n")
-        assert np.array_equal(load_calibration_csv(p), [[0.001, 250.0], [-15.0, 0.0]])
+        assert np.array_equal(load_calibration_data(p)[0], [[0.001, 250.0], [-15.0, 0.0]])
 
     def test_filter_preamble_roundtrip(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -101,7 +100,7 @@ class TestCalibrationCsv:
         m = rng.standard_normal((3, 17)) * 10.0 ** rng.integers(-8, 8, size=(3, 17))
         p = tmp_path / "c.csv"
         save_calibration_csv(p, m)
-        assert np.array_equal(load_calibration_csv(p), m)
+        assert np.array_equal(load_calibration_data(p)[0], m)
 
     @given(
         st.lists(
@@ -114,7 +113,7 @@ class TestCalibrationCsv:
         m = np.asarray(rows, dtype=float)
         p = tmp_path / "h.csv"
         save_calibration_csv(p, m)
-        assert np.array_equal(load_calibration_csv(p), m)
+        assert np.array_equal(load_calibration_data(p)[0], m)
 
 
 class TestSignalRecord:
@@ -210,6 +209,39 @@ class TestLocatedErrors:
         with pytest.raises(ParseError) as err:
             load_calibration_data(p)
         assert (err.value.row, err.value.col) == (row, col)
+
+    def test_record_rejects_a_comment_after_its_data(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("# channels: 2\n# srate: 100.0\n1,2\n3,4\n# srate: 50.0\n")
+        with pytest.raises(ParseError, match="only allowed before data") as err:
+            load_signal_record(p)
+        assert err.value.row == 5
+
+
+class TestPreambleKeys:
+    """A key matches only when ':', '=' or whitespace follows it, so a
+    comment whose first word merely starts with a key is a comment."""
+
+    def test_calibration_comment_starting_with_a_key(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("# filter_bank: 8 bands\n# filter_b: 0.5,0.5\n1,2\n3,4\n")
+        matrix, b, a = load_calibration_data(p)
+        assert np.array_equal(matrix, [[1, 2], [3, 4]])
+        assert (b, a) == ([0.5, 0.5], None)
+
+    def test_record_comment_starting_with_a_key(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("# channels: 2\n# srate_note: resampled\n# srate = 100.0\n1,2\n3,4\n")
+        rec = load_signal_record(p)
+        assert rec.srate == 100.0
+        assert np.array_equal(rec.data, [[1, 2], [3, 4]])
+
+    def test_broken_key_line_names_its_line(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("# channels: 2\n# srate: fast\n1,2\n3,4\n")
+        with pytest.raises(ParseError, match="cannot parse 'fast'") as err:
+            load_signal_record(p)
+        assert err.value.row == 2
 
 
 class TestTextFormat:

@@ -571,6 +571,71 @@ class TestPipelineDataPath:
         assert stats["worker_alive"] == 0
         assert in_flight > 0  # the chunks the worker never cleaned stay counted
 
+    def test_process_moves_one_cleaned_chunk_per_call(self, pipeline_setup, monkeypatch):
+        from asrstream import runtime
+
+        gate = threading.Event()
+        real = runtime.asr_process_chunk
+
+        def gated(chunk, calib, state):
+            gate.wait(5.0)
+            return real(chunk, calib, state)
+
+        monkeypatch.setattr(runtime, "asr_process_chunk", gated)
+        config, registry, _ = pipeline_setup
+        sunk: list[np.ndarray] = []
+        pipeline = Pipeline(
+            config, registry, output_sink=lambda view, n, seq: sunk.append(view.copy())
+        )
+        pipeline.prepare()
+        try:
+            rng = np.random.default_rng(5)
+            for _ in range(3):
+                registry.publish("eeg", rng.standard_normal((4, 32)))
+                assert pipeline.process() == 0  # the worker waits at the gate
+            gate.set()
+            deadline = time.perf_counter() + 5.0
+            while pipeline.stats()["processed"] < 3 and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            out = registry.get("eeg_clean")
+            moved, seen = [], []
+            for _ in range(4):
+                moved.append(pipeline.process())
+                seen.append(out.payload[:, : out.valid_samples].copy())
+        finally:
+            pipeline.release()
+        assert moved == [1, 1, 1, 0]
+        assert len(sunk) == 3
+        for got, want in zip(seen, sunk):
+            assert np.array_equal(got, want)
+        assert out.published_total == 96
+
+    def test_overwritten_input_is_counted_and_keeps_seq(self, pipeline_setup):
+        config, registry, _ = pipeline_setup
+        seqs: list[int] = []
+        sunk = 0
+
+        def sink(view, n, seq):
+            nonlocal sunk
+            seqs.append(seq)
+            sunk += n
+
+        pipeline = Pipeline(config, registry, output_sink=sink)
+        pipeline.prepare()
+        data = np.ones((4, 32))
+        registry.publish("eeg", data)
+        pipeline.process()
+        registry.publish("eeg", data)
+        registry.publish("eeg", data)  # overwrites the chunk before it
+        pipeline.process()
+        pipeline.flush(timeout=5.0)
+        stats = pipeline.stats()
+        pipeline.release()
+        assert sunk == 64
+        assert seqs == [0, 64]
+        assert stats["overwritten_in_samples"] == 32
+        assert stats["dropped_in"] == 0
+
     def test_drop_accounting_balances(self, pipeline_setup):
         config, registry, _ = pipeline_setup
         pipeline = Pipeline(config, registry)
