@@ -57,7 +57,7 @@ def asr_calibrate(
         raise InvalidInput("data must be (channels, samples)")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("data contains non-finite values")
-    if srate <= 0:
+    if not srate > 0:  # NaN too
         raise InvalidInput("srate must be > 0")
     c, n = x.shape
     if c < 1 or n < 1:

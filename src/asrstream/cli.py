@@ -4,16 +4,20 @@ compare, bench.
 Exit codes: 0 success, 1 validation error (bad flags, bad inputs, failed
 comparison), 2 runtime error mid-stream (I/O failures after processing
 started). ``ASR_LOG`` in {error, warn, info, debug} controls log verbosity.
+``main`` runs numpy's BLAS on one thread, so output bytes do not depend on
+the machine's core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import os
 import sys
 import time
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -22,11 +26,12 @@ from .comparison import compare
 from .errors import AsrError, InvalidValue, ParseError, WorkerDied
 from .io_formats import (
     SignalRecord,
-    atomic_write_text,
+    atomic_write_lines,
     format_row,
     load_calibration_data,
     load_calibration_state,
     load_signal_record,
+    parse_cell,
     parse_rows,
     read_preamble,
     save_calibration_csv,
@@ -63,6 +68,19 @@ class _Parser(argparse.ArgumentParser):
 def _configure_logging() -> None:
     level = _LOG_LEVELS.get(os.environ.get("ASR_LOG", "error").lower(), logging.ERROR)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, so that output bytes do
+    not depend on the machine's core count (the blocked kernels sum in a
+    thread-dependent order). At the sizes cleaning uses, one thread is no
+    slower. A numpy without that library is left as it is."""
+    for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"):
+        set_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
 
 
 def _print_report(lines: list[str]) -> None:
@@ -155,11 +173,12 @@ def _parse_stream_header(line: str) -> tuple[int, float]:
         part.split("=", 1) for part in body.split() if "=" in part
     )
     try:
-        return int(fields["channels"]), float(fields["srate"])
+        channels, srate = int(fields["channels"]), fields["srate"]
     except (KeyError, ValueError):
         raise ParseError(
             "stream header must look like '# channels=8 srate=250.0'"
         ) from None
+    return channels, parse_cell(srate, row=1)
 
 
 def _process_stream(args, stdin, stdout) -> int:
@@ -195,7 +214,7 @@ def _process_stream(args, stdin, stdout) -> int:
     try:
         stdout.write(f"# channels={channels} srate={srate!r}\n")
         _, lines = read_preamble(stdin, {}, start=2)
-        while block := parse_rows(islice(lines, args.chunk), channels):
+        while block := list(parse_rows(islice(lines, args.chunk), channels)):
             _publish_paced(pipeline, registry, STREAM_VAR, np.array(block).T)
             _write_spool()
         pipeline.flush(timeout=5.0)
@@ -270,9 +289,7 @@ def cmd_simulate(args) -> int:
         save_calibration_csv(args.output_calibration, calibration)
         written.append(args.output_calibration)
     if args.output_mask:
-        atomic_write_text(
-            args.output_mask, ",".join(str(int(v)) for v in mask) + "\n"
-        )
+        atomic_write_lines(args.output_mask, [",".join(str(int(v)) for v in mask)])
         written.append(args.output_mask)
     print(
         f"synthesized {spec.channels} ch x {recording.shape[1]} samples "
@@ -399,6 +416,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     _configure_logging()
+    _pin_blas_to_one_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -35,7 +35,9 @@ def iir_filter(data: np.ndarray, b, a, state: np.ndarray | None = None):
     """Apply the direct-form transposed-II difference equation per channel.
 
     Carrying ``state`` across calls makes chunked processing equal
-    whole-signal processing. Returns ``(filtered, new_state)``.
+    whole-signal processing. Returns ``(filtered, new_state)``; for the
+    identity filter (order 0, gain 1) ``filtered`` is ``data`` itself, not a
+    copy, so callers must not write into it.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -55,7 +57,8 @@ def iir_filter(data: np.ndarray, b, a, state: np.ndarray | None = None):
             )
     if order == 0:
         # pure gain; lfilter requires a non-empty state axis
-        return data * (b[0] / a[0]), state
+        gain = b[0] / a[0]
+        return (data if gain == 1.0 else data * gain), state
     if data.shape[1] == 0:
         return data.copy(), state.copy()
     from scipy.signal import lfilter  # deferred: scipy.signal takes ~1 s to import

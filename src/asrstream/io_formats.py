@@ -5,10 +5,12 @@ The text tables (the calibration CSV, the signal record and the CLI's
 stream) share one line grammar: :func:`read_preamble` reads the '#' lines
 that open a table, :func:`parse_row` each data line after them.
 
-All text is UTF-8 with '.' decimals (locale-independent); both LF and CRLF
-line endings are accepted. Floats are written with repr precision, so every
-save/load round trip is value-exact. Writers go through a temp file and an
-atomic rename, so a failed write never leaves a partial file behind.
+All text is UTF-8 with '.' decimals (locale-independent); LF, CRLF and CR
+line endings are accepted. Tables are read and written one line at a time,
+so no file is ever held as one string. Floats are written with repr
+precision, so every save/load round trip is value-exact. Writers go through
+a temp file and an atomic rename, so a failed write never leaves a partial
+file behind.
 """
 
 from __future__ import annotations
@@ -39,17 +41,23 @@ STATE_FORMAT_VERSION = 1
 MAX_FILTER_ORDER = 8
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and atomic rename.
+def atomic_write_lines(path, lines) -> None:
+    """Write each of ``lines``, followed by a newline, to path via a
+    same-directory temp file and an atomic rename.
 
-    The file gets the mode a plain ``open`` would give it (0666 less the
-    umask), not the 0600 of the temp file.
+    Each item is written as soon as ``lines`` yields it, so a table is never
+    held as one string; an item may itself span several lines. If anything
+    fails, ``lines`` raising included, the temp file is removed and path is
+    left as it was. The file gets the mode a plain ``open`` would give it
+    (0666 less the umask), not the 0600 of the temp file.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
             umask = os.umask(0)  # the umask can only be read by setting it
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
@@ -62,7 +70,8 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _parse_cell(cell: str, row: int, col: int = 1) -> float:
+def parse_cell(cell: str, row: int, col: int = 1) -> float:
+    """The finite float in ``cell``, or a ParseError naming its row and column."""
     try:
         value = float(cell)
     except ValueError:
@@ -84,16 +93,16 @@ def parse_row(line: str, lineno: int, width: int | None = None) -> list[float]:
     """
     cells = line.split(",")
     try:
-        values = list(map(float, cells))  # the grammar of _parse_cell
+        values = list(map(float, cells))  # the grammar of parse_cell
     except ValueError:
-        pass  # some cell fails _parse_cell below
+        pass  # some cell fails parse_cell below
     else:
         if isfinite(sum(values)) and (width is None or len(values) == width):
             return values
     if line.lstrip().startswith("#"):
         raise ParseError("comment lines are only allowed before data", row=lineno)
     for col, cell in enumerate(cells, start=1):
-        _parse_cell(cell.strip(), lineno, col)
+        parse_cell(cell.strip(), lineno, col)
     if width is not None and len(cells) != width:
         raise RaggedCsv(lineno, f"row {lineno} has {len(cells)} cells, expected {width}")
     return values  # every value is finite; only their sum overflowed
@@ -124,22 +133,15 @@ def read_preamble(lines, keys: dict, start: int = 1):
     return found, numbered
 
 
-def parse_rows(rows, width: int | None = None) -> list[list[float]]:
+def parse_rows(rows, width: int | None = None):
     """Parse ``rows``, (line number, text) pairs as :func:`read_preamble`
-    returns them; every row must have ``width`` cells, or as many as the
-    first."""
-    parsed = []
+    returns them, yielding each row's values as it is read; every row must
+    have ``width`` cells, or as many as the first."""
     for lineno, line in rows:
-        parsed.append(parse_row(line, lineno, width))
-        width = len(parsed[0])
-    return parsed
-
-
-def _matrix(rows) -> np.ndarray:
-    parsed = parse_rows(rows)
-    if not parsed:
-        raise EmptyFile("no data rows found")
-    return np.array(parsed)
+        values = parse_row(line, lineno, width)
+        width = len(values)
+        yield values
+        del values  # not held while the next row is read
 
 
 def _parse_coefficients(value: str, lineno: int) -> list[float]:
@@ -158,10 +160,13 @@ def load_calibration_data(path):
     """Calibration data, every row a channel and every column a sample, with
     the shaping-filter coefficients its '#' preamble may carry: (matrix,
     filter_b, filter_a)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     keys = {"filter_b": _parse_coefficients, "filter_a": _parse_coefficients}
-    preamble, rows = read_preamble(lines, keys)
-    matrix = _matrix(rows)
+    with open(path, encoding="utf-8") as fh:
+        preamble, rows = read_preamble(fh, keys)
+        parsed = [np.array(values) for values in parse_rows(rows)]
+    if not parsed:
+        raise EmptyFile("no data rows found")
+    matrix = np.array(parsed)
     if matrix.shape[1] < 2:
         raise ParseError("calibration data needs at least 2 columns (samples)", row=1)
     return matrix, preamble.get("filter_b"), preamble.get("filter_a")
@@ -173,14 +178,13 @@ def format_row(row) -> str:
 
 
 def save_calibration_csv(path, matrix, filter_b=None, filter_a=None) -> None:
-    matrix = np.asarray(matrix, dtype=float)
-    lines = []
+    preamble = []
     if filter_b is not None:
-        lines.append("# filter_b: " + format_row(filter_b))
+        preamble.append("# filter_b: " + format_row(filter_b))
     if filter_a is not None:
-        lines.append("# filter_a: " + format_row(filter_a))
-    lines.extend(map(format_row, matrix))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        preamble.append("# filter_a: " + format_row(filter_a))
+    rows = map(format_row, np.asarray(matrix, dtype=float))
+    atomic_write_lines(path, chain(preamble, rows))
 
 
 @dataclass(frozen=True)
@@ -201,12 +205,12 @@ class SignalRecord:
 
 
 def save_signal_record(path, record: SignalRecord) -> None:
-    lines = [
+    preamble = [
         f"# channels: {record.channels}",
         f"# srate: {repr(float(record.srate))}",
     ]
-    lines.extend(map(format_row, np.asarray(record.data, dtype=float)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = map(format_row, np.asarray(record.data, dtype=float))
+    atomic_write_lines(path, chain(preamble, rows))
 
 
 def _parse_channels(value: str, lineno: int) -> int:
@@ -217,18 +221,31 @@ def _parse_channels(value: str, lineno: int) -> int:
 
 
 def load_signal_record(path) -> SignalRecord:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    keys = {"channels": _parse_channels, "srate": _parse_cell}
-    header, rows = read_preamble(lines, keys)
-    if len(header) < len(keys):
-        raise ParseError("missing '# channels:' or '# srate:' header")
-    if header["srate"] <= 0:
-        raise ParseError("srate must be > 0")
-    matrix = _matrix(rows)
-    if matrix.shape[0] != header["channels"]:
-        raise ParseError(
-            f"header says {header['channels']} channels but body has {matrix.shape[0]} rows"
-        )
+    """The record at path, each data row parsed straight into one matrix
+    preallocated from the '# channels:' header."""
+    keys = {"channels": _parse_channels, "srate": parse_cell}
+    with open(path, encoding="utf-8") as fh:
+        header, rows = read_preamble(fh, keys)
+        if len(header) < len(keys):
+            raise ParseError("missing '# channels:' or '# srate:' header")
+        if header["srate"] <= 0:
+            raise ParseError("srate must be > 0")
+        channels, count = header["channels"], 0
+        for values in parse_rows(rows):
+            if count == 0:
+                # a row of w cells takes at least 2w - 1 bytes, so a wrong
+                # header allocates no more rows than the file has room for
+                size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
+                fit = size // (2 * len(values) - 1) if size else channels
+                matrix = np.empty((max(min(channels, fit), 0), len(values)))
+            if count < len(matrix):
+                matrix[count] = values
+            count += 1
+            del values  # not held while the next row is read
+    if count == 0:
+        raise EmptyFile("no data rows found")
+    if count != channels:
+        raise ParseError(f"header says {channels} channels but body has {count} rows")
     return SignalRecord(data=matrix, srate=header["srate"])
 
 
@@ -243,7 +260,7 @@ def save_calibration_state(path, state: CalibrationState) -> None:
         "filter_a": list(state.filter_a),
         "params": asdict(state.params),
     }
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    atomic_write_lines(path, [json.dumps(payload, indent=1)])
 
 
 def load_calibration_state(path) -> CalibrationState:

@@ -119,7 +119,7 @@ class CalibrationState:
             raise InvalidValue("mixing", "must be positive semidefinite")
         if not self.filter_a or self.filter_a[0] != 1.0:
             raise InvalidValue("filter_a", "leading coefficient must be 1 (normalized)")
-        if self.srate <= 0:
+        if not self.srate > 0:  # NaN too
             raise InvalidValue("srate", "must be > 0")
         self.params.check_window(self.srate, self.channels)
 
@@ -221,7 +221,7 @@ class PipelineConfig:
     output_var_name: str | None = None  # default "<var_name>_clean"
 
     def __post_init__(self):
-        if self.sampling_rate <= 0:
+        if not self.sampling_rate > 0:  # NaN too
             raise InvalidValue("SamplingRate", "must be > 0")
         if not self.var_name:
             raise InvalidValue("VarName", "must be non-empty")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,25 @@ def test_rejects_non_finite():
     data[0, 3] = np.nan
     with pytest.raises(InvalidInput):
         asr.asr_calibrate(data, 250.0)
+
+
+@pytest.mark.parametrize("srate", [0.0, -250.0, float("nan")])
+def test_rejects_a_rate_that_is_not_positive(srate):
+    with pytest.raises(InvalidInput, match="srate must be > 0"):
+        asr.asr_calibrate(np.zeros((2, 1000)), srate)
+
+
+def test_memory_stays_near_the_input():
+    # without a shaping filter nothing copies the data: the peak is the
+    # robust covariance's one work buffer, then the projected components
+    x = np.random.default_rng(23).standard_normal((64, 30_000))
+    tracemalloc.start()
+    try:
+        asr.asr_calibrate(x, 1000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * x.nbytes
 
 
 def test_deterministic():

@@ -508,6 +508,17 @@ def test_stream_mode_reports_the_first_fault_in_reading_order(workspace, monkeyp
     assert "error: non-finite value 'nan' (row 50, col 3)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_stream_mode_rejects_a_non_finite_srate(workspace, monkeypatch, capsys, rate):
+    stream = f"# channels=4 srate={rate}\n" + "0.5,0.25,-0.5,1.0\n" * 8
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    rc = main(["process", "--calibration", str(workspace / "calib.csv"), "--stream"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: non-finite value {rate!r} (row 1, col 1)" in captured.err
+    assert captured.out == ""
+
+
 def test_stream_mode_rejects_a_ragged_line(workspace, monkeypatch, capsys):
     rec = load_signal_record(workspace / "rec.csv")
     text = _stream_text_with(rec, {(50, 4): "1.0,2.0"})  # 5 cells on a 4-channel line
@@ -566,6 +577,31 @@ def test_non_finite_filter_state_exits_1_before_the_record_is_read(workspace, mo
     captured = capsys.readouterr()
     assert "filter_b: entries must be finite" in captured.err
     assert captured.out == ""
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
+    """The CLI runs BLAS on one thread: a 24-channel burst record, where
+    default multi-threaded OpenBLAS changes the last bits of the cleaned
+    samples, comes out the same as under OPENBLAS_NUM_THREADS=1."""
+    assert main(["simulate", "--channels", "24", "--srate", "500", "--duration", "4",
+                 "--calibration-duration", "10", "--seed", "5", "--burst", "2:0.5:10",
+                 "--output-record", str(tmp_path / "rec.csv"),
+                 "--output-calibration", str(tmp_path / "calib.csv")]) == 0
+    src = os.path.dirname(os.path.dirname(asr.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for name, env in [("default", base), ("one", dict(base, OPENBLAS_NUM_THREADS="1"))]:
+        out = tmp_path / f"{name}.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "asrstream.cli", "process",
+             "--calibration", str(tmp_path / "calib.csv"),
+             "--input", str(tmp_path / "rec.csv"), "--output", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cleaning_never_loads_scipy_linalg(workspace):

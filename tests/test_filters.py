@@ -24,6 +24,14 @@ def test_identity_filter_returns_exact_copy():
     assert state.shape == (3, 0)
 
 
+def test_identity_filter_returns_its_input_uncopied():
+    x = np.random.default_rng(0).standard_normal((3, 40))
+    assert iir_filter(x, [1.0], [1.0])[0] is x
+    assert iir_filter(x, [2.0], [2.0])[0] is x  # gain 1 after normalising
+    y, _ = iir_filter(x, [0.5], [1.0])
+    assert y is not x and np.array_equal(y, 0.5 * x)
+
+
 def test_fir_impulse_response():
     x = np.array([[1.0, 0.0, 0.0, 0.0]])
     y, _ = iir_filter(x, [0.5, 0.5], [1.0])

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from asrstream.errors import (
 )
 from asrstream.io_formats import (
     SignalRecord,
+    atomic_write_lines,
+    format_row,
     load_calibration_data,
     load_calibration_state,
     load_signal_record,
@@ -272,6 +275,113 @@ class TestTextFormat:
         )
 
 
+class TestLineAtATime:
+    """The tables are read and written one line at a time: memory stays a
+    small multiple of the samples, and values, line numbers and bytes are
+    those of the whole-text forms they replace."""
+
+    @pytest.fixture(scope="class")
+    def long_data(self):
+        return np.random.default_rng(31).standard_normal((24, 30_000))  # 60 s at 500 Hz
+
+    @staticmethod
+    def _peak(fn, *args):
+        """``fn(*args)`` and the peak bytes it allocated, its result included."""
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_record_load_peak(self, tmp_path, long_data):
+        p = tmp_path / "r.csv"
+        save_signal_record(p, SignalRecord(long_data, 500.0))
+        rec, peak = self._peak(load_signal_record, p)
+        assert np.array_equal(rec.data, long_data)
+        assert peak <= 2.0 * rec.data.nbytes
+
+    def test_calibration_load_peak(self, tmp_path, long_data):
+        p = tmp_path / "c.csv"
+        save_calibration_csv(p, long_data)
+        (matrix, _, _), peak = self._peak(load_calibration_data, p)
+        assert np.array_equal(matrix, long_data)
+        assert peak <= 2.5 * matrix.nbytes
+
+    def test_record_save_peak(self, tmp_path, long_data):
+        _, peak = self._peak(save_signal_record, tmp_path / "r.csv", SignalRecord(long_data, 500.0))
+        assert peak <= 1.0 * long_data.nbytes
+
+    def test_saved_bytes_are_the_joined_lines(self, tmp_path):
+        m = np.random.default_rng(32).standard_normal((3, 50))
+        save_signal_record(tmp_path / "r.csv", SignalRecord(m, 250.0))
+        save_calibration_csv(tmp_path / "c.csv", m, filter_b=[0.5, 0.5], filter_a=[1.0])
+        rows = [format_row(row) for row in m]
+        record = ["# channels: 3", "# srate: 250.0", *rows]
+        calibration = ["# filter_b: 0.5,0.5", "# filter_a: 1.0", *rows]
+        assert (tmp_path / "r.csv").read_bytes() == ("\n".join(record) + "\n").encode()
+        assert (tmp_path / "c.csv").read_bytes() == ("\n".join(calibration) + "\n").encode()
+
+    ENDINGS = pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    LOADERS = pytest.mark.parametrize(
+        "load, preamble",
+        [(load_calibration_data, b"# filter_b: 1.0\n"),
+         (load_signal_record, b"# channels: 2\n# srate: 100.0\n")],
+    )
+
+    @ENDINGS
+    @LOADERS
+    def test_line_endings_give_the_same_values(self, tmp_path, ending, load, preamble):
+        text = preamble + b"\n1,2.5,-3e-05\n\n4,5,6\n"
+        (tmp_path / "lf.csv").write_bytes(text)
+        (tmp_path / "other.csv").write_bytes(text.replace(b"\n", ending))
+        lf, other = load(tmp_path / "lf.csv"), load(tmp_path / "other.csv")
+        if load is load_signal_record:
+            lf, other = (lf.data, lf.srate), (other.data, other.srate)
+        assert np.array_equal(lf[0], other[0])
+        assert lf[1:] == other[1:]
+
+    @ENDINGS
+    @LOADERS
+    @pytest.mark.parametrize(
+        "body, error",
+        [(b"1,2\n\n3,x\n", ParseError), (b"1,2\n\n3\n", RaggedCsv),
+         (b"1,2\n\n# late\n", ParseError)],
+    )
+    def test_line_endings_give_the_same_line_numbers(
+        self, tmp_path, ending, load, preamble, body, error
+    ):
+        faults = []
+        for name, text in [("lf.csv", preamble + body),
+                           ("other.csv", (preamble + body).replace(b"\n", ending))]:
+            (tmp_path / name).write_bytes(text)
+            with pytest.raises(error) as err:
+                load(tmp_path / name)
+            faults.append((err.value.row, str(err.value)))
+        assert faults[0] == faults[1]
+        assert faults[0][0] == preamble.count(b"\n") + 3
+
+    def test_a_huge_channel_header_is_a_mismatch_not_an_allocation(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("# channels: 1000000000000\n# srate: 100.0\n1,2\n3,4\n")
+        with pytest.raises(ParseError, match="header says 1000000000000 channels but body has 2"):
+            load_signal_record(p)
+
+    def test_a_failing_writer_leaves_the_old_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("old\n")
+
+        def lines():
+            yield "new"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError):
+            atomic_write_lines(p, lines())
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+
 class TestCalibrationStateFile:
     def test_roundtrip_every_field(self, tmp_path, clean_calibration):
         _, state = clean_calibration
@@ -306,6 +416,16 @@ class TestCalibrationStateFile:
         p = tmp_path / "s.json"
         p.write_text('{"something": "else"}')
         with pytest.raises(ParseError):
+            load_calibration_state(p)
+
+    def test_nan_srate_rejected(self, tmp_path, clean_calibration):
+        _, state = clean_calibration
+        p = tmp_path / "s.json"
+        save_calibration_state(p, state)
+        payload = json.loads(p.read_text())
+        payload["srate"] = float("nan")
+        p.write_text(json.dumps(payload))
+        with pytest.raises(InvalidValue, match="srate: must be > 0"):
             load_calibration_state(p)
 
     @pytest.mark.parametrize(
@@ -375,6 +495,11 @@ class TestParseConfig:
         with pytest.raises(InvalidValue) as err:
             parse_config("\n".join(lines))
         assert err.value.name == key
+
+    @pytest.mark.parametrize("rate", ["0", "-250", "nan"])
+    def test_sampling_rate_must_be_positive(self, rate):
+        with pytest.raises(InvalidValue, match="SamplingRate: must be > 0"):
+            parse_config(self.GOOD.replace("250", rate))
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(InvalidValue):
