@@ -135,11 +135,16 @@ def _process_file(args, record: SignalRecord, state: CalibrationState) -> int:
         raise InvalidValue(
             "srate", f"record is {record.srate} Hz, calibration is {state.srate} Hz"
         )
-    out, proc = clean_recording(
-        record.data, state, args.chunk, stepsize=args.stepsize, lookahead=args.lookahead
+    _, proc = clean_recording(
+        record.data,
+        state,
+        args.chunk,
+        stepsize=args.stepsize,
+        lookahead=args.lookahead,
+        out=record.data,
     )
     n = record.samples
-    save_signal_record(args.output, SignalRecord(data=out, srate=record.srate))
+    save_signal_record(args.output, record)  # cleaned in place
     if args.report:
         _print_report(
             [

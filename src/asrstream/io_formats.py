@@ -6,7 +6,9 @@ stream) share one line grammar: :func:`read_preamble` reads the '#' lines
 that open a table, :func:`parse_row` each data line after them.
 
 All text is UTF-8 with '.' decimals (locale-independent); LF, CRLF and CR
-line endings are accepted. Tables are read and written one line at a time,
+line endings are accepted. A byte that is not UTF-8 is read as a surrogate
+escape, so it fails to parse like any other bad character and the error
+names its line. Tables are read and written one line at a time,
 so no file is ever held as one string. Floats are written with repr
 precision, so every save/load round trip is value-exact. Writers go through
 a temp file and an atomic rename, so a failed write never leaves a partial
@@ -161,7 +163,7 @@ def load_calibration_data(path):
     the shaping-filter coefficients its '#' preamble may carry: (matrix,
     filter_b, filter_a)."""
     keys = {"filter_b": _parse_coefficients, "filter_a": _parse_coefficients}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         preamble, rows = read_preamble(fh, keys)
         parsed = [np.array(values) for values in parse_rows(rows)]
     if not parsed:
@@ -224,7 +226,7 @@ def load_signal_record(path) -> SignalRecord:
     """The record at path, each data row parsed straight into one matrix
     preallocated from the '# channels:' header."""
     keys = {"channels": _parse_channels, "srate": parse_cell}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header, rows = read_preamble(fh, keys)
         if len(header) < len(keys):
             raise ParseError("missing '# channels:' or '# srate:' header")
@@ -264,7 +266,7 @@ def save_calibration_state(path, state: CalibrationState) -> None:
 
 
 def load_calibration_state(path) -> CalibrationState:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

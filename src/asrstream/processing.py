@@ -13,14 +13,17 @@ reproduce exactly:
    reconstruction pair rotates (previous <- current <- new); a rejecting
    update builds ``R = M pinv(D V^T M) V^T`` in its closed complement form
    ``I - V_r pinv(M^-1 V_r) M^-1`` from a thin QR of ``M^-1 V_r`` over the
-   rejected eigenvectors ``V_r`` (no SVD, numpy only),
+   rejected eigenvectors ``V_r`` (no SVD, numpy only). A chunk stacks the
+   covariances of all its update instants and detects on them in one
+   :func:`detect` call, one batched ``eigh`` for the whole stack,
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
    ``ssu = (t + 1) mod stepsize`` counts samples since the last update (0 at
    an update instant; before the first update both matrices are the
-   identity, so the weight is never read). An identity operator is held as
-   ``None`` and applied as the delayed sample itself; when both are ``None``
-   the blend is skipped and the delayed sample is passed through bit-exactly.
+   identity, so the weight is never read). The weights are tabulated once
+   per ``stepsize``. An identity operator is held as ``None`` and applied as
+   the delayed sample itself; when both are ``None`` the blend is skipped
+   and the delayed sample is passed through bit-exactly.
 
 The implementation below vectorizes runs of samples between update instants;
 all state is keyed off global sample indices, so chunk boundaries are
@@ -29,13 +32,15 @@ invisible to the arithmetic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import CalibrationDegenerate, ChannelMismatch, InvalidInput, InvalidValue
 from .filters import filter_order, iir_filter
 # pinv and symmetric_eig stay bound though unused: perfbench/tracing.py wraps
 # processing.pinv and processing.symmetric_eig
-from .linalg import pinv, signed_eigh, symmetric_eig  # noqa: F401
+from .linalg import pinv, symmetric_eig  # noqa: F401
 from .types import (
     DEFAULT_STEPSIZE,
     CalibrationState,
@@ -68,56 +73,75 @@ def _reconstruct(calib: CalibrationState, rejected: np.ndarray) -> np.ndarray:
     return np.eye(rejected.shape[0]) - rejected @ coef
 
 
+def detect(
+    covs: np.ndarray, calib: CalibrationState, max_dims_fraction: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray | None]]:
+    """One detection step for each covariance of the ``(k, C, C)`` stack
+    ``covs``: compare its eigenvalues against the calibration thresholds and
+    build its reconstruction matrix.
+
+    The stack is checked for finiteness once, symmetrized, and decomposed by
+    one batched ``eigh``. Component j (eigenvalues ascending) is kept iff its
+    eigenvalue stays at or below ``sum((threshold @ v_j)**2)``, or j lies
+    below the rejection budget ``floor(max_dims_fraction * C)`` counted from
+    the top. With nothing rejected the reconstruction is the identity, held
+    as ``None``, and with everything rejected it is exactly zero; otherwise
+    it is ``R = M @ pinv(keep * (V^T M)) @ V^T`` (all-real arithmetic
+    throughout), evaluated from the r rejected eigenvectors ``V_r`` alone.
+    With M symmetric positive definite, N = M^-1 and V orthogonal, ``R`` is
+    the oblique projector that annuls ``V_r`` and fixes the range of
+    ``M^2 V_k``, so ``R = I - V_r pinv(N V_r) N``; with the thin QR
+    ``N V_r = Q R_q`` that is ``I - V_r R_q^-1 Q^T N``. Unlike the Gram solve
+    ``(V_r^T N^2 V_r)^-1`` this does not square the condition number of M,
+    and its cost scales with r rather than with the C - r kept components.
+
+    The eigenvectors keep LAPACK's signs: negating a column of ``V_r``
+    negates the matching column of ``R_q`` and row of ``R_q^-1 Q^T N`` and
+    nothing else, and IEEE negation is exact, so ``R``, like the keep flags,
+    is bit-for-bit independent of them. A numerically singular M (only a
+    hand-made or loaded state can have one) raises CalibrationDegenerate at
+    any update that rejects some but not all components.
+
+    Returns ``(eigvals, eigvecs, keep, reconstructions)``: arrays of shape
+    ``(k, C)``, ``(k, C, C)`` and ``(k, C)``, and a list of k matrices.
+    """
+    if not np.isfinite(covs).all():
+        raise InvalidInput("covariance contains non-finite entries")
+    c = calib.channels
+    eigvals, eigvecs = np.linalg.eigh((covs + covs.transpose(0, 2, 1)) / 2.0)
+
+    budget = int(np.floor(max_dims_fraction * c))
+    protected = np.arange(c) < c - budget  # smallest components, never rejected
+    limits = np.sum((calib.threshold @ eigvecs) ** 2, axis=1)
+    keep = (eigvals <= limits) | protected
+    recons = []
+    for vecs, kept in zip(eigvecs, keep):
+        if kept.all():
+            recons.append(None)
+        elif not kept.any():
+            recons.append(np.zeros((c, c)))  # pinv of an all-zero projection
+        else:
+            recons.append(_reconstruct(calib, vecs[:, ~kept]))
+    return eigvals, eigvecs, keep, recons
+
+
 def update_reconstruction(
     cov: np.ndarray, calib: CalibrationState, max_dims_fraction: float
 ) -> ReconstructionUpdate:
-    """One detection step: compare covariance eigenvalues against the
-    calibration thresholds and build the reconstruction matrix.
-
-    ``cov`` is checked for finiteness once and symmetrized once, so an
-    asymmetric covariance gives the update of its symmetric part.
-    Component j (eigenvalues ascending) is kept iff its eigenvalue stays at
-    or below ``sum((threshold @ v_j)**2)``, or j lies below the rejection
-    budget ``floor(max_dims_fraction * C)`` counted from the top. With
-    nothing rejected the result is exactly the identity, and with everything
-    rejected exactly zero; otherwise it is ``R = M @ pinv(keep * (V^T M)) @ V^T``
-    (all-real arithmetic throughout), evaluated from the r rejected
-    eigenvectors ``V_r`` alone. With M symmetric positive definite, N = M^-1
-    and V orthogonal, ``R`` is the oblique projector that annuls ``V_r`` and
-    fixes the range of ``M^2 V_k``, so ``R = I - V_r pinv(N V_r) N``; with the
-    thin QR ``N V_r = Q R_q`` that is ``I - V_r R_q^-1 Q^T N``. Unlike the
-    Gram solve ``(V_r^T N^2 V_r)^-1`` this does not square the condition
-    number of M, and its cost scales with r rather than with the C - r kept
-    components. A numerically singular M (only a hand-made or loaded state
-    can have one) raises CalibrationDegenerate at any update that rejects
-    some but not all components.
-    """
+    """:func:`detect` on the one covariance ``cov``; an asymmetric ``cov``
+    gives the update of its symmetric part, and the reconstruction of an
+    update that rejects nothing is exactly the identity matrix."""
     cov = np.asarray(cov, dtype=float)
     c = calib.channels
     if cov.shape != (c, c):
         raise InvalidInput(f"covariance must be {c}x{c}")
-    if not np.isfinite(cov).all():
-        raise InvalidInput("covariance contains non-finite entries")
-    eigvals, eigvecs = signed_eigh((cov + cov.T) / 2.0)
-
-    budget = int(np.floor(max_dims_fraction * c))
-    protected = np.arange(c) < c - budget  # smallest components, never rejected
-    limits = np.sum((calib.threshold @ eigvecs) ** 2, axis=0)
-    keep = (eigvals <= limits) | protected
-    n_rejected = int(np.count_nonzero(~keep))
-
-    if n_rejected == 0:
-        recon = np.eye(c)
-    elif n_rejected == c:
-        recon = np.zeros((c, c))  # pinv of an all-zero projection
-    else:
-        recon = _reconstruct(calib, eigvecs[:, ~keep])
+    eigvals, eigvecs, keep, (recon,) = detect(cov[None], calib, max_dims_fraction)
     return ReconstructionUpdate(
-        eigvals=eigvals,
-        eigvecs=eigvecs,
-        keep=keep,
-        reconstruction=recon,
-        n_rejected=n_rejected,
+        eigvals=eigvals[0],
+        eigvecs=eigvecs[0],
+        keep=keep[0],
+        reconstruction=np.eye(c) if recon is None else recon,
+        n_rejected=int(np.count_nonzero(~keep[0])),
     )
 
 
@@ -136,28 +160,39 @@ def _ring_write(ring: np.ndarray, start_index: int, block: np.ndarray) -> None:
         ring[:, : m - k] = block[:, k:]
 
 
+@lru_cache(maxsize=8)
+def _blend_weights(stepsize: int) -> np.ndarray:
+    """The read-only ``(2, stepsize)`` table of the weights ``w`` and
+    ``1 - w`` of the samples ``ssu = 0 .. stepsize - 1`` after an update."""
+    ssu = np.arange(stepsize)
+    w = 0.5 * (1.0 - np.cos(np.pi * (ssu + 1) / stepsize))
+    table = np.array([w, 1.0 - w])
+    table.flags.writeable = False
+    return table
+
+
 def _emit(
     out: np.ndarray,
     delayed: np.ndarray,
     r_current: np.ndarray | None,
     r_previous: np.ndarray | None,
-    stepsize: int,
+    weights: np.ndarray,
     a: int,
     b: int,
-    t_first: int,
+    ssu: int,
 ) -> None:
-    """Blend-and-write output columns [a, b), whose first is global sample
-    ``t_first``; a ``None`` operator is the identity, and with both ``None``
-    the columns are copied."""
+    """Blend-and-write output columns [a, b), whose first lies ``ssu``
+    samples after an update and which hold no later update instant; a
+    ``None`` operator is the identity, and with both ``None`` the columns
+    are copied."""
     d = delayed[:, a:b]
     if a == b or (r_current is None and r_previous is None):
         out[:, a:b] = d
         return
-    ssu = (t_first + 1 + np.arange(b - a)) % stepsize
-    w = 0.5 * (1.0 - np.cos(np.pi * (ssu + 1) / stepsize))
+    w, v = weights[:, ssu : ssu + b - a]
     current = d if r_current is None else r_current @ d
     previous = d if r_previous is None else r_previous @ d
-    out[:, a:b] = current * w + previous * (1.0 - w)
+    out[:, a:b] = current * w + previous * v
 
 
 def asr_process_chunk(
@@ -199,9 +234,10 @@ def asr_process_chunk(
     out = np.empty((c, n_samples))
     t0 = state.total_samples_seen
     step = state.stepsize
+    weights = _blend_weights(step)
     ring = state.cov_window
     window = ring.shape[1]
-    max_dims = calib.params.max_dims_fraction
+    instants = range(step - 1 - t0 % step, n_samples, step)
     # the ring is the one piece of state written in place: keep the columns
     # this chunk overwrites, to put them back if an update raises
     touched = np.arange(t0, t0 + min(n_samples, window)) % window
@@ -209,26 +245,30 @@ def asr_process_chunk(
     r_current, r_previous = state.r_current, state.r_previous
     log = []
 
-    pos = 0
     try:
-        for j in range(step - 1 - t0 % step, n_samples, step):
+        covs = np.empty((len(instants), c, c))
+        pos = 0
+        for cov, j in zip(covs, instants):
             # up to and including the update instant, whose value the
             # covariance must already hold
             _ring_write(ring, t0 + pos, filtered[:, pos : j + 1])
-            _emit(out, delayed, r_current, r_previous, step, pos, j, t0 + pos)
-            cov = ring @ ring.T
+            np.matmul(ring, ring.T, out=cov)
             cov /= min(t0 + j + 1, window)
-            upd = update_reconstruction(cov, calib, max_dims)
-            r_previous = r_current
-            r_current = None if upd.n_rejected == 0 else upd.reconstruction
-            log.append((t0 + j, upd.n_rejected))
-            _emit(out, delayed, r_current, r_previous, step, j, j + 1, t0 + j)
             pos = j + 1
+        _ring_write(ring, t0 + pos, filtered[:, pos:])
+        if instants:
+            _, _, keep, recons = detect(covs, calib, calib.params.max_dims_fraction)
+        pos = 0
+        for i, j in enumerate(instants):
+            _emit(out, delayed, r_current, r_previous, weights, pos, j, (t0 + pos + 1) % step)
+            r_previous, r_current = r_current, recons[i]
+            log.append((t0 + j, c - int(np.count_nonzero(keep[i]))))
+            _emit(out, delayed, r_current, r_previous, weights, j, j + 1, 0)
+            pos = j + 1
+        _emit(out, delayed, r_current, r_previous, weights, pos, n_samples, (t0 + pos + 1) % step)
     except BaseException:
         ring[:, touched] = saved
         raise
-    _ring_write(ring, t0 + pos, filtered[:, pos:])
-    _emit(out, delayed, r_current, r_previous, step, pos, n_samples, t0 + pos)
 
     state.delay_buffer = joined[:, n_samples:].copy()
     state.filter_state = filter_state
@@ -268,19 +308,27 @@ def clean_recording(
     chunk: int,
     stepsize: int = DEFAULT_STEPSIZE,
     lookahead: int | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ProcessorState]:
     """Clean a whole ``(C, N)`` recording by feeding it through
     ``asr_process_chunk`` in chunks of ``chunk`` samples from a fresh state.
 
-    Returns the cleaned ``(C, N)`` array, written chunk by chunk into one
-    preallocated array, and the final state.
+    Returns the cleaned ``(C, N)`` array and the final state. The output is
+    written chunk by chunk into ``out``, a new array by default. ``out`` may
+    be ``data`` itself, which cleans the recording in place: a chunk's output
+    is written only after ``asr_process_chunk`` has returned, and the
+    lookahead lives in the state, so no input sample is overwritten before
+    it is read.
     """
     if chunk < 1:
         raise InvalidValue("chunk", "must be >= 1")
+    if out is None:
+        out = np.empty(data.shape)
+    elif out.shape != data.shape:
+        raise InvalidValue("out", f"must have the shape of data, {data.shape}")
     state = ProcessorState.initial(calib, stepsize=stepsize, lookahead=lookahead)
     load_kernels(calib)
     n = data.shape[1]
-    out = np.empty((data.shape[0], n))
     for pos in range(0, n, chunk):
         end = min(n, pos + chunk)
         piece = MultichannelChunk(data[:, pos:end], calib.srate, pos)

@@ -200,7 +200,9 @@ class ReconstructionUpdate:
     """Result of one detection step."""
 
     eigvals: np.ndarray  # (C,) ascending
-    eigvecs: np.ndarray  # (C, C) orthonormal columns
+    # (C, C) orthonormal columns with LAPACK's signs, which the reconstruction
+    # does not depend on
+    eigvecs: np.ndarray
     keep: np.ndarray  # (C,) bool, per-component keep flags
     reconstruction: np.ndarray  # (C, C); exactly the identity when nothing rejected
     n_rejected: int

@@ -528,6 +528,39 @@ def test_stream_mode_rejects_a_ragged_line(workspace, monkeypatch, capsys):
     assert "error: row 50 has 5 cells, expected 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "table, old, new, command, message",
+    [
+        ("rec.csv", b",", b",\xff,", "process", "'\\udcff' as a number (row 3, col 2)"),
+        ("calib.csv", b",", b",\xff,", "calibrate", "'\\udcff' as a number (row 1, col 2)"),
+        ("calib.csv", b",", b",\xff,", "process", "'\\udcff' as a number (row 1, col 2)"),
+        ("state.json", b'"version": 1', b'"version": \xff', "process", "line 3 column 13"),
+    ],
+)
+def test_a_byte_that_is_not_utf8_exits_1_with_its_line(
+    workspace, capsys, table, old, new, command, message
+):
+    state = workspace / "state.json"
+    assert main(["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250",
+                 "--output", str(state)]) == 0
+    capsys.readouterr()
+    data = (workspace / table).read_bytes()
+    (workspace / table).write_bytes(data.replace(old, new, 1))  # 0xff is not UTF-8
+    if command == "calibrate":
+        argv = ["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250"]
+    else:
+        calibration = state if table == "state.json" else workspace / "calib.csv"
+        argv = ["process", "--calibration", str(calibration),
+                "--input", str(workspace / "rec.csv")]
+    output = workspace / "out.file"
+    assert main([*argv, "--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not output.exists()
+
+
 def test_short_window_state_exits_1_in_both_modes(workspace, monkeypatch, capsys):
     state = workspace / "state.json"
     assert main(["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250",

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import asrstream as asr
+from asrstream import processing
 from asrstream.errors import (
     CalibrationDegenerate,
     ChannelMismatch,
@@ -204,6 +206,117 @@ class TestClosedFormReconstruction:
         assert np.count_nonzero(~reject) >= 2  # more kept rows than rank(M)
         with pytest.raises(CalibrationDegenerate):
             asr.update_reconstruction(cov, state, 1.0)
+
+
+class TestBatchedDetection:
+    def test_one_update_matches_the_batched_step(self):
+        c = 24
+        b = np.random.default_rng(7).standard_normal((c, c))
+        mixing = asr.matrix_sqrt_psd(b @ b.T / c + 0.1 * np.eye(c))
+        state, cov, reject = _detection_case(mixing, seed=7)
+        covs = np.stack([cov, mixing @ mixing * 1e-3, cov * 1e9, cov.T * 2.0])
+        eigvals, eigvecs, keep, recons = processing.detect(covs, state, 1.0)
+        assert np.array_equal(~keep[0], reject)
+        assert recons[1] is None and not keep[2].any()  # nothing and everything rejected
+        for i, cov_i in enumerate(covs):
+            upd = asr.update_reconstruction(cov_i, state, 1.0)
+            want = np.eye(c) if recons[i] is None else recons[i]
+            assert np.array_equal(upd.reconstruction, want), i
+            assert upd.n_rejected == np.count_nonzero(~keep[i]), i
+            assert np.array_equal(upd.eigvals, eigvals[i]), i
+            assert np.array_equal(upd.eigvecs, eigvecs[i]), i
+
+    @pytest.mark.parametrize("c", [4, 64])
+    def test_reconstruction_ignores_eigenvector_signs(self, c):
+        b = np.random.default_rng(c).standard_normal((c, c))
+        mixing = asr.matrix_sqrt_psd(b @ b.T / c + 0.1 * np.eye(c))
+        state, cov, _ = _detection_case(mixing, seed=c)
+        upd = asr.update_reconstruction(cov, state, 1.0)
+        rejected = upd.eigvecs[:, ~upd.keep]
+        signs = np.where(np.random.default_rng(0).random(rejected.shape[1]) < 0.5, -1.0, 1.0)
+        signs[0] = -1.0
+        flipped = processing._reconstruct(state, rejected * signs)
+        assert np.array_equal(flipped, processing._reconstruct(state, rejected))
+        assert np.array_equal(flipped, upd.reconstruction)
+
+    def test_one_eigh_per_chunk_with_an_update_instant(self, clean_calibration, monkeypatch):
+        _, state = clean_calibration
+        assert state.inverse_mixing is not None  # cached before eigh is counted
+        rng = np.random.default_rng(21)
+        stream = rng.standard_normal((4, 600)) * 3.0
+        stream[:, 200:400] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(200))
+        sizes = [10, 10, 11, 1, 64, 200, 5, 20, 7, 272]  # stepsize 32
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        proc = asr.ProcessorState.initial(state)
+        pos = 0
+        for size in sizes:
+            before = len(calls)
+            chunk = asr.MultichannelChunk(stream[:, pos : pos + size], SRATE, pos)
+            _, proc = asr.asr_process_chunk(chunk, state, proc)
+            instants = sum(1 for t in range(pos, pos + size) if (t + 1) % 32 == 0)
+            assert calls[before:] == ([(instants, 4, 4)] if instants else []), pos
+            pos += size
+        assert pos == 600 and len(proc.update_log) == 600 // 32
+        assert any(n > 0 for _, n in proc.update_log)
+
+    def test_a_later_failing_update_leaves_every_field_untouched(self, clean_calibration):
+        _, state = clean_calibration
+        rng = np.random.default_rng(13)
+        stream = rng.standard_normal((4, 600)) * 3.0
+        stream[:, 200:300] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(100))
+        proc = asr.ProcessorState.initial(state)
+        head = asr.MultichannelChunk(stream[:, :230], SRATE, 0)
+        _, proc = asr.asr_process_chunk(head, state, proc)
+        assert proc.r_current is not None  # mid-burst: the state holds a rejection
+        before = copy.deepcopy(proc)
+        # updates at 255 and 287 see finite covariances; the one at 319 overflows
+        bad = stream[:, 230:326].copy()
+        bad[:, 60:] *= 1e200
+        with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="covariance"):
+            asr.asr_process_chunk(asr.MultichannelChunk(bad, SRATE, 230), state, proc)
+        for f in dataclasses.fields(proc):
+            got, want = getattr(proc, f.name), getattr(before, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+
+        outs = []
+        for p in (proc, before):
+            for pos in range(230, 600, 37):
+                chunk = asr.MultichannelChunk(stream[:, pos : pos + 37], SRATE, pos)
+                cleaned, p = asr.asr_process_chunk(chunk, state, p)
+                outs.append(cleaned.data)
+        half = len(outs) // 2
+        assert np.array_equal(np.hstack(outs[:half]), np.hstack(outs[half:]))
+        assert proc.update_log == before.update_log
+
+    def test_partitions_agree_at_64_channels(self):
+        spec = asr.SyntheticSpec(
+            channels=64, srate=1000.0, duration=3.0, calibration_duration=10.0,
+            mixing_seed=3, noise_seed=4, events=(asr.ArtifactEvent(1.0, 1.0, 10.0),),
+        )
+        calibration, recording, _ = asr.generate_synthetic(spec)
+        state = asr.asr_calibrate(calibration, spec.srate)
+        out256, proc256 = asr.clean_recording(recording, state, 256)
+        assert sum(1 for _, n in proc256.update_log if n) > 10
+        # chunks of 256 and 32 cut the blend at the same columns (stepsize 32)
+        out32, proc32 = asr.clean_recording(recording, state, 32)
+        assert np.array_equal(out32, out256)
+        assert proc32.update_log == proc256.update_log
+        # chunks of 7 cut it elsewhere, and BLAS rounds a column by its block
+        out7, proc7 = asr.clean_recording(recording, state, 7)
+        assert asr.compare(out7, out256, 1e-10).passed
+        assert proc7.update_log == proc256.update_log
+        for name in ("cov_window", "r_current", "r_previous", "delay_buffer"):
+            assert np.array_equal(getattr(proc7, name), getattr(proc256, name)), name
 
 
 class TestProcessChunk:
@@ -429,3 +542,32 @@ class TestCleanRecording:
         _, state = clean_calibration
         with pytest.raises(InvalidValue, match="chunk"):
             asr.clean_recording(np.zeros((4, 10)), state, chunk)
+
+    def test_cleans_in_place_with_little_memory(self, clean_calibration):
+        _, state = clean_calibration
+        rng = np.random.default_rng(9)
+        stream = rng.standard_normal((4, 20000)) * 3.0
+        stream[:, 5000:6000] += 20 * np.array([[0.2], [1.0], [-0.7], [0.4]])
+        asr.clean_recording(stream[:, :500], state, 256)  # warm every lazy cost
+        peaks = []
+        for target in (None, "data"):
+            data = stream.copy()
+            tracemalloc.start()
+            try:
+                got, proc = asr.clean_recording(
+                    data, state, 256, out=data if target else None
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert got is data
+        want, ref = asr.clean_recording(stream, state, 256)
+        assert np.array_equal(got, want)
+        assert proc.update_log == ref.update_log
+        assert peaks[0] >= data.nbytes  # the default output is a new array
+        assert peaks[1] <= 0.2 * data.nbytes
+
+    def test_out_of_another_shape_rejected(self, clean_calibration):
+        _, state = clean_calibration
+        with pytest.raises(InvalidValue, match="out"):
+            asr.clean_recording(np.zeros((4, 10)), state, 5, out=np.zeros((4, 9)))

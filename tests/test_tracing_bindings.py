@@ -1,16 +1,23 @@
 """The benchmark's tracer wraps names inside asrstream, and its harness
 imports more; renaming one of them would silently drop a layer from traced
-runs or break the benchmark, so check they all resolve."""
+runs or break the benchmark, so check they all resolve, and run one
+benchmark session end to end."""
 
 import ast
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import asrstream.cli  # noqa: F401  (binds every module the tracer wraps)
 from asrstream import io_formats
 from asrstream.runtime import Pipeline
+from asrstream.synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -68,3 +75,45 @@ def test_every_harness_import_resolves():
             assert hasattr(module, name), f"{script}: from {module_name} import {name}"
             checked += 1
     assert checked >= 8  # the parse found the harness's imports
+
+
+def test_benchmark_session_runs_and_checks_its_passes(tmp_path):
+    """perfbench/session.py, untraced and traced, cleans a small burst record
+    at both of its chunk sizes, finds the two passes in agreement and
+    reports the same output digest."""
+    spec = SyntheticSpec(
+        channels=8, srate=250.0, duration=4.0, calibration_duration=10.0,
+        mixing_seed=1, noise_seed=2, events=(ArtifactEvent(1.5, 1.0, 10.0),),
+    )
+    calibration, recording, _ = generate_synthetic(spec)
+    np.save(tmp_path / "calibration.npy", calibration)
+    np.save(tmp_path / "recording.npy", recording)
+    src = Path(asrstream.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    results = []
+    for trace in (False, True):
+        session = {
+            "workload": "clean_64ch",
+            "calibration": str(tmp_path / "calibration.npy"),
+            "recording": str(tmp_path / "recording.npy"),
+            "srate": spec.srate,
+            "chunk": 256,
+            "stream_chunk": 32,
+            "tolerance": 1e-10,
+            "trace": trace,
+            "result": str(tmp_path / f"result{trace}.json"),
+        }
+        spec_path = tmp_path / f"spec{trace}.json"
+        spec_path.write_text(json.dumps(session), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "session.py"), str(spec_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ready ")
+        result = json.loads(Path(session["result"]).read_text(encoding="utf-8"))
+        assert result["ok"] is True, result["check"]
+        assert result["rejecting_updates"] > 0
+        results.append(result)
+    assert results[0]["digest"] == results[1]["digest"]
+    assert results[1]["trace"]["calls"]["processing.asr_process_chunk"] > 0
