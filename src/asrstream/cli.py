@@ -3,9 +3,10 @@ compare, bench.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad inputs, failed
 comparison), 2 runtime error mid-stream (I/O failures after processing
-started). ``ASR_LOG`` in {error, warn, info, debug} controls log verbosity.
-``main`` runs numpy's BLAS on one thread, so output bytes do not depend on
-the machine's core count.
+started, or chunks still in flight when the stream's drain gives up).
+``ASR_LOG`` in {error, warn, info, debug} controls log verbosity. ``main``
+runs numpy's BLAS on one thread, so output bytes do not depend on the
+machine's core count.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .types import DEFAULT_STEPSIZE, CalibrationParams, CalibrationState, Pipeli
 logger = logging.getLogger(__name__)
 
 STREAM_VAR = "eeg"  # the side-channel variable stream mode publishes into
+STREAM_DRAIN_TIMEOUT_S = 5.0  # end of stream: give up after this long without a chunk drained
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -97,13 +99,7 @@ def cmd_calibrate(args) -> int:
         window_overlap=args.window_overlap,
         max_dims_fraction=args.max_dims_fraction,
     )
-    state = asr_calibrate(
-        matrix,
-        args.srate,
-        params,
-        filter_b=file_b if args.filter_b is None else args.filter_b,
-        filter_a=file_a if args.filter_a is None else args.filter_a,
-    )
+    state = asr_calibrate(matrix, args.srate, params, filter_b=file_b, filter_a=file_a)
     save_calibration_state(args.output, state)
     amplitudes = np.linalg.norm(state.threshold, axis=1)
     if args.report:
@@ -198,7 +194,6 @@ def _process_stream(args, stdin, stdout) -> int:
         var_name=STREAM_VAR,
         calibration_file_name=args.calibration,
         chunk_capacity=args.chunk,
-        fifo_capacity=args.fifo_capacity,
         stepsize=args.stepsize,
         lookahead=args.lookahead,
     )
@@ -222,11 +217,13 @@ def _process_stream(args, stdin, stdout) -> int:
         while block := list(parse_rows(islice(lines, args.chunk), channels)):
             _publish_paced(pipeline, registry, STREAM_VAR, np.array(block).T)
             _write_spool()
-        pipeline.flush(timeout=5.0)
+        pipeline.flush(timeout=STREAM_DRAIN_TIMEOUT_S)
         _write_spool()
         stdout.flush()
-        if not pipeline.worker_alive():
-            raise WorkerDied("the worker thread stopped; the stream is incomplete")
+        if missing := pipeline.in_flight():
+            raise WorkerDied(
+                f"{missing} chunks never came back from the worker; the stream is incomplete"
+            )
     except (OSError, WorkerDied) as exc:
         logger.error("stream aborted: %s", exc)
         exit_code = 2
@@ -241,14 +238,7 @@ def _process_stream(args, stdin, stdout) -> int:
     return exit_code
 
 
-def _check_chunk(args) -> None:
-    """Reject ``--chunk`` below 1 before any input is read or calibrated."""
-    if args.chunk < 1:
-        raise _UsageError(f"--chunk must be >= 1, got {args.chunk}")
-
-
 def cmd_process(args) -> int:
-    _check_chunk(args)
     if args.stream:
         return _process_stream(args, sys.stdin, sys.stdout)
     # a saved state is checked before the record is parsed; a clean-data CSV
@@ -283,7 +273,7 @@ def cmd_simulate(args) -> int:
         srate=args.srate,
         duration=args.duration,
         calibration_duration=args.calibration_duration,
-        mixing_seed=args.mixing_seed if args.mixing_seed is not None else args.seed,
+        mixing_seed=args.seed,
         noise_seed=args.seed,
         events=tuple(_parse_burst(b) for b in args.burst),
     )
@@ -315,7 +305,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_chunk(args)
     spec = SyntheticSpec(
         channels=args.channels,
         srate=args.srate,
@@ -351,6 +340,22 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` for an integer flag of at least ``low``, so that a
+    bad value exits 1, naming the flag, before any input is read."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="asrstream", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -364,8 +369,6 @@ def build_parser() -> _Parser:
     cal.add_argument("--blocksize", type=int, default=defaults.blocksize)
     cal.add_argument("--window-overlap", type=float, default=defaults.window_overlap)
     cal.add_argument("--max-dims-fraction", type=float, default=defaults.max_dims_fraction)
-    cal.add_argument("--filter-b", type=float, nargs="+", default=None)
-    cal.add_argument("--filter-a", type=float, nargs="+", default=None)
     cal.add_argument("--output", required=True, help="calibration state file to write")
     cal.add_argument("--report", action="store_true", help="machine-readable output")
     cal.set_defaults(func=cmd_calibrate)
@@ -377,11 +380,10 @@ def build_parser() -> _Parser:
     )
     proc.add_argument("--input", help="signal record to clean (file mode)")
     proc.add_argument("--output", help="cleaned signal record (file mode)")
-    proc.add_argument("--chunk", type=int, default=256, help="samples per chunk")
+    proc.add_argument("--chunk", type=_int_at_least(1), default=256, help="samples per chunk")
     proc.add_argument("--stream", action="store_true", help="stdin -> stdout streaming")
-    proc.add_argument("--fifo-capacity", type=int, default=8)
-    proc.add_argument("--stepsize", type=int, default=DEFAULT_STEPSIZE)
-    proc.add_argument("--lookahead", type=int, default=None)
+    proc.add_argument("--stepsize", type=_int_at_least(1), default=DEFAULT_STEPSIZE)
+    proc.add_argument("--lookahead", type=_int_at_least(0), default=None)
     proc.add_argument("--report", action="store_true")
     proc.set_defaults(func=cmd_process)
 
@@ -391,7 +393,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--duration", type=float, default=60.0)
     sim.add_argument("--calibration-duration", type=float, default=30.0)
     sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--mixing-seed", type=int, default=None)
     sim.add_argument(
         "--burst", action="append", default=[], metavar="ONSET:DUR:AMP",
         help="artifact burst (repeatable)",
@@ -412,8 +413,8 @@ def build_parser() -> _Parser:
     bench.add_argument("--channels", type=int, default=24)
     bench.add_argument("--srate", "--sampling-rate", dest="srate", type=float, default=500.0)
     bench.add_argument("--duration", type=float, default=10.0)
-    bench.add_argument("--chunk", type=int, default=256)
-    bench.add_argument("--stepsize", type=int, default=DEFAULT_STEPSIZE)
+    bench.add_argument("--chunk", type=_int_at_least(1), default=256)
+    bench.add_argument("--stepsize", type=_int_at_least(1), default=DEFAULT_STEPSIZE)
     bench.add_argument("--report", action="store_true")
     bench.set_defaults(func=cmd_bench)
     return parser

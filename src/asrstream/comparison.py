@@ -88,12 +88,6 @@ class AttenuationMetrics:
     artifact_rms_reduction: float | None  # 1 - RMS(cleaned|mask)/RMS(raw|mask)
     clean_rms_change: float | None  # |RMS(cleaned|~mask)/RMS(raw|~mask) - 1|
 
-    def machine_lines(self) -> list[str]:
-        return [
-            f"artifact_rms_reduction={self.artifact_rms_reduction!r}",
-            f"clean_rms_change={self.clean_rms_change!r}",
-        ]
-
 
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x * x))) if x.size else 0.0

@@ -310,7 +310,6 @@ _OPTIONAL_KEYS = {
     "Lookahead": ("lookahead", int),
     "ChunkCapacity": ("chunk_capacity", int),
     "FifoCapacity": ("fifo_capacity", int),
-    "OutputVarName": ("output_var_name", str),
 }
 
 

@@ -64,13 +64,7 @@ def symmetric_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix contains non-finite entries")
     _check_symmetric(a, 1e-8)
-    return signed_eigh((a + a.T) / 2.0)
-
-
-def signed_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``symmetric_eig`` without its checks, for a caller that has already
-    made ``a`` finite and symmetric."""
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
     anchors = np.argmax(np.abs(vecs), axis=0)
     flip = vecs[anchors, np.arange(vecs.shape[1])] < 0.0
     vecs = np.where(flip[None, :], -vecs, vecs)

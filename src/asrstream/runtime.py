@@ -64,10 +64,6 @@ class ChunkFifo:
         self.dropped = 0  # written only by the producer
 
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
     def pushed(self) -> int:
         return self._tail
 
@@ -218,10 +214,6 @@ class Pipeline:
         self._calib: CalibrationState | None = None
 
     @property
-    def prepared(self) -> bool:
-        return self._prepared
-
-    @property
     def calibration(self) -> CalibrationState | None:
         return self._calib
 
@@ -261,9 +253,7 @@ class Pipeline:
                 f"input variable {cfg.var_name!r} holds {in_var.capacity} samples, "
                 f"config needs {cfg.chunk_capacity}"
             )
-        out_var = self.registry.register(
-            cfg.resolved_output_var_name(), c, cfg.chunk_capacity
-        )
+        out_var = self.registry.register(f"{cfg.var_name}_clean", c, cfg.chunk_capacity)
 
         self._calib = calib
         self._in_var = in_var
@@ -393,9 +383,10 @@ class Pipeline:
 
     def flush(self, timeout: float = 2.0) -> int:
         """Drain until nothing is in flight, the worker is dead and its last
-        chunks are drained, or the timeout passes. Not real-time safe;
-        intended for end-of-stream shutdown. Returns the number of chunks
-        drained."""
+        chunks are drained, or ``timeout`` seconds pass without a chunk
+        drained: each drained chunk restarts the clock, so a slow worker
+        that keeps up progress is waited for. Not real-time safe; intended
+        for end-of-stream shutdown. Returns the number of chunks drained."""
         if not self._prepared:
             raise InvalidLifecycle("pipeline is not prepared")
         deadline = time.perf_counter() + timeout
@@ -406,7 +397,9 @@ class Pipeline:
             drained += moved
             if self.in_flight() == 0 or not (alive or moved):
                 break
-            if not moved:
+            if moved:
+                deadline = time.perf_counter() + timeout
+            else:
                 time.sleep(0.001)
         return drained
 

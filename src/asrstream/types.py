@@ -33,14 +33,6 @@ class MultichannelChunk:
     srate: float  # Hz, constant across a stream
     first_sample_index: int = 0
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def samples(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class CalibrationParams:
@@ -214,13 +206,12 @@ class PipelineConfig:
 
     sampling_rate: float  # Hz
     params: CalibrationParams  # used when calibrating from a clean-data CSV
-    var_name: str  # name of the input side-channel variable
+    var_name: str  # input side-channel variable; cleaned chunks go to "<var_name>_clean"
     calibration_file_name: str  # CSV of clean data, or a saved calibration state
     chunk_capacity: int = 1024  # max samples per streamed chunk
     fifo_capacity: int = 8  # chunks per FIFO
     stepsize: int = DEFAULT_STEPSIZE
     lookahead: int | None = None  # samples; default: the calibration's default_lookahead()
-    output_var_name: str | None = None  # default "<var_name>_clean"
 
     def __post_init__(self):
         if not self.sampling_rate > 0:  # NaN too
@@ -237,6 +228,3 @@ class PipelineConfig:
             raise InvalidValue("Stepsize", "must be >= 1")
         if self.lookahead is not None and self.lookahead < 0:
             raise InvalidValue("Lookahead", "must be >= 0")
-
-    def resolved_output_var_name(self) -> str:
-        return self.output_var_name or f"{self.var_name}_clean"

@@ -12,6 +12,7 @@ import pytest
 import asrstream as asr
 from asrstream.cli import main
 from asrstream.io_formats import (
+    SignalRecord,
     load_calibration_state,
     load_signal_record,
     save_signal_record,
@@ -253,10 +254,13 @@ def test_chunk_is_checked_before_any_input(tmp_path, monkeypatch, capsys):
         ["process", "--calibration", missing, "--input", missing, "--output",
          str(tmp_path / "out.csv")],
     ):
-        assert main([*argv, "--chunk", "0"]) == 1, argv
-        err = capsys.readouterr().err
-        assert "--chunk" in err, argv
-        assert "missing" not in err and "ChunkCapacity" not in err, argv
+        for flag, value in (("--chunk", "0"), ("--stepsize", "0"), ("--lookahead", "-1")):
+            assert main([*argv, flag, value]) == 1, (argv, flag)
+            err = capsys.readouterr().err
+            assert flag in err, (argv, flag)
+            assert "missing" not in err and "ChunkCapacity" not in err, (argv, flag)
+    assert main(["bench", "--stepsize", "0"]) == 1
+    assert "--stepsize" in capsys.readouterr().err
     assert stream.tell() == 0  # stream mode did not read its header
 
 
@@ -437,6 +441,33 @@ def test_stream_mode_exits_2_when_the_worker_dies(workspace, monkeypatch, capsys
     assert "worker_alive=0" in capsys.readouterr().err
 
 
+def test_stream_drain_bound_counts_time_without_progress(workspace, monkeypatch, capsys):
+    """The end-of-stream drain gives up only after STREAM_DRAIN_TIMEOUT_S
+    without a drained chunk: a worker slower than that in total but not per
+    chunk gets every row written, one stalled past it exits 2."""
+    from asrstream import cli, runtime
+
+    rec = load_signal_record(workspace / "rec.csv")
+    text = _record_to_stream_text(SignalRecord(rec.data[:, :384], rec.srate))  # 12 chunks of 32
+    real = runtime.asr_process_chunk
+    monkeypatch.setattr(cli, "STREAM_DRAIN_TIMEOUT_S", 0.15)
+    # about 7 chunks are in flight at the end: 0.21 s of drain at 0.03 s each
+    for delay, stall, rc, rows in ((0.03, 0.03, 0, 384), (0.0, 0.6, 2, 352)):
+
+        def slow(chunk, calib, state, delay=delay, stall=stall):
+            time.sleep(stall if chunk.first_sample_index == 352 else delay)
+            return real(chunk, calib, state)
+
+        monkeypatch.setattr(runtime, "asr_process_chunk", slow)
+        stdout = io.StringIO()
+        args = _stream_args(workspace / "calib.csv")
+        assert cli._process_stream(args, io.StringIO(text), stdout) == rc
+        assert len(stdout.getvalue().splitlines()) == rows + 1  # header + rows
+        err = capsys.readouterr().err
+        stats = dict(f.split("=") for f in err.split("stream done: ")[1].split())
+        assert (stats["drained"], stats["pushed"], stats["worker_alive"]) == (str(rows // 32), "12", "1")
+
+
 def test_parser_defaults_come_from_the_library(capsys):
     from asrstream.cli import build_parser
     from asrstream.types import DEFAULT_STEPSIZE
@@ -452,7 +483,15 @@ def test_parser_defaults_come_from_the_library(capsys):
     ) == asr.CalibrationParams()
     assert parser.parse_args(["process", "--calibration", "s.json"]).stepsize == DEFAULT_STEPSIZE
     assert parser.parse_args(["bench"]).stepsize == DEFAULT_STEPSIZE
-    assert main(["process", "--calibration", "s.json", "--stream", "--var-name", "x"]) == 1
+    for argv in (
+        ["process", "--calibration", "s.json", "--stream", "--var-name", "x"],
+        ["process", "--calibration", "s.json", "--stream", "--fifo-capacity", "8"],
+        ["simulate", "--output-record", "r.csv", "--mixing-seed", "3"],
+        ["calibrate", "--input", "c.csv", "--srate", "250", "--output", "s.json", "--filter-b", "1"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and argv[-2] in err, argv
 
 
 def test_report_counts_updates_past_the_log_limit(workspace, monkeypatch, capsys):

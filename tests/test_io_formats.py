@@ -479,9 +479,10 @@ class TestParseConfig:
         assert "WindowLength" in str(err.value) or err.value.key
 
     def test_unknown_key_named(self):
-        with pytest.raises(InvalidValue) as err:
-            parse_config(self.GOOD + "Foo = 1\n")
-        assert "Foo" in str(err.value)
+        for line in ("Foo = 1", "OutputVarName = x"):
+            with pytest.raises(InvalidValue) as err:
+                parse_config(self.GOOD + line + "\n")
+            assert line.split()[0] in str(err.value)
 
     def test_zero_window_rejected(self):
         bad = self.GOOD.replace("WindowLength = 0.5", "WindowLength = 0")

@@ -41,6 +41,33 @@ def test_every_traced_binding_resolves_to_a_callable():
         assert callable(getattr(cls, attr, None)), f"asrstream.{site}.{cls_name}.{attr}"
 
 
+def test_every_unused_import_is_kept_for_the_tracer():
+    """A module-level import its module never names is dead, unless the
+    tracer wraps it there; so an import kept for a binding that the tracer
+    drops gets flagged."""
+    tracing = _load_tracing()
+    bindings = {(site, attr) for site, attrs in tracing.BINDINGS.items() for attr in attrs}
+    package = Path(asrstream.cli.__file__).parent
+    unused, checked = set(), 0
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                checked += 1
+                if bound not in names:
+                    unused.add((path.stem, bound))
+    assert checked > 50  # the walk found the package's imports
+    assert unused <= bindings, sorted(unused - bindings)
+
+
 def test_traced_reads_and_writes_take_the_path_first():
     # the tracer counts bytes as the size of the file named by the first argument
     tracing = _load_tracing()
