@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cross-check the streaming pipeline against the naive offline reference on
-a batch of seeded synthetic recordings; print one report per spec plus
-machine-readable key=value lines.
+the five pre-registered quality-control specs (``QC_SPECS``); print one
+report per spec plus machine-readable key=value lines.
 
 Usage: python3 scripts/run_quality_check.py [--tolerance 1e-5] [--chunk 32]
 """
@@ -14,14 +14,18 @@ import asrstream as asr
 from asrstream.oracle import oracle_process
 from asrstream.synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
 
-SPECS = [
-    ("clean", SyntheticSpec(noise_seed=101, mixing_seed=11)),
+# the five pre-registered quality-control specs: 8 ch, 250 Hz, 60 s, with and
+# without artifact bursts, as (name, spec, shaping filter (b, a) or None);
+# tests/test_acceptance.py checks the runtime against the oracle on these
+QC_SPECS = [
+    ("qc1-clean", SyntheticSpec(noise_seed=101, mixing_seed=11), None),
     (
-        "one-burst",
+        "qc2-one-burst",
         SyntheticSpec(noise_seed=102, mixing_seed=12, events=(ArtifactEvent(20.0, 1.0, 10.0),)),
+        None,
     ),
     (
-        "three-bursts",
+        "qc3-three-bursts",
         SyntheticSpec(
             noise_seed=103,
             mixing_seed=13,
@@ -31,29 +35,39 @@ SPECS = [
                 ArtifactEvent(45.0, 0.8, 6.0),
             ),
         ),
+        None,
     ),
     (
-        "dense-bursts",
+        "qc4-clean-filtered",
+        SyntheticSpec(noise_seed=104, mixing_seed=14),
+        ([0.25, 0.5, 0.25], [1.0, -0.3, 0.2]),
+    ),
+    (
+        "qc5-overlapping-bursts",
         SyntheticSpec(
-            noise_seed=106,
-            mixing_seed=16,
-            events=tuple(ArtifactEvent(5.0 + 6 * k, 0.6, 9.0) for k in range(9)),
+            noise_seed=105,
+            mixing_seed=15,
+            events=(ArtifactEvent(25.0, 1.0, 10.0), ArtifactEvent(25.5, 1.0, 7.0)),
         ),
+        None,
     ),
 ]
 
 
-def run_spec(name, spec, tolerance, chunk):
+def run_spec(name, spec, coeffs, tolerance, chunk):
     started = time.perf_counter()
     calibration, recording, mask = generate_synthetic(spec)
-    state = asr.asr_calibrate(calibration, spec.srate)
+    filter_b, filter_a = coeffs or (None, None)
+    state = asr.asr_calibrate(calibration, spec.srate, filter_b=filter_b, filter_a=filter_a)
     streamed, proc = asr.clean_recording(recording, state, chunk)
-    reference = oracle_process(recording, calibration, srate=spec.srate)
+    reference = oracle_process(
+        recording, calibration, srate=spec.srate, filter_b=filter_b, filter_a=filter_a
+    )
     report = asr.compare(streamed, reference, tolerance)
     elapsed = time.perf_counter() - started
 
     print(f"== {name} ({spec.channels} ch, {spec.duration:g} s, "
-          f"{len(spec.events)} burst(s), {elapsed:.1f} s) ==")
+          f"{len(spec.events)} burst(s){', filtered' if coeffs else ''}, {elapsed:.1f} s) ==")
     print("   " + report.summary())
     if mask.any():
         aligned = asr.align_for_delay(streamed, recording, mask, proc.lookahead)
@@ -72,7 +86,7 @@ def main(argv=None):
     parser.add_argument("--tolerance", type=float, default=1e-5)
     parser.add_argument("--chunk", type=int, default=32)
     args = parser.parse_args(argv)
-    results = [run_spec(name, spec, args.tolerance, args.chunk) for name, spec in SPECS]
+    results = [run_spec(*qc, args.tolerance, args.chunk) for qc in QC_SPECS]
     print(f"\n{sum(results)}/{len(results)} specs passed at tolerance {args.tolerance:g}")
     return 0 if all(results) else 1
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from math import inf
 
 import numpy as np
 
@@ -57,7 +58,7 @@ def asr_calibrate(
         raise InvalidInput("data must be (channels, samples)")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("data contains non-finite values")
-    if not srate > 0:  # NaN too
+    if not 0 < srate < inf:  # NaN too
         raise InvalidInput("srate must be > 0")
     c, n = x.shape
     if c < 1 or n < 1:

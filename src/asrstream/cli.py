@@ -187,13 +187,11 @@ def _process_stream(args, stdin, stdout) -> int:
     if not header:
         raise ParseError("empty stream: expected a header line")
     channels, srate = _parse_stream_header(header)
-    state = load_calibration(args.calibration, srate)
     config = PipelineConfig(
         sampling_rate=srate,
-        params=state.params,
+        params=CalibrationParams(),  # calibrates a clean-data CSV as file mode does
         var_name=STREAM_VAR,
         calibration_file_name=args.calibration,
-        chunk_capacity=args.chunk,
         stepsize=args.stepsize,
         lookahead=args.lookahead,
     )
@@ -203,7 +201,7 @@ def _process_stream(args, stdin, stdout) -> int:
     pipeline = Pipeline(
         config, registry, output_sink=lambda view, n, seq: spool.append(view.copy())
     )
-    pipeline.prepare(state)
+    pipeline.prepare()
 
     def _write_spool() -> None:
         while spool:
@@ -435,13 +433,7 @@ def main(argv=None) -> int:
                 print("error: file mode needs --input and --output", file=sys.stderr)
                 return 1
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AsrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (_UsageError, AsrError, OSError) as exc:  # stream mode exits 2 on I/O mid-stream itself
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

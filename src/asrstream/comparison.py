@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidValue, ShapeMismatch
 
 REL_EPS = 1e-30  # denominator floor so zeros compare against zeros cleanly
 COMPARE_COLUMNS = 4096  # samples per pass: temporaries stay O(C * 4096)
@@ -50,6 +51,8 @@ def compare(a, b, rel_tol: float) -> ComparisonReport:
     Walks the samples in blocks of ``COMPARE_COLUMNS``, so memory beyond the
     inputs stays bounded; a NaN anywhere makes both maxima NaN and fails.
     """
+    if not 0 <= rel_tol < inf:  # NaN too
+        raise InvalidValue("tolerance", "must be finite and >= 0")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape != b.shape:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import string
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
@@ -54,7 +55,10 @@ def atomic_write_lines(path, lines) -> None:
     (0666 less the umask), not the 0600 of the temp file.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
@@ -104,7 +108,8 @@ def parse_row(line: str, lineno: int, width: int | None = None) -> list[float]:
     if line.lstrip().startswith("#"):
         raise ParseError("comment lines are only allowed before data", row=lineno)
     for col, cell in enumerate(cells, start=1):
-        parse_cell(cell.strip(), lineno, col)
+        # strip only what float() ignores, so every cell float() refused raises
+        parse_cell(cell.strip(string.whitespace), lineno, col)
     if width is not None and len(cells) != width:
         raise RaggedCsv(lineno, f"row {lineno} has {len(cells)} cells, expected {width}")
     return values  # every value is finite; only their sum overflowed
@@ -308,7 +313,6 @@ _OPTIONAL_KEYS = {
     "MaxDimsFraction": ("max_dims_fraction", float),
     "Stepsize": ("stepsize", int),
     "Lookahead": ("lookahead", int),
-    "ChunkCapacity": ("chunk_capacity", int),
     "FifoCapacity": ("fifo_capacity", int),
 }
 
@@ -345,8 +349,7 @@ def parse_config(text: str) -> PipelineConfig:
             raise MissingKey(key)
     params = {f.name: values.pop(f.name) for f in fields(CalibrationParams) if f.name in values}
     try:
-        values["params"] = CalibrationParams(**params)
-    except InvalidValue as exc:
+        return PipelineConfig(**values, params=CalibrationParams(**params))
+    except InvalidValue as exc:  # names a field; the file's reader knows it by its key
         key = next(k for k, (f, _) in (_REQUIRED_KEYS | _OPTIONAL_KEYS).items() if f == exc.name)
         raise InvalidValue(key, exc.reason) from None
-    return PipelineConfig(**values)  # InvalidValue propagates from validation

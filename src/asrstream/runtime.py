@@ -1,6 +1,12 @@
 """Real-time pipeline: prepare/process/release lifecycle, a wait-free chunk
 FIFO pair, a worker cleaning thread, and a named side-channel registry.
 
+Each runtime fact is read from its one owner: the input variable's capacity
+sizes every chunk buffer (the registry lock holds it while the pipeline is
+prepared), the inbound ring counts the chunks pushed, the input variable's
+sample counter gives each chunk's sample index, and a running worker thread
+is what "prepared" means.
+
 Concurrency model: exactly two roles per pipeline. The caller thread runs
 ``process()`` (real-time side: no locks, no blocking, no buffer allocation
 after prepare); one worker thread runs the cleaning loop. All shared state
@@ -209,8 +215,7 @@ class Pipeline:
         self.config = config
         self.registry = registry
         self._sink = output_sink
-        self._prepared = False
-        self._thread: threading.Thread | None = None
+        self._thread: threading.Thread | None = None  # set while prepared
         self._calib: CalibrationState | None = None
 
     @property
@@ -218,9 +223,10 @@ class Pipeline:
         return self._calib
 
     def prepare(self, calibration: CalibrationState | None = None) -> None:
-        """Lock variables, allocate rings and start the worker. Cleans with
-        ``calibration`` if given, else loads it from the config's file."""
-        if self._prepared:
+        """Allocate rings of chunks as long as the input variable's capacity,
+        start the worker and lock the variables. Cleans with ``calibration``
+        if given, else loads it from the config's file."""
+        if self._thread is not None:
             raise InvalidLifecycle("pipeline is already prepared")
         cfg = self.config
         calib = calibration
@@ -248,41 +254,34 @@ class Pipeline:
                 f"input variable {cfg.var_name!r} has stride {in_var.stride}, "
                 f"calibration has {c} channels"
             )
-        if in_var.capacity < cfg.chunk_capacity:
-            raise PrepareFailed(
-                f"input variable {cfg.var_name!r} holds {in_var.capacity} samples, "
-                f"config needs {cfg.chunk_capacity}"
-            )
-        out_var = self.registry.register(f"{cfg.var_name}_clean", c, cfg.chunk_capacity)
+        # the longest chunk publish() lets in; the lock keeps it until release
+        chunk = in_var.capacity
+        out_var = self.registry.register(f"{cfg.var_name}_clean", c, chunk)
 
-        self._calib = calib
         self._in_var = in_var
         self._out_var = out_var
-        self._inbound = ChunkFifo(cfg.fifo_capacity, c, cfg.chunk_capacity)
-        self._outbound = ChunkFifo(cfg.fifo_capacity, c, cfg.chunk_capacity)
-        self._drain_buf = np.zeros((c, cfg.chunk_capacity))
+        self._inbound = ChunkFifo(cfg.fifo_capacity, c, chunk)
+        self._outbound = ChunkFifo(cfg.fifo_capacity, c, chunk)
+        self._drain_buf = np.zeros((c, chunk))
         self._proc_state = ProcessorState.initial(
             calib, stepsize=cfg.stepsize, lookahead=cfg.lookahead
         )
-        self._consumed_published = in_var.published_total
-        self._input_seq = 0
+        self._first_published = self._consumed_published = in_var.published_total
         self._overwritten_in_samples = 0
-        self._pushed_chunks = 0
         self._drained_chunks = 0
         self._popped_chunks = 0
         self._processed_chunks = 0
         self._error_chunks = 0
         self._last_error_sample = -1
         self._stop = False
+        self._calib = calib  # last: stats() reads the counters once it is set
 
         load_kernels(calib)  # an import in the worker would stall a live stream
+        thread = threading.Thread(target=self._worker_loop, name="asr-worker", daemon=True)
+        thread.start()  # before the locks, so a failed start leaves nothing locked
         self.registry.lock(cfg.var_name)
         self.registry.lock(out_var.name)
-        self._thread = threading.Thread(
-            target=self._worker_loop, name="asr-worker", daemon=True
-        )
-        self._thread.start()
-        self._prepared = True
+        self._thread = thread
 
     def process(self) -> int:
         """Real-time callback: enqueue any newly published input chunk and
@@ -290,20 +289,16 @@ class Pipeline:
         that reads the variable after each call sees every chunk. Never
         blocks; a full inbound ring drops the oldest chunk and counts it.
         Returns the number of chunks moved, 0 or 1."""
-        if not self._prepared:
+        if self._thread is None:
             raise InvalidLifecycle("pipeline is not prepared")
         in_var = self._in_var
         published = in_var.published_total
         if published != self._consumed_published:
             n = in_var.valid_samples
             # samples published since the last call that a later chunk overwrote
-            missed = published - self._consumed_published - n
+            self._overwritten_in_samples += published - self._consumed_published - n
             self._consumed_published = published
-            self._overwritten_in_samples += missed
-            self._input_seq += missed
-            self._inbound.push(in_var.payload, n, self._input_seq)
-            self._input_seq += n
-            self._pushed_chunks += 1
+            self._inbound.push(in_var.payload, n, published - n - self._first_published)
         buf = self._drain_buf
         res = self._outbound.pop_into(buf)
         if res is None:
@@ -321,7 +316,7 @@ class Pipeline:
     def _worker_loop(self) -> None:
         calib = self._calib
         srate = calib.srate
-        work = np.zeros((calib.channels, self.config.chunk_capacity))
+        work = np.zeros_like(self._drain_buf)
         inbound, outbound = self._inbound, self._outbound
         unlogged = 0  # fail-open chunks since the last warning
         logged_at = 0.0
@@ -364,22 +359,18 @@ class Pipeline:
             _log_unlogged(unlogged, self._last_error_sample, error)
 
     def release(self) -> None:
-        """Stop and join the worker, free the rings, unlock configuration."""
-        if not self._prepared:
+        """Stop and join the worker and unlock the variables. The rings and
+        counters stay, so ``stats()`` still reads what the run did; the next
+        ``prepare()`` replaces them."""
+        if self._thread is None:
             raise InvalidLifecycle("pipeline is not prepared")
         self._stop = True
-        assert self._thread is not None
         self._thread.join(timeout=WORKER_JOIN_TIMEOUT_S)
         if self._thread.is_alive():
             raise AsrError("worker thread did not stop in time")
         self._thread = None
         self.registry.unlock(self.config.var_name)
         self.registry.unlock(self._out_var.name)
-        self._inbound = None
-        self._outbound = None
-        self._drain_buf = None
-        self._proc_state = None
-        self._prepared = False
 
     def flush(self, timeout: float = 2.0) -> int:
         """Drain until nothing is in flight, the worker is dead and its last
@@ -387,7 +378,7 @@ class Pipeline:
         drained: each drained chunk restarts the clock, so a slow worker
         that keeps up progress is waited for. Not real-time safe; intended
         for end-of-stream shutdown. Returns the number of chunks drained."""
-        if not self._prepared:
+        if self._thread is None:
             raise InvalidLifecycle("pipeline is not prepared")
         deadline = time.perf_counter() + timeout
         drained = 0
@@ -409,22 +400,26 @@ class Pipeline:
         return self._thread is not None and self._thread.is_alive()
 
     def in_flight(self) -> int:
-        if not self._prepared:
+        if self._thread is None:
             raise InvalidLifecycle("pipeline is not prepared")
-        return self._pushed_chunks - self._drained_chunks - self._inbound.dropped - self._outbound.dropped
+        return self._inbound.pushed - self._drained_chunks - self._inbound.dropped - self._outbound.dropped
 
     def stats(self) -> dict[str, int]:
         """Monitoring counters, all integers; not for use inside the real-time
-        callback. ``last_error_sample`` is the first sample index of the most
-        recent chunk that failed open, or -1 when none has."""
+        callback. They stay readable after ``release()``, until the next
+        ``prepare()`` starts them again. ``last_error_sample`` is the first
+        sample index of the most recent chunk that failed open, or -1 when
+        none has."""
+        if self._calib is None:
+            raise InvalidLifecycle("pipeline was never prepared")
         return {
-            "pushed": self._pushed_chunks,
+            "pushed": self._inbound.pushed,
             "popped": self._popped_chunks,
             "processed": self._processed_chunks,
             "errors": self._error_chunks,
             "drained": self._drained_chunks,
-            "dropped_in": self._inbound.dropped if self._inbound else 0,
-            "dropped_out": self._outbound.dropped if self._outbound else 0,
+            "dropped_in": self._inbound.dropped,
+            "dropped_out": self._outbound.dropped,
             "overwritten_in_samples": self._overwritten_in_samples,
             "worker_alive": int(self.worker_alive()),
             "last_error_sample": self._last_error_sample,

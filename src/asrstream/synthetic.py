@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -48,9 +49,9 @@ def generate_synthetic(spec: SyntheticSpec):
 
     if spec.channels < 1:
         raise InvalidSpec("channels must be >= 1")
-    if spec.srate <= 0:
+    if not 0 < spec.srate < inf:  # NaN too
         raise InvalidSpec("srate must be > 0")
-    if spec.duration <= 0 or spec.calibration_duration <= 0:
+    if not (0 < spec.duration < inf and 0 < spec.calibration_duration < inf):
         raise InvalidSpec("durations must be > 0")
 
     c = spec.channels
@@ -72,9 +73,9 @@ def generate_synthetic(spec: SyntheticSpec):
     base_rms = float(np.sqrt(np.mean(recording**2)))
     rng_events = np.random.default_rng(spec.noise_seed + 7919)
     for k, ev in enumerate(spec.events):
-        if ev.onset < 0 or ev.duration <= 0:
+        if not (0 <= ev.onset < inf and 0 < ev.duration < inf):
             raise InvalidSpec(f"event {k}: onset must be >= 0 and duration > 0")
-        if ev.amplitude <= 0:
+        if not 0 < ev.amplitude < inf:
             raise InvalidSpec(f"event {k}: amplitude must be > 0")
         start = round_samples(ev.onset * spec.srate)
         length = round_samples(ev.duration * spec.srate)

@@ -8,6 +8,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 
 import numpy as np
 
@@ -45,11 +46,11 @@ class CalibrationParams:
     max_dims_fraction: float = 0.66  # fraction of components correctable at once
 
     def __post_init__(self):
-        if self.cutoff <= 0:
+        if not 0 < self.cutoff < inf:  # NaN too
             raise InvalidValue("cutoff", "must be > 0")
         if self.blocksize < 1:
             raise InvalidValue("blocksize", "must be >= 1")
-        if self.window_len <= 0:
+        if not 0 < self.window_len < inf:
             raise InvalidValue("window_len", "must be > 0")
         if not 0 <= self.window_overlap < 1:
             raise InvalidValue("window_overlap", "must be in [0, 1)")
@@ -111,7 +112,7 @@ class CalibrationState:
             raise InvalidValue("mixing", "must be positive semidefinite")
         if not self.filter_a or self.filter_a[0] != 1.0:
             raise InvalidValue("filter_a", "leading coefficient must be 1 (normalized)")
-        if not self.srate > 0:  # NaN too
+        if not 0 < self.srate < inf:  # NaN too
             raise InvalidValue("srate", "must be > 0")
         self.params.check_window(self.srate, self.channels)
 
@@ -208,23 +209,20 @@ class PipelineConfig:
     params: CalibrationParams  # used when calibrating from a clean-data CSV
     var_name: str  # input side-channel variable; cleaned chunks go to "<var_name>_clean"
     calibration_file_name: str  # CSV of clean data, or a saved calibration state
-    chunk_capacity: int = 1024  # max samples per streamed chunk
     fifo_capacity: int = 8  # chunks per FIFO
     stepsize: int = DEFAULT_STEPSIZE
     lookahead: int | None = None  # samples; default: the calibration's default_lookahead()
 
     def __post_init__(self):
-        if not self.sampling_rate > 0:  # NaN too
-            raise InvalidValue("SamplingRate", "must be > 0")
+        if not 0 < self.sampling_rate < inf:  # NaN too
+            raise InvalidValue("sampling_rate", "must be > 0")
         if not self.var_name:
-            raise InvalidValue("VarName", "must be non-empty")
+            raise InvalidValue("var_name", "must be non-empty")
         if not self.calibration_file_name:
-            raise InvalidValue("CalibrationFileName", "must be non-empty")
-        if self.chunk_capacity < 1:
-            raise InvalidValue("ChunkCapacity", "must be >= 1")
+            raise InvalidValue("calibration_file_name", "must be non-empty")
         if self.fifo_capacity < 2:
-            raise InvalidValue("FifoCapacity", "must be >= 2")
+            raise InvalidValue("fifo_capacity", "must be >= 2")
         if self.stepsize < 1:
-            raise InvalidValue("Stepsize", "must be >= 1")
+            raise InvalidValue("stepsize", "must be >= 1")
         if self.lookahead is not None and self.lookahead < 0:
-            raise InvalidValue("Lookahead", "must be >= 0")
+            raise InvalidValue("lookahead", "must be >= 0")

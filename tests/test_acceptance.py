@@ -3,9 +3,11 @@ tolerance. Run with ``pytest tests/test_acceptance.py -v -s`` to see one
 pass/fail line per criterion.
 """
 
+import importlib.util
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,14 @@ from test_linalg import brute_force_median
 
 SRATE = 250.0
 CHUNK = 32
+QUALITY_CHECK = Path(__file__).resolve().parents[1] / "scripts" / "run_quality_check.py"
+
+
+def _load_quality_check():
+    spec = importlib.util.spec_from_file_location("run_quality_check", QUALITY_CHECK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def report(num, name, passed, detail=""):
@@ -41,50 +51,8 @@ def report(num, name, passed, detail=""):
     assert passed, line
 
 
-# the five pre-registered quality-control specs: 8 ch, 250 Hz, 60 s,
-# with and without artifact bursts; spec "qc4" adds a shaping filter
-QC_SPECS = [
-    ("qc1-clean", SyntheticSpec(noise_seed=101, mixing_seed=11), None),
-    (
-        "qc2-one-burst",
-        SyntheticSpec(
-            noise_seed=102,
-            mixing_seed=12,
-            events=(ArtifactEvent(20.0, 1.0, 10.0),),
-        ),
-        None,
-    ),
-    (
-        "qc3-three-bursts",
-        SyntheticSpec(
-            noise_seed=103,
-            mixing_seed=13,
-            events=(
-                ArtifactEvent(10.0, 0.5, 8.0),
-                ArtifactEvent(30.0, 1.0, 12.0),
-                ArtifactEvent(45.0, 0.8, 6.0),
-            ),
-        ),
-        None,
-    ),
-    (
-        "qc4-clean-filtered",
-        SyntheticSpec(noise_seed=104, mixing_seed=14),
-        ([0.25, 0.5, 0.25], [1.0, -0.3, 0.2]),
-    ),
-    (
-        "qc5-overlapping-bursts",
-        SyntheticSpec(
-            noise_seed=105,
-            mixing_seed=15,
-            events=(
-                ArtifactEvent(25.0, 1.0, 10.0),
-                ArtifactEvent(25.5, 1.0, 7.0),
-            ),
-        ),
-        None,
-    ),
-]
+# the five pre-registered quality-control specs, owned by the quality-check script
+QC_SPECS = _load_quality_check().QC_SPECS
 
 BURST_SPEC = SyntheticSpec(
     noise_seed=202,
@@ -100,7 +68,6 @@ def run_runtime_stream(calib_path, stream, channels, stepsize=32):
         params=asr.CalibrationParams(window_len=0.5),
         var_name="eeg",
         calibration_file_name=str(calib_path),
-        chunk_capacity=CHUNK,
         fifo_capacity=8,
         stepsize=stepsize,
     )
@@ -304,7 +271,6 @@ def realtime_pipeline(tmp_path, state, output_sink=None):
         params=asr.CalibrationParams(window_len=0.5),
         var_name="eeg",
         calibration_file_name=str(calib_path),
-        chunk_capacity=64,
         fifo_capacity=8,
     )
     registry = SideChannelRegistry()

@@ -73,11 +73,12 @@ def test_calibrate_window_rule_exit_code_and_message(workspace, capsys):
     assert not (workspace / "state.json").exists()  # nothing partial written
 
 
-def test_missing_input_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["nope.csv", ""], ids=["missing", "directory"])
+def test_missing_input_exits_1(tmp_path, capsys, name):
     rc = main(
         [
             "calibrate",
-            "--input", str(tmp_path / "nope.csv"),
+            "--input", str(tmp_path / name),
             "--srate", "250",
             "--output", str(tmp_path / "state.json"),
         ]
@@ -711,3 +712,82 @@ def test_cleaning_never_loads_scipy_linalg(workspace):
     assert "errors=0" in result.stderr
     stream_out = result.stdout[result.stdout.index("# channels="):]
     assert len(stream_out.splitlines()) == rec.samples + 1  # header + samples
+
+
+def _state_with(workspace, **fields):
+    """A calibration-state file of the workspace's data with ``fields``
+    replaced; json writes an infinity as the bare literal Infinity."""
+    path = workspace / "edited.json"
+    assert main(["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250",
+                 "--output", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    for key, value in fields.items():
+        if key in payload["params"]:
+            payload["params"][key] = value
+        else:
+            payload[key] = value
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("calibrate --input {calib} --srate 250 --window-length nan", "window_len: must be > 0"),
+        ("calibrate --input {calib} --srate 250 --window-length inf", "window_len: must be > 0"),
+        ("calibrate --input {calib} --srate inf", "srate must be > 0"),
+        ("calibrate --input {calib} --srate 250 --cutoff nan", "cutoff: must be > 0"),
+        ("simulate --srate nan", "srate must be > 0"),
+        ("simulate --duration nan", "durations must be > 0"),
+        ("simulate --duration inf", "durations must be > 0"),
+        ("simulate --burst 1:nan:1", "event 0: onset must be >= 0 and duration > 0"),
+        ("simulate --burst nan:1:1", "event 0: onset must be >= 0 and duration > 0"),
+        ("bench --srate nan", "srate must be > 0"),
+        ("bench --duration nan", "durations must be > 0"),
+        ("process --calibration {srate_inf} --input {rec}", "srate: must be > 0"),
+        ("process --calibration {window_inf} --input {rec}", "window_len: must be > 0"),
+        ("compare --a {rec} --b {rec} --tolerance nan", "tolerance: must be finite and >= 0"),
+        ("compare --a {rec} --b {rec} --tolerance -1", "tolerance: must be finite and >= 0"),
+    ],
+)
+def test_a_non_finite_number_exits_1_with_an_error_line(workspace, capsys, argv, message):
+    paths = {"calib": workspace / "calib.csv", "rec": workspace / "rec.csv"}
+    if "srate_inf" in argv:
+        paths["srate_inf"] = _state_with(workspace, srate=float("inf"))
+    if "window_inf" in argv:
+        paths["window_inf"] = _state_with(workspace, window_len=float("inf"))
+    output = workspace / "out.file"
+    argv = argv.format(**paths).split()
+    if argv[0] == "simulate":
+        argv += ["--output-record", str(output)]
+    elif argv[0] in ("calibrate", "process"):
+        argv += ["--output", str(output)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("calibrate --input {dir} --srate 250 --output {out}", "{dir}"),
+        ("process --calibration {calib} --input {dir} --output {out}", "{dir}"),
+        ("process --calibration {dir} --input {rec} --output {out}", "{dir}"),
+        ("process --calibration {dir} --stream", "{dir}"),
+        ("compare --a {dir} --b {rec}", "{dir}"),
+        ("calibrate --input {calib} --srate 250 --output {dir}/missing/state.json",
+         "{dir}/missing/state.json"),
+    ],
+)
+def test_an_os_error_exits_1_naming_the_path_given(workspace, monkeypatch, capsys, argv, named):
+    paths = {"dir": workspace, "calib": workspace / "calib.csv", "rec": workspace / "rec.csv",
+             "out": workspace / "out.file"}
+    monkeypatch.setattr(sys, "stdin", io.StringIO("# channels=4 srate=250.0\n0,0,0,0\n"))
+    assert main(argv.format(**paths).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.rstrip().endswith(repr(named.format(**paths)))
+    assert captured.out == ""
+    assert not (workspace / "out.file").exists()

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import stat
 import tracemalloc
 
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asrstream import io_formats
 from asrstream.errors import (
+    AsrError,
     EmptyFile,
     InvalidValue,
     MissingKey,
@@ -28,6 +32,7 @@ from asrstream.io_formats import (
     save_calibration_state,
     save_signal_record,
 )
+from asrstream.types import CalibrationParams, PipelineConfig
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
@@ -479,7 +484,7 @@ class TestParseConfig:
         assert "WindowLength" in str(err.value) or err.value.key
 
     def test_unknown_key_named(self):
-        for line in ("Foo = 1", "OutputVarName = x"):
+        for line in ("Foo = 1", "OutputVarName = x", "ChunkCapacity = 64"):
             with pytest.raises(InvalidValue) as err:
                 parse_config(self.GOOD + line + "\n")
             assert line.split()[0] in str(err.value)
@@ -489,7 +494,13 @@ class TestParseConfig:
         with pytest.raises(InvalidValue):
             parse_config(bad)
 
-    @pytest.mark.parametrize("line", ["WindowLength = 0", "Cutoff = 0", "MaxDimsFraction = 2"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "WindowLength = 0", "Cutoff = 0", "MaxDimsFraction = 2",
+            "FifoCapacity = 1", "Stepsize = 0", "Lookahead = -1", "VarName =",
+        ],
+    )
     def test_bad_parameter_names_its_key(self, line):
         key = line.split()[0]
         lines = [l for l in self.GOOD.splitlines() if not l.startswith(key)] + [line]
@@ -497,10 +508,19 @@ class TestParseConfig:
             parse_config("\n".join(lines))
         assert err.value.name == key
 
-    @pytest.mark.parametrize("rate", ["0", "-250", "nan"])
+    @pytest.mark.parametrize("rate", ["0", "-250", "nan", "inf"])
     def test_sampling_rate_must_be_positive(self, rate):
         with pytest.raises(InvalidValue, match="SamplingRate: must be > 0"):
             parse_config(self.GOOD.replace("250", rate))
+
+    def test_key_table_matches_the_config_fields(self):
+        # a field added or deleted fails here until the key table follows it
+        table = io_formats._REQUIRED_KEYS | io_formats._OPTIONAL_KEYS
+        named = [field for field, _ in table.values()]
+        config_fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"params"}
+        param_fields = {f.name for f in dataclasses.fields(CalibrationParams)}
+        assert len(named) == len(set(named))
+        assert set(named) == config_fields | param_fields
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(InvalidValue):
@@ -510,3 +530,63 @@ class TestParseConfig:
         bad = self.GOOD.replace("250", "fast")
         with pytest.raises(InvalidValue):
             parse_config(bad)
+
+
+
+_RECORD = b"# channels: 2\n# srate: 250.0\n1.0,2.0,3.0\n4.0,-5.5,6e-3\n"
+_CALIBRATION = b"# filter_b: 0.25,0.5,0.25\n# filter_a: 1.0,-0.3,0.2\n1.0,2.0,3.0\n4.0,-5.5,6e-3\n"
+_LINES = st.sampled_from(
+    [b"", b"#", b"nan", b"1e999", b"-inf", b"1,,2", b"# channels: -1", b"# channels: 1e9",
+     b"# srate: 0", b"# srate: inf", b"# filter_a: 0", b"# filter_b:", b"{", b"NaN", b"Infinity"]
+) | st.binary(max_size=40)
+_NON_FINITE = st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1e999"])
+
+
+@pytest.fixture(scope="module")
+def state_bytes(tmp_path_factory, clean_calibration):
+    path = tmp_path_factory.mktemp("state") / "s.json"
+    save_calibration_state(path, clean_calibration[1])
+    return path.read_bytes()
+
+
+def _every_loader_returns_or_raises_asr_error(path, content: bytes):
+    path.write_bytes(content)
+    for load in (load_signal_record, load_calibration_data, load_calibration_state):
+        try:
+            load(path)
+        except AsrError:
+            pass
+
+
+class TestLoadersOnDamagedInput:
+    """Whatever the bytes, a loader returns data or raises an AsrError."""
+
+    @given(st.binary(max_size=512))
+    def test_arbitrary_bytes(self, tmp_path, content):
+        _every_loader_returns_or_raises_asr_error(tmp_path / "f", content)
+
+    @given(st.data())
+    def test_one_byte_mutation(self, tmp_path, state_bytes, data):
+        table = data.draw(st.sampled_from([_RECORD, _CALIBRATION, state_bytes]))
+        i = data.draw(st.integers(0, len(table) - 1))
+        byte = data.draw(st.integers(0, 255)).to_bytes(1, "big")
+        edit = data.draw(st.sampled_from([byte, byte + table[i : i + 1], b""]))
+        mutated = table[:i] + edit + table[i + 1 :]  # replace, insert or delete
+        _every_loader_returns_or_raises_asr_error(tmp_path / "f", mutated)
+
+    @given(st.data())
+    def test_one_line_mutation(self, tmp_path, state_bytes, data):
+        lines = data.draw(st.sampled_from([_RECORD, _CALIBRATION, state_bytes])).split(b"\n")
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = data.draw(_LINES)
+        _every_loader_returns_or_raises_asr_error(tmp_path / "f", b"\n".join(lines))
+
+    @given(st.data())
+    def test_state_file_with_a_non_finite_literal(self, tmp_path, state_bytes, data):
+        # a key's own value: srate, version or a parameter (the matrices and
+        # the filter are checked entry by entry in TestCalibrationStateFile)
+        numbers = list(re.finditer(rb"(?<=: )-?\d[\d.eE+-]*", state_bytes))
+        number = data.draw(st.sampled_from(numbers))
+        literal = data.draw(_NON_FINITE)
+        mutated = state_bytes[: number.start()] + literal + state_bytes[number.end() :]
+        _every_loader_returns_or_raises_asr_error(tmp_path / "f", mutated)

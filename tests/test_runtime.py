@@ -134,7 +134,6 @@ def pipeline_setup(tmp_path, clean_calibration):
         params=state.params,
         var_name="eeg",
         calibration_file_name=str(calib_path),
-        chunk_capacity=64,
         fifo_capacity=8,
     )
     registry = SideChannelRegistry()
@@ -186,7 +185,6 @@ class TestPipelineLifecycle:
             params=config.params,
             var_name="eeg",
             calibration_file_name="/nonexistent/calib.csv",
-            chunk_capacity=64,
         )
         pipeline = Pipeline(elsewhere, registry)
         pipeline.prepare(state)
@@ -273,6 +271,13 @@ class TestPipelineLifecycle:
         pipeline.prepare()  # re-preparable after release
         pipeline.release()
 
+    def test_stats_before_prepare_is_a_lifecycle_error(self, pipeline_setup):
+        config, registry, _ = pipeline_setup
+        pipeline = Pipeline(config, registry)
+        for call in (pipeline.stats, pipeline.in_flight):
+            with pytest.raises(InvalidLifecycle):
+                call()
+
     def test_release_joins_quickly(self, pipeline_setup):
         config, registry, _ = pipeline_setup
         pipeline = Pipeline(config, registry)
@@ -298,7 +303,7 @@ def test_prepare_imports_what_the_worker_needs():
         "registry = asr.SideChannelRegistry()\n"
         "registry.register('eeg', stride=4, capacity=64)\n"
         "config = asr.PipelineConfig(sampling_rate=250.0, params=state.params, var_name='eeg',\n"
-        "                            calibration_file_name='unused', chunk_capacity=64)\n"
+        "                            calibration_file_name='unused')\n"
         "pipeline = asr.Pipeline(config, registry)\n"
         "assert 'scipy.linalg' not in sys.modules and 'scipy.signal' not in sys.modules\n"
         "pipeline.prepare(state)\n"
@@ -344,6 +349,29 @@ class TestPipelineDataPath:
         )
         assert np.array_equal(got, want)  # bit-identical to the direct path
 
+    def test_chunk_size_comes_from_the_input_variable(self, pipeline_setup):
+        config, _, state = pipeline_setup
+        registry = SideChannelRegistry()
+        registry.register("eeg", stride=state.channels, capacity=128)
+        chunks: list[np.ndarray] = []
+        pipeline = Pipeline(
+            config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
+        )
+        pipeline.prepare()
+        stream = np.random.default_rng(23).standard_normal((4, 100))
+        try:
+            registry.publish("eeg", stream)
+            pipeline.process()
+            pipeline.flush(timeout=5.0)
+            stats = pipeline.stats()
+        finally:
+            pipeline.release()
+        assert registry.get("eeg_clean").capacity == 128
+        want, _ = run_stream(stream, state, chunk_size=100)
+        assert len(chunks) == 1 and np.array_equal(chunks[0], want)
+        assert stats["pushed"] == stats["drained"] + stats["dropped_in"] + stats["dropped_out"]
+        assert stats["drained"] == 1 and stats["errors"] == 0
+
     def test_zero_length_publish_is_noop(self, pipeline_setup):
         config, registry, _ = pipeline_setup
         pipeline = Pipeline(config, registry)
@@ -362,7 +390,6 @@ class TestPipelineDataPath:
             params=config.params,
             var_name="eeg",
             calibration_file_name=config.calibration_file_name,
-            chunk_capacity=64,
             fifo_capacity=4,
         )
         pipeline = Pipeline(small, registry)
@@ -386,6 +413,9 @@ class TestPipelineDataPath:
         assert stats["dropped_in"] == 1
         assert stats["pushed"] == 5
         pipeline.release()
+        released = pipeline.stats()  # the counters outlive the worker
+        assert released.pop("worker_alive") == 0
+        assert released == {k: v for k, v in stats.items() if k != "worker_alive"}
 
     def test_nan_chunk_fails_open(self, pipeline_setup):
         config, registry, _ = pipeline_setup
