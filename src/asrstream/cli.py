@@ -195,13 +195,17 @@ def _process_stream(args, stdin, stdout) -> int:
         stepsize=args.stepsize,
         lookahead=args.lookahead,
     )
+    # the header's channel count is checked before the input variable is sized from it
+    calibration = load_calibration(args.calibration, srate, config.params)
+    if channels != (c := calibration.channels):
+        raise InvalidValue("channels", f"stream header says {channels} channels, calibration has {c}")
     registry = SideChannelRegistry()
     registry.register(STREAM_VAR, channels, args.chunk)
     spool: list[np.ndarray] = []
     pipeline = Pipeline(
         config, registry, output_sink=lambda view, n, seq: spool.append(view.copy())
     )
-    pipeline.prepare()
+    pipeline.prepare(calibration)
 
     def _write_spool() -> None:
         while spool:
@@ -390,7 +394,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--srate", "--sampling-rate", dest="srate", type=float, default=250.0)
     sim.add_argument("--duration", type=float, default=60.0)
     sim.add_argument("--calibration-duration", type=float, default=30.0)
-    sim.add_argument("--seed", type=int, default=1)
+    sim.add_argument("--seed", type=_int_at_least(0), default=1)
     sim.add_argument(
         "--burst", action="append", default=[], metavar="ONSET:DUR:AMP",
         help="artifact burst (repeatable)",

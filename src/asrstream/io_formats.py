@@ -229,7 +229,8 @@ def _parse_channels(value: str, lineno: int) -> int:
 
 def load_signal_record(path) -> SignalRecord:
     """The record at path, each data row parsed straight into one matrix
-    preallocated from the '# channels:' header."""
+    sized from the '# channels:' header, but never past what the input holds:
+    a file's size bounds its rows, and a pipe's matrix grows as rows arrive."""
     keys = {"channels": _parse_channels, "srate": parse_cell}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header, rows = read_preamble(fh, keys)
@@ -243,8 +244,10 @@ def load_signal_record(path) -> SignalRecord:
                 # a row of w cells takes at least 2w - 1 bytes, so a wrong
                 # header allocates no more rows than the file has room for
                 size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
-                fit = size // (2 * len(values) - 1) if size else channels
+                fit = size // (2 * len(values) - 1) if size else 1
                 matrix = np.empty((max(min(channels, fit), 0), len(values)))
+            elif count == len(matrix) < channels:  # a pipe: double, up to the header's count
+                matrix = np.resize(matrix, (min(2 * count, channels), len(values)))
             if count < len(matrix):
                 matrix[count] = values
             count += 1

@@ -191,8 +191,8 @@ def oracle_process(
     """Whole-recording reference cleaning; returns the cleaned recording.
 
     Follows the same per-sample sequencing as the streaming path (delay line,
-    filtered covariance ring, updates every ``stepsize`` samples, raised
-    cosine blending, identity shortcut) with naive numerics throughout.
+    covariance of the last W filtered samples, updates every ``stepsize``
+    samples, raised cosine blending, identity shortcut) with naive numerics.
     """
     params = params or CalibrationParams()
     x = np.asarray(recording, dtype=float)
@@ -208,7 +208,6 @@ def oracle_process(
 
     filtered = _direct_form_filter(x, b, a)
     delay = np.zeros((channels, delay_len))
-    ring = np.zeros((channels, window))
     r_cur = np.eye(channels)
     r_prev = np.eye(channels)
     trivial_cur = True
@@ -223,7 +222,6 @@ def oracle_process(
             delay[:, slot] = x[:, t]
         else:
             delayed = x[:, t]
-        ring[:, t % window] = filtered[:, t]
 
         if (t + 1) % stepsize == 0:
             n_eff = min(t + 1, window)

@@ -5,11 +5,12 @@ reproduce exactly:
 
 1. the raw sample enters the lookahead delay line; the L-delayed raw sample
    comes out,
-2. the raw sample is IIR-filtered (carried state) and written into the
-   covariance ring at position ``t mod W``,
+2. the raw sample is IIR-filtered (carried state); the state keeps the last
+   W filtered samples, oldest first, zeros before the stream starts,
 3. at update instants (every ``stepsize`` samples, i.e. when
-   ``(t + 1) % stepsize == 0``) the ring covariance ``sum(y y^T) / n_eff``
-   with ``n_eff = min(t + 1, W)`` feeds a detection update and the
+   ``(t + 1) % stepsize == 0``) the covariance ``sum(y y^T) / n_eff`` of the
+   W filtered samples ending at ``t``, summed in time order, with
+   ``n_eff = min(t + 1, W)``, feeds a detection update and the
    reconstruction pair rotates (previous <- current <- new); a rejecting
    update builds ``R = M pinv(D V^T M) V^T`` in its closed complement form
    ``I - V_r pinv(M^-1 V_r) M^-1`` from a thin QR of ``M^-1 V_r`` over the
@@ -145,21 +146,6 @@ def update_reconstruction(
     )
 
 
-def _ring_write(ring: np.ndarray, start_index: int, block: np.ndarray) -> None:
-    """Write block columns at ring positions start_index..+m-1 (mod W)."""
-    w = ring.shape[1]
-    m = block.shape[1]
-    if m >= w:
-        block = block[:, m - w :]
-        start_index += m - w
-        m = w
-    p = start_index % w
-    k = min(w - p, m)
-    ring[:, p : p + k] = block[:, :k]
-    if m > k:
-        ring[:, : m - k] = block[:, k:]
-
-
 @lru_cache(maxsize=8)
 def _blend_weights(stepsize: int) -> np.ndarray:
     """The read-only ``(2, stepsize)`` table of the weights ``w`` and
@@ -235,42 +221,30 @@ def asr_process_chunk(
     t0 = state.total_samples_seen
     step = state.stepsize
     weights = _blend_weights(step)
-    ring = state.cov_window
-    window = ring.shape[1]
+    window = state.cov_window.shape[1]
+    # the W filtered samples ending at chunk sample j are columns j + 1 .. j + W
+    tail = np.concatenate([state.cov_window, filtered], axis=1)
     instants = range(step - 1 - t0 % step, n_samples, step)
-    # the ring is the one piece of state written in place: keep the columns
-    # this chunk overwrites, to put them back if an update raises
-    touched = np.arange(t0, t0 + min(n_samples, window)) % window
-    saved = ring[:, touched]
+    covs = np.empty((len(instants), c, c))
+    for cov, j in zip(covs, instants):
+        segment = tail[:, j + 1 : j + 1 + window]
+        np.matmul(segment, segment.T, out=cov)
+        cov /= min(t0 + j + 1, window)
+    if instants:
+        _, _, keep, recons = detect(covs, calib, calib.params.max_dims_fraction)
     r_current, r_previous = state.r_current, state.r_previous
     log = []
+    pos = 0
+    for i, j in enumerate(instants):
+        _emit(out, delayed, r_current, r_previous, weights, pos, j, (t0 + pos + 1) % step)
+        r_previous, r_current = r_current, recons[i]
+        log.append((t0 + j, c - int(np.count_nonzero(keep[i]))))
+        _emit(out, delayed, r_current, r_previous, weights, j, j + 1, 0)
+        pos = j + 1
+    _emit(out, delayed, r_current, r_previous, weights, pos, n_samples, (t0 + pos + 1) % step)
 
-    try:
-        covs = np.empty((len(instants), c, c))
-        pos = 0
-        for cov, j in zip(covs, instants):
-            # up to and including the update instant, whose value the
-            # covariance must already hold
-            _ring_write(ring, t0 + pos, filtered[:, pos : j + 1])
-            np.matmul(ring, ring.T, out=cov)
-            cov /= min(t0 + j + 1, window)
-            pos = j + 1
-        _ring_write(ring, t0 + pos, filtered[:, pos:])
-        if instants:
-            _, _, keep, recons = detect(covs, calib, calib.params.max_dims_fraction)
-        pos = 0
-        for i, j in enumerate(instants):
-            _emit(out, delayed, r_current, r_previous, weights, pos, j, (t0 + pos + 1) % step)
-            r_previous, r_current = r_current, recons[i]
-            log.append((t0 + j, c - int(np.count_nonzero(keep[i]))))
-            _emit(out, delayed, r_current, r_previous, weights, j, j + 1, 0)
-            pos = j + 1
-        _emit(out, delayed, r_current, r_previous, weights, pos, n_samples, (t0 + pos + 1) % step)
-    except BaseException:
-        ring[:, touched] = saved
-        raise
-
-    state.delay_buffer = joined[:, n_samples:].copy()
+    # both copies exist before either is assigned, and nothing below can raise
+    state.delay_buffer, state.cov_window = joined[:, n_samples:].copy(), tail[:, n_samples:].copy()
     state.filter_state = filter_state
     state.r_current, state.r_previous = r_current, r_previous
     state.update_log.extend(log)
@@ -288,7 +262,7 @@ def pass_chunk_through(
     samples, uncleaned, so a stream that skips cleaning one chunk keeps its
     alignment (no sample repeats or goes missing).
 
-    Only the delay line advances; the filter, covariance ring, reconstruction
+    Only the delay line advances; the filter, covariance window, reconstruction
     pair and sample counters stay as they were, so the chunk never enters the
     statistics. The call is transactional like ``asr_process_chunk``.
     """

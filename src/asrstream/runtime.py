@@ -2,8 +2,8 @@
 FIFO pair, a worker cleaning thread, and a named side-channel registry.
 
 Each runtime fact is read from its one owner: the input variable's capacity
-sizes every chunk buffer (the registry lock holds it while the pipeline is
-prepared), the inbound ring counts the chunks pushed, the input variable's
+sizes every chunk buffer (a registered variable is never replaced or
+resized), the inbound ring counts the chunks pushed, the input variable's
 sample counter gives each chunk's sample index, and a running worker thread
 is what "prepared" means.
 
@@ -126,7 +126,6 @@ class SideChannelVariable:
         self.payload = np.zeros((stride, capacity))
         self.valid_samples = 0  # samples of the most recent chunk
         self.published_total = 0  # cumulative sample counter
-        self.locked = False  # stride locked while a pipeline is prepared
 
 
 class SideChannelRegistry:
@@ -136,16 +135,15 @@ class SideChannelRegistry:
         self._vars: dict[str, SideChannelVariable] = {}
 
     def register(self, name: str, stride: int, capacity: int) -> SideChannelVariable:
-        existing = self._vars.get(name)
-        if existing is not None:
-            if existing.locked and (existing.stride != stride or existing.capacity < capacity):
-                raise InvalidLifecycle(
-                    f"variable {name!r} is locked; release the pipeline first"
-                )
-            if existing.stride == stride and existing.capacity >= capacity:
-                return existing
-        var = SideChannelVariable(name, stride, capacity)
-        self._vars[name] = var
+        """A new variable, or the one registered as ``name`` if it has this
+        stride and at least this capacity; a variable is never replaced."""
+        var = self._vars.get(name)
+        if var is None:
+            var = self._vars[name] = SideChannelVariable(name, stride, capacity)
+        elif var.stride != stride or var.capacity < capacity:
+            raise InvalidValue(
+                name, f"registered with stride {var.stride} and capacity {var.capacity}"
+            )
         return var
 
     def get(self, name: str) -> SideChannelVariable:
@@ -169,13 +167,6 @@ class SideChannelRegistry:
         np.copyto(var.payload[:, :n], data)
         var.valid_samples = n
         var.published_total += n
-
-    def lock(self, name: str) -> None:
-        self._vars[name].locked = True
-
-    def unlock(self, name: str) -> None:
-        if name in self._vars:
-            self._vars[name].locked = False
 
 
 def _is_state_file(path) -> bool:
@@ -224,8 +215,8 @@ class Pipeline:
 
     def prepare(self, calibration: CalibrationState | None = None) -> None:
         """Allocate rings of chunks as long as the input variable's capacity,
-        start the worker and lock the variables. Cleans with ``calibration``
-        if given, else loads it from the config's file."""
+        register the output variable and start the worker. Cleans with
+        ``calibration`` if given, else loads it from the config's file."""
         if self._thread is not None:
             raise InvalidLifecycle("pipeline is already prepared")
         cfg = self.config
@@ -254,9 +245,11 @@ class Pipeline:
                 f"input variable {cfg.var_name!r} has stride {in_var.stride}, "
                 f"calibration has {c} channels"
             )
-        # the longest chunk publish() lets in; the lock keeps it until release
-        chunk = in_var.capacity
-        out_var = self.registry.register(f"{cfg.var_name}_clean", c, chunk)
+        chunk = in_var.capacity  # the longest chunk publish() lets in
+        try:
+            out_var = self.registry.register(f"{cfg.var_name}_clean", c, chunk)
+        except InvalidValue as exc:
+            raise PrepareFailed(f"output variable {exc}") from exc
 
         self._in_var = in_var
         self._out_var = out_var
@@ -278,9 +271,7 @@ class Pipeline:
 
         load_kernels(calib)  # an import in the worker would stall a live stream
         thread = threading.Thread(target=self._worker_loop, name="asr-worker", daemon=True)
-        thread.start()  # before the locks, so a failed start leaves nothing locked
-        self.registry.lock(cfg.var_name)
-        self.registry.lock(out_var.name)
+        thread.start()
         self._thread = thread
 
     def process(self) -> int:
@@ -359,9 +350,9 @@ class Pipeline:
             _log_unlogged(unlogged, self._last_error_sample, error)
 
     def release(self) -> None:
-        """Stop and join the worker and unlock the variables. The rings and
-        counters stay, so ``stats()`` still reads what the run did; the next
-        ``prepare()`` replaces them."""
+        """Stop and join the worker. The variables stay registered, and the
+        rings and counters stay, so ``stats()`` still reads what the run did;
+        the next ``prepare()`` replaces the rings and counters."""
         if self._thread is None:
             raise InvalidLifecycle("pipeline is not prepared")
         self._stop = True
@@ -369,8 +360,6 @@ class Pipeline:
         if self._thread.is_alive():
             raise AsrError("worker thread did not stop in time")
         self._thread = None
-        self.registry.unlock(self.config.var_name)
-        self.registry.unlock(self._out_var.name)
 
     def flush(self, timeout: float = 2.0) -> int:
         """Drain until nothing is in flight, the worker is dead and its last

@@ -53,10 +53,14 @@ def generate_synthetic(spec: SyntheticSpec):
         raise InvalidSpec("srate must be > 0")
     if not (0 < spec.duration < inf and 0 < spec.calibration_duration < inf):
         raise InvalidSpec("durations must be > 0")
+    if spec.mixing_seed < 0 or spec.noise_seed < 0:
+        raise InvalidSpec("seeds must be >= 0")
 
     c = spec.channels
     n_calib = round_samples(spec.calibration_duration * spec.srate)
     n_test = round_samples(spec.duration * spec.srate)
+    if min(n_calib, n_test) < 1:
+        raise InvalidSpec(f"durations must span at least one sample (1/{spec.srate:g} s)")
 
     rng_mix = np.random.default_rng(spec.mixing_seed)
     q, _ = np.linalg.qr(rng_mix.standard_normal((c, c)))

@@ -105,7 +105,10 @@ class CalibrationState:
         for name in ("mixing", "threshold", "filter_b", "filter_a"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidValue(name, "entries must be finite")
-        scale = max(float(np.linalg.norm(m)), 1e-300)
+        with np.errstate(over="ignore"):
+            scale = max(float(np.linalg.norm(m)), 1e-300)
+        if scale == inf:  # so no sum below can overflow
+            raise InvalidValue("mixing", "norm must be finite")
         if float(np.linalg.norm(m - m.T)) > 1e-12 * scale:
             raise InvalidValue("mixing", "must be symmetric within 1e-12 relative")
         if float(np.linalg.eigvalsh((m + m.T) / 2.0).min()) < -1e-10 * scale:
@@ -142,14 +145,14 @@ class CalibrationState:
 class ProcessorState:
     """All mutable streaming state; exclusively owned by one processing sequence.
 
-    Ring positions and the blend phase are keyed off global sample indices,
-    so any partition of a stream into chunks leaves identical state at
-    identical stream positions.
+    The update instants and the blend phase are keyed off global sample
+    indices, so any partition of a stream into chunks leaves identical state
+    at identical stream positions.
     """
 
     filter_state: np.ndarray  # (C, order) IIR delay-line memory
     delay_buffer: np.ndarray  # (C, L) most recent raw samples, oldest first
-    cov_window: np.ndarray  # (C, W) filtered-sample ring, zero-filled at start
+    cov_window: np.ndarray  # (C, W) most recent filtered samples, oldest first; zeros at start
     # (C, C) reconstructions applied with weights w and 1 - w; None is the identity
     r_current: np.ndarray | None
     r_previous: np.ndarray | None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import asrstream as asr
-from asrstream.errors import InsufficientData, InvalidInput, WindowTooShort
+from asrstream.errors import InsufficientData, InvalidInput, InvalidValue, WindowTooShort
 from asrstream.linalg import matrix_sqrt_psd
 
 
@@ -100,3 +100,16 @@ def test_state_invariants_hold():
     assert state.channels == 4
     assert state.window_samples() == 125
     assert state.default_lookahead() == 62
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e200])
+def test_a_mixing_whose_norm_overflows_is_an_invalid_value(scale):
+    with pytest.raises(InvalidValue, match="mixing: norm must be finite"):
+        asr.CalibrationState(
+            mixing=np.eye(4) * scale,
+            threshold=np.eye(4),
+            filter_b=(1.0,),
+            filter_a=(1.0,),
+            srate=250.0,
+            params=asr.CalibrationParams(),
+        )

@@ -5,9 +5,13 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import asrstream as asr
 from asrstream.cli import main
@@ -15,6 +19,8 @@ from asrstream.io_formats import (
     SignalRecord,
     load_calibration_state,
     load_signal_record,
+    save_calibration_csv,
+    save_calibration_state,
     save_signal_record,
 )
 
@@ -791,3 +797,127 @@ def test_an_os_error_exits_1_naming_the_path_given(workspace, monkeypatch, capsy
     assert captured.err.rstrip().endswith(repr(named.format(**paths)))
     assert captured.out == ""
     assert not (workspace / "out.file").exists()
+
+
+@pytest.mark.parametrize("channels", ["10000000000000", "0", "3", "-4"])
+def test_stream_header_channels_are_checked_before_anything_is_sized(
+    workspace, monkeypatch, capsys, channels
+):
+    stream = f"# channels={channels} srate=250.0\n" + "0.5,0.25,-0.5,1.0\n" * 8
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    assert main(["process", "--calibration", str(workspace / "calib.csv"), "--stream"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: channels: stream header says {channels} channels, calibration has 4\n"
+    )
+    assert captured.out == ""
+
+
+def test_a_piped_record_is_not_sized_from_its_header(workspace):
+    text = (workspace / "rec.csv").read_text()
+    assert text.startswith("# channels: 4\n")
+    src = os.path.dirname(os.path.dirname(asr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "asrstream.cli", "process",
+         "--calibration", str(workspace / "calib.csv"),
+         "--input", "/dev/stdin", "--output", str(workspace / "out.csv")],
+        input=text.replace("# channels: 4", "# channels: 100000000000000", 1),
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: header says 100000000000000 channels but body has 4 rows\n"
+    assert not (workspace / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("simulate --seed -1", "argument --seed: must be an integer >= 0, got '-1'"),
+        ("simulate --duration 0.001", "durations must span at least one sample (1/250 s)"),
+        ("simulate --calibration-duration 0.001",
+         "durations must span at least one sample (1/250 s)"),
+        ("bench --duration 0.001", "durations must span at least one sample (1/500 s)"),
+    ],
+)
+def test_a_seed_or_duration_that_cannot_be_simulated_exits_1(tmp_path, capsys, argv, message):
+    output = tmp_path / "rec.csv"
+    argv = argv.split()
+    if argv[0] == "simulate":
+        argv += ["--output-record", str(output)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not output.exists()
+
+
+_STREAM_ROWS = np.random.default_rng(11).standard_normal((40, 4))  # one update at chunk 8
+_STREAM = [b"# channels=4 srate=250.0"] + [
+    ",".join(map(repr, row.tolist())).encode() for row in _STREAM_ROWS
+]
+_HEADERS = st.builds(
+    b"# channels=%d srate=%s".__mod__,
+    st.tuples(st.integers(), st.sampled_from([b"250.0", b"500", b"0", b"-250", b"nan", b"1e308"])),
+)
+_STREAM_LINES = st.sampled_from(
+    [b"", b"#", b"# channels=4", b"# srate=250.0", b"channels=4 srate=250.0", b"nan,0,0,0",
+     b"1e999,0,0,0", b"1,2,3", b"1,2,3,4,5", b"1,,2,3", b"\xff,0,0,0",
+     b"1e308,-1e308,1e308,-1e308"]
+) | _HEADERS | st.binary(max_size=40)
+
+
+@pytest.fixture(scope="module")
+def stream_calibrations(tmp_path_factory, clean_calibration):
+    """The same 4-channel 250 Hz calibration as a state file and as a CSV."""
+    data, state = clean_calibration
+    folder = tmp_path_factory.mktemp("calibrations")
+    save_calibration_state(folder / "state.json", state)
+    save_calibration_csv(folder / "calib.csv", data)
+    return [folder / "state.json", folder / "calib.csv"]
+
+
+def _stream_returns_or_prints_one_error_line(calibration, content: bytes):
+    """Run ``process --stream`` in-process on ``content`` as stdin: it must
+    end within a join timeout, returning 0, or 1 with one ``error:`` line."""
+    stdin = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8", errors="surrogateescape")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    result = {}
+
+    def run():
+        try:
+            result["rc"] = main(
+                ["process", "--calibration", str(calibration), "--stream", "--chunk", "8"]
+            )
+        except Exception as exc:  # any exception main lets escape is the failure
+            result["exc"] = exc
+
+    with mock.patch.object(sys, "stdin", stdin), redirect_stdout(stdout), redirect_stderr(stderr):
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+    assert not runner.is_alive(), "process --stream did not finish"
+    assert "exc" not in result, repr(result.get("exc"))
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    assert (result["rc"], len(errors)) in ((0, 0), (1, 1)), (result, stderr.getvalue())
+
+
+class TestStreamOnDamagedInput:
+    """Whatever stdin holds, process --stream exits 0, or 1 with one error line."""
+
+    @given(st.binary(max_size=512))
+    def test_arbitrary_bytes(self, stream_calibrations, content):
+        _stream_returns_or_prints_one_error_line(stream_calibrations[0], content)
+
+    @given(_HEADERS)
+    def test_any_channel_count_and_rate_in_the_header(self, stream_calibrations, header):
+        content = b"\n".join([header, *_STREAM[1:]]) + b"\n"
+        _stream_returns_or_prints_one_error_line(stream_calibrations[0], content)
+
+    @given(st.data())
+    def test_one_line_mutation(self, stream_calibrations, data):
+        lines = list(_STREAM)
+        i = data.draw(st.just(0) | st.integers(1, len(lines) - 1))  # the header half the time
+        lines[i] = data.draw(_STREAM_LINES)
+        calibration = data.draw(st.sampled_from(stream_calibrations))
+        _stream_returns_or_prints_one_error_line(calibration, b"\n".join(lines) + b"\n")

@@ -373,6 +373,26 @@ class TestLineAtATime:
         with pytest.raises(ParseError, match="header says 1000000000000 channels but body has 2"):
             load_signal_record(p)
 
+    @staticmethod
+    def _load_through_a_pipe(text: str):
+        """load_signal_record on a pipe, whose size reads 0, holding ``text``."""
+        read, write = os.pipe()
+        with os.fdopen(write, "w") as fh:  # a short text fits the pipe's buffer
+            fh.write(text)
+        with os.fdopen(read) as fh:
+            return load_signal_record(f"/dev/fd/{fh.fileno()}")
+
+    def test_a_pipe_grows_its_matrix_row_by_row(self, tmp_path):
+        data = np.arange(33.0).reshape(11, 3) / 7.0
+        save_signal_record(tmp_path / "r.csv", SignalRecord(data, 100.0))
+        record = self._load_through_a_pipe((tmp_path / "r.csv").read_text())
+        assert np.array_equal(record.data, data) and record.srate == 100.0
+
+    def test_a_huge_channel_header_on_a_pipe_is_a_mismatch_not_an_allocation(self):
+        text = "# channels: 100000000000000\n# srate: 100.0\n1,2\n3,4\n"
+        with pytest.raises(ParseError, match="header says 100000000000000 channels but body has 2"):
+            self._load_through_a_pipe(text)
+
     def test_a_failing_writer_leaves_the_old_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("old\n")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import asrstream as asr
-from asrstream.errors import InvalidLifecycle, PrepareFailed, WindowTooShort
+from asrstream.errors import InvalidLifecycle, InvalidValue, PrepareFailed, WindowTooShort
 from asrstream.io_formats import save_calibration_csv, save_calibration_state
 from asrstream.runtime import ChunkFifo, Pipeline, SideChannelRegistry, _is_state_file
 from conftest import SRATE, run_stream
@@ -114,14 +114,15 @@ class TestRegistry:
         with pytest.raises(asr.AsrError):
             reg.publish("eeg", np.zeros((3, 4)))
 
-    def test_locked_variable_cannot_be_resized(self):
+    def test_a_registered_variable_is_never_replaced(self):
         reg = SideChannelRegistry()
-        reg.register("eeg", stride=2, capacity=8)
-        reg.lock("eeg")
-        with pytest.raises(InvalidLifecycle):
-            reg.register("eeg", stride=3, capacity=8)
-        reg.unlock("eeg")
-        reg.register("eeg", stride=3, capacity=8)  # fine once unlocked
+        var = reg.register("eeg", stride=2, capacity=8)
+        assert reg.register("eeg", stride=2, capacity=8) is var
+        assert reg.register("eeg", stride=2, capacity=4) is var
+        for stride, capacity in ((3, 8), (2, 9)):
+            with pytest.raises(InvalidValue, match="eeg: registered with stride 2 and capacity 8"):
+                reg.register("eeg", stride=stride, capacity=capacity)
+        assert reg.get("eeg") is var and var.capacity == 8
 
 
 @pytest.fixture()
@@ -162,10 +163,8 @@ class TestPipelineLifecycle:
         try:
             out = registry.get("eeg_clean")
             assert out.stride == state.channels
-            assert registry.get("eeg").locked
         finally:
             pipeline.release()
-        assert not registry.get("eeg").locked
 
     def test_missing_calibration_file(self, pipeline_setup):
         config, registry, _ = pipeline_setup
@@ -254,6 +253,18 @@ class TestPipelineLifecycle:
         registry.register("eeg", stride=7, capacity=64)
         with pytest.raises(PrepareFailed):
             Pipeline(config, registry).prepare()
+
+    @pytest.mark.parametrize("stride, capacity", [(3, 64), (4, 32)])
+    def test_output_variable_that_does_not_fit_fails_prepare(
+        self, pipeline_setup, stride, capacity
+    ):
+        config, registry, _ = pipeline_setup  # eeg: stride 4, capacity 64
+        taken = registry.register("eeg_clean", stride=stride, capacity=capacity)
+        pipeline = Pipeline(config, registry)
+        with pytest.raises(PrepareFailed, match="output variable eeg_clean: registered"):
+            pipeline.prepare()
+        assert registry.get("eeg_clean") is taken
+        assert not pipeline.worker_alive()
 
     def test_lifecycle_state_machine(self, pipeline_setup):
         config, registry, _ = pipeline_setup

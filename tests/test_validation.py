@@ -48,6 +48,25 @@ class TestGenerator:
         with pytest.raises(InvalidSpec):
             generate_synthetic(spec)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"mixing_seed": -1}, "seeds must be >= 0"),
+            ({"noise_seed": -1}, "seeds must be >= 0"),
+            ({"duration": 0.001}, "durations must span at least one sample"),
+            ({"calibration_duration": 0.001}, "durations must span at least one sample"),
+        ],
+    )
+    def test_bad_seed_or_duration_is_an_invalid_spec(self, fields, message):
+        with pytest.raises(InvalidSpec, match=message):
+            generate_synthetic(SyntheticSpec(**fields))
+
+    def test_one_sample_is_the_shortest_duration(self):
+        calibration, recording, mask = generate_synthetic(
+            SyntheticSpec(channels=2, duration=0.004, calibration_duration=0.004)
+        )
+        assert calibration.shape == recording.shape == (2, 1) and mask.shape == (1,)
+
     def test_overlapping_events_allowed(self):
         spec = SyntheticSpec(
             duration=10.0,
