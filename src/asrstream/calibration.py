@@ -66,20 +66,18 @@ def asr_calibrate(
 
     params.check_window(srate, c)
     w = params.window_samples(srate)
-    if n < w:
-        raise InsufficientData(
-            f"need at least {w} samples (one statistics window), got {n}"
-        )
     stride = params.window_stride(srate)
-    n_windows = (n - w) // stride + 1
-    if n_windows < MIN_STATS_VALUES:
-        raise InsufficientData(
-            f"need at least {MIN_STATS_VALUES} statistics windows, got {n_windows}"
-        )
-    if n < params.blocksize:
-        raise InsufficientData(
-            f"need at least one covariance block of {params.blocksize} samples"
-        )
+    # durations in seconds: at an absurd rate a sample count has 300 digits
+    needs = (
+        (w, "one statistics window"),
+        (w + (MIN_STATS_VALUES - 1) * stride, f"{MIN_STATS_VALUES} statistics windows"),
+        (params.blocksize, f"one covariance block of {params.blocksize} samples"),
+    )
+    for need, what in needs:
+        if n < need:
+            raise InsufficientData(
+                f"need at least {need / srate:.4g} s of data ({what}), got {n / srate:.4g} s"
+            )
     if n / srate < RECOMMENDED_MIN_SECONDS:
         logger.info(
             "calibration data is %.1f s; %.0f s or more is recommended",
@@ -97,12 +95,12 @@ def asr_calibrate(
     mixing = matrix_sqrt_psd(cov)  # CalibrationDegenerate propagates
     _, eigvecs = symmetric_eig(mixing)
 
-    projected = eigvecs.T @ filtered
-    mu = np.empty(c)
-    sigma = np.empty(c)
-    for i in range(c):
-        rms = sliding_rms(projected[i], srate, params.window_len, params.window_overlap)
-        mu[i], sigma[i] = robust_stats(rms)
+    # squared in place: a squared copy would double the peak at 64 channels
+    rms = sliding_rms(
+        eigvecs.T @ filtered, srate, params.window_len, params.window_overlap,
+        overwrite_input=True,
+    )
+    mu, sigma = robust_stats(rms)
 
     threshold = np.diag(mu + params.cutoff * sigma) @ eigvecs.T
     return CalibrationState(

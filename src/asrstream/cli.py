@@ -107,8 +107,8 @@ def cmd_calibrate(args) -> int:
             [
                 f"channels={state.channels}",
                 f"window_samples={state.window_samples()}",
-                f"threshold_min={amplitudes.min()!r}",
-                f"threshold_max={amplitudes.max()!r}",
+                f"threshold_min={float(amplitudes.min())!r}",
+                f"threshold_max={float(amplitudes.max())!r}",
                 f"output={args.output}",
             ]
         )

@@ -75,11 +75,18 @@ def _reconstruct(calib: CalibrationState, rejected: np.ndarray) -> np.ndarray:
 
 
 def detect(
-    covs: np.ndarray, calib: CalibrationState, max_dims_fraction: float
+    covs: np.ndarray,
+    calib: CalibrationState,
+    max_dims_fraction: float,
+    shifts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray | None]]:
     """One detection step for each covariance of the ``(k, C, C)`` stack
     ``covs``: compare its eigenvalues against the calibration thresholds and
-    build its reconstruction matrix.
+    build its reconstruction matrix. ``shifts``, if given, holds one integer
+    per covariance: ``covs[i]`` is the covariance scaled by ``4**-shifts[i]``,
+    and its limits are scaled the same way, so the keep flags and ``R`` do
+    not change (``R`` depends only on the eigenvectors and ``M``); its
+    eigenvalues are returned as scaled.
 
     The stack is checked for finiteness once, symmetrized, and decomposed by
     one batched ``eigh``. Component j (eigenvalues ascending) is kept iff its
@@ -114,6 +121,8 @@ def detect(
     budget = int(np.floor(max_dims_fraction * c))
     protected = np.arange(c) < c - budget  # smallest components, never rejected
     limits = np.sum((calib.threshold @ eigvecs) ** 2, axis=1)
+    if shifts is not None:
+        limits = np.ldexp(limits, -2 * np.asarray(shifts)[:, None])
     keep = (eigvals <= limits) | protected
     recons = []
     for vecs, kept in zip(eigvecs, keep):
@@ -144,6 +153,14 @@ def update_reconstruction(
         reconstruction=np.eye(c) if recon is None else recon,
         n_rejected=int(np.count_nonzero(~keep[0])),
     )
+
+
+def _overflow_shift(segment: np.ndarray) -> int:
+    """A k >= 0 that brings ``segment * 2**-k`` low enough for the sums of
+    products over its W columns to stay below ``2**1020``; 0 when the
+    segment is not finite, which leaves its covariance non-finite."""
+    _, exponent = np.frexp(np.max(np.abs(segment)))  # max |x| < 2**exponent
+    return max(0, int(exponent) - (1020 - segment.shape[1].bit_length()) // 2)
 
 
 @lru_cache(maxsize=8)
@@ -226,12 +243,25 @@ def asr_process_chunk(
     tail = np.concatenate([state.cov_window, filtered], axis=1)
     instants = range(step - 1 - t0 % step, n_samples, step)
     covs = np.empty((len(instants), c, c))
-    for cov, j in zip(covs, instants):
-        segment = tail[:, j + 1 : j + 1 + window]
-        np.matmul(segment, segment.T, out=cov)
-        cov /= min(t0 + j + 1, window)
+    shifts = None
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is mended below
+        for cov, j in zip(covs, instants):
+            segment = tail[:, j + 1 : j + 1 + window]
+            np.matmul(segment, segment.T, out=cov)
+            cov /= min(t0 + j + 1, window)
+        if not np.isfinite(covs).all():
+            # finite samples whose products overflow: rebuild the covariance
+            # from the segment times 2**-k, which scales it by exactly 4**-k
+            shifts = np.zeros(len(instants), dtype=int)
+            for i in np.flatnonzero(~np.isfinite(covs).all(axis=(1, 2))):
+                j = instants[i]
+                segment = tail[:, j + 1 : j + 1 + window]
+                shifts[i] = _overflow_shift(segment)
+                scaled = np.ldexp(segment, -shifts[i])
+                np.matmul(scaled, scaled.T, out=covs[i])
+                covs[i] /= min(t0 + j + 1, window)
     if instants:
-        _, _, keep, recons = detect(covs, calib, calib.params.max_dims_fraction)
+        _, _, keep, recons = detect(covs, calib, calib.params.max_dims_fraction, shifts)
     r_current, r_previous = state.r_current, state.r_previous
     log = []
     pos = 0

@@ -23,41 +23,52 @@ MEDIAN_MAX_ITER = 2000
 
 
 def sliding_rms(
-    signal: np.ndarray, srate: float, window_len: float, window_overlap: float
+    signal: np.ndarray,
+    srate: float,
+    window_len: float,
+    window_overlap: float,
+    overwrite_input: bool = False,
 ) -> np.ndarray:
-    """RMS over windows of round(window_len*srate) samples.
+    """RMS over windows of round(window_len*srate) samples along the last axis.
 
-    Window starts advance by ``max(1, round(W*(1-overlap)))`` samples; the
-    result has ``(N - W)//stride + 1`` values.
+    Window starts advance by ``max(1, round(W*(1-overlap)))`` samples; each
+    row of a ``(..., N)`` signal gives ``(N - W)//stride + 1`` values, equal
+    bit for bit to the result for that row alone. With ``overwrite_input``
+    the signal is squared in place instead of in a copy of its size.
     """
     x = np.asarray(signal, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInput("signal must be 1-d")
+    if x.ndim < 1:
+        raise InvalidInput("signal must be at least 1-d")
     w = int(round(window_len * srate))
     if w < 2:
         raise InvalidInput("window must span at least 2 samples")
     if not 0 <= window_overlap < 1:
         raise InvalidInput("window_overlap must be in [0, 1)")
-    if x.size < w:
-        raise InsufficientData(f"need at least {w} samples, got {x.size}")
+    if x.shape[-1] < w:
+        raise InsufficientData(f"need at least {w} samples, got {x.shape[-1]}")
     stride = max(1, int(round(w * (1.0 - window_overlap))))
-    windows = sliding_window_view(x * x, w)[::stride]
-    return np.sqrt(windows.mean(axis=1))
+    power = np.square(x, out=x if overwrite_input else None)
+    windows = sliding_window_view(power, w, axis=-1)[..., ::stride, :]
+    return np.sqrt(windows.mean(axis=-1))
 
 
-def robust_stats(values) -> tuple[float, float]:
-    """Median and scaled MAD of a sample: (mu, sigma); sigma may be 0."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        v = v.ravel()
-    if v.size < MIN_STATS_VALUES:
+def robust_stats(values) -> tuple:
+    """Median and scaled MAD along the last axis: (mu, sigma); sigma may be 0.
+
+    A 1-d sample gives two floats; a ``(..., n)`` array gives two arrays of
+    its leading shape, one entry per row, each equal to that row's result.
+    """
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    if v.shape[-1] < MIN_STATS_VALUES:
         raise InsufficientData(
-            f"need at least {MIN_STATS_VALUES} values for a robust fit, got {v.size}"
+            f"need at least {MIN_STATS_VALUES} values for a robust fit, got {v.shape[-1]}"
         )
     if not np.all(np.isfinite(v)):
         raise InvalidInput("values contain non-finite entries")
-    mu = float(np.median(v))
-    sigma = MAD_SCALE * float(np.median(np.abs(v - mu)))
+    mu = np.median(v, axis=-1)
+    sigma = MAD_SCALE * np.median(np.abs(v - mu[..., None]), axis=-1)
+    if v.ndim == 1:
+        return float(mu), float(sigma)
     return mu, sigma
 
 
@@ -84,14 +95,14 @@ def _block_sq_dists(
     """``||B_k - E||_F^2`` for every block covariance ``B_k = X_k X_k^T / b``.
 
     Expanded as ``||B_k||^2 - 2 tr(B_k E) + ||E||^2`` with the cross terms
-    from one ``C x N`` matmul into ``buf``; a value at or below
+    ``x_t^T E x_t`` from one ``C x N`` matmul into ``buf`` and one column-wise
+    dot product; a value at or below
     ``EXACT_DIST_SHARE * (||B_k||^2 + ||E||^2)`` lost too many digits to
     cancellation and is recomputed from the block's own samples.
     """
     n_blocks, c, b = blocks.shape
     np.matmul(est, samples, out=buf)
-    buf *= samples
-    cross = buf.sum(axis=0).reshape(n_blocks, b).sum(axis=1) / b
+    cross = np.einsum("ij,ij->j", buf, samples).reshape(n_blocks, b).sum(axis=1) / b
     est_sq = float(np.vdot(est, est))
     sq = block_sq - 2.0 * cross + est_sq
     near = np.flatnonzero(sq <= EXACT_DIST_SHARE * (block_sq + est_sq))
@@ -115,11 +126,14 @@ def robust_covariance(data: np.ndarray, blocksize: int) -> np.ndarray:
 
     The iteration runs in sample space, so the ``(n_blocks, C*C)`` matrix of
     block covariances is never built and memory stays O(C*N): a step takes
-    the distances from ``_block_sq_dists`` and the weighted mean
-    ``sum_k w_k B_k / sum_k w_k`` as ``X diag(w_k / b per sample) X^T``,
-    two ``C x N`` matmuls in all. A block that coincides with the estimate
-    is skipped, and the loop stops when the step's Frobenius norm drops below
-    ``MEDIAN_TOL * (1 + ||estimate||)`` or after ``MEDIAN_MAX_ITER`` steps.
+    the distances from ``_block_sq_dists`` (one ``gemm``) and the weighted
+    mean ``sum_k w_k B_k / sum_k w_k`` as ``Y Y^T`` with
+    ``Y = X diag(sqrt(w_k / b) per sample)`` written into the same work
+    buffer, which numpy hands to the symmetric rank-k update ``syrk`` at
+    half the flops of a general product. A block that coincides with the
+    estimate is skipped, and the loop stops when the step's Frobenius norm
+    drops below ``MEDIAN_TOL * (1 + ||estimate||)`` or after
+    ``MEDIAN_MAX_ITER`` steps.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -146,8 +160,8 @@ def robust_covariance(data: np.ndarray, blocksize: int) -> np.ndarray:
             break  # every block sits on the estimate: it is the median
         inv = np.zeros(n_blocks)
         inv[good] = 1.0 / dist[good]
-        np.multiply(samples, np.repeat(inv / blocksize, blocksize), out=buf)
-        new = (buf @ samples.T) / inv.sum()
+        np.multiply(samples, np.repeat(np.sqrt(inv / blocksize), blocksize), out=buf)
+        new = (buf @ buf.T) / inv.sum()
         step = float(np.linalg.norm(new - est))
         est = new
         if step < MEDIAN_TOL * (1.0 + float(np.linalg.norm(est))):

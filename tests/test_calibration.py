@@ -73,6 +73,47 @@ def test_memory_stays_near_the_input():
     assert peak <= 1.3 * x.nbytes
 
 
+def test_component_statistics_take_one_call_each(monkeypatch):
+    from asrstream import calibration
+
+    calls = []
+    for name in ("sliding_rms", "robust_stats"):
+        real = getattr(calibration, name)
+
+        def counting(values, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.shape(values)))
+            return _real(values, *args, **kwargs)
+
+        monkeypatch.setattr(calibration, name, counting)
+    data = np.random.default_rng(24).standard_normal((6, 5000))
+    asr.asr_calibrate(data, 250.0)
+    assert [name for name, _ in calls] == ["sliding_rms", "robust_stats"]
+    assert calls[0][1] == (6, 5000) and calls[1][1][0] == 6
+
+
+@pytest.mark.parametrize(
+    "samples,srate,message",
+    [
+        (100, 250.0, "need at least 0.5 s of data (one statistics window), got 0.4 s"),
+        (200, 250.0, "need at least 1.676 s of data (8 statistics windows), got 0.8 s"),
+        (2500, 1e308, "need at least 0.5 s of data (one statistics window), got 2.5e-305 s"),
+    ],
+)
+def test_too_little_data_is_stated_in_seconds(samples, srate, message):
+    with pytest.raises(InsufficientData) as info:
+        asr.asr_calibrate(np.random.default_rng(25).standard_normal((4, samples)), srate)
+    assert str(info.value) == message
+
+
+def test_too_few_samples_for_a_covariance_block_is_stated_in_seconds():
+    params = asr.CalibrationParams(blocksize=600)
+    with pytest.raises(InsufficientData) as info:
+        asr.asr_calibrate(np.random.default_rng(26).standard_normal((4, 500)), 250.0, params)
+    assert str(info.value) == (
+        "need at least 2.4 s of data (one covariance block of 600 samples), got 2 s"
+    )
+
+
 def test_deterministic():
     rng = np.random.default_rng(20)
     data = rng.standard_normal((3, 5000))

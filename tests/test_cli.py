@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -61,6 +62,18 @@ def test_calibrate_reports_window(workspace, capsys):
     assert "125 samples" in out
     state = load_calibration_state(workspace / "state.json")
     assert state.channels == 4
+
+
+def test_calibrate_report_values_are_plain_numbers(workspace, capsys):
+    output = str(workspace / "state.json")
+    argv = ["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250"]
+    assert main([*argv, "--output", output, "--report"]) == 0
+    fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert fields.pop("output") == output
+    assert set(fields) == {"channels", "window_samples", "threshold_min", "threshold_max"}
+    for key, value in fields.items():
+        float(value)  # np.float64(...) would not parse
+    assert 0 < float(fields["threshold_min"]) <= float(fields["threshold_max"])
 
 
 def test_calibrate_window_rule_exit_code_and_message(workspace, capsys):
@@ -552,6 +565,49 @@ def test_stream_mode_reports_the_first_fault_in_reading_order(workspace, monkeyp
     rc = main(["process", "--calibration", str(workspace / "calib.csv"), "--stream", "--chunk", "32"])
     assert rc == 1
     assert "error: non-finite value 'nan' (row 50, col 3)" in capsys.readouterr().err
+
+
+def test_a_stretch_too_large_to_square_is_cleaned_in_both_modes(workspace, monkeypatch, capsys):
+    """Samples 1000-1039 times 1e155 overflow a window covariance; both modes
+    clean them as they clean the same stretch times 1e150, without a warning."""
+    rec = load_signal_record(workspace / "rec.csv")
+    calib = str(workspace / "calib.csv")
+    outputs = {}
+    for scale in (1e150, 1e155):
+        data = rec.data.copy()
+        data[:, 1000:1040] *= scale
+        record = SignalRecord(data=data, srate=rec.srate)
+        save_signal_record(workspace / "huge.csv", record)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(_record_to_stream_text(record)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["process", "--calibration", calib, "--input", str(workspace / "huge.csv"),
+                         "--output", str(workspace / "out.csv"), "--chunk", "32"]) == 0
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                assert main(["process", "--calibration", calib, "--stream", "--chunk", "32"]) == 0
+        assert " errors=0 " in capsys.readouterr().err
+        lines = [l for l in stdout.getvalue().splitlines() if l and not l.startswith("#")]
+        streamed = np.array([[float(v) for v in line.split(",")] for line in lines]).T
+        filed = load_signal_record(workspace / "out.csv").data
+        assert np.array_equal(streamed, filed)
+        outputs[scale] = filed
+    stretch = slice(1062, 1102)  # after the default lookahead of 62 samples
+    huge, small = outputs[1e155], outputs[1e150]
+    np.testing.assert_allclose(huge[:, stretch] * 1e-5, small[:, stretch], rtol=1e-12)
+    rest = np.ones(rec.samples, dtype=bool)
+    rest[stretch] = False
+    np.testing.assert_allclose(huge[:, rest], small[:, rest], rtol=0, atol=1e-12)
+
+
+def test_a_stream_rate_no_calibration_csv_can_cover_is_one_short_error(
+    workspace, monkeypatch, capsys
+):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("# channels=4 srate=1e308\n1,2,3,4\n"))
+    rc = main(["process", "--stream", "--calibration", str(workspace / "calib.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: need at least 0.5 s of data (one statistics window), got 5e-305 s\n"
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])

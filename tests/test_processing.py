@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -266,7 +267,9 @@ class TestBatchedDetection:
         assert pos == 600 and len(proc.update_log) == 600 // 32
         assert any(n > 0 for _, n in proc.update_log)
 
-    def test_a_later_failing_update_leaves_every_field_untouched(self, clean_calibration):
+    def test_a_later_failing_update_leaves_every_field_untouched(
+        self, clean_calibration, monkeypatch
+    ):
         _, state = clean_calibration
         rng = np.random.default_rng(13)
         stream = rng.standard_normal((4, 600)) * 3.0
@@ -276,11 +279,23 @@ class TestBatchedDetection:
         _, proc = asr.asr_process_chunk(head, state, proc)
         assert proc.r_current is not None  # mid-burst: the state holds a rejection
         before = copy.deepcopy(proc)
-        # updates at 255 and 287 see finite covariances; the one at 319 overflows
-        bad = stream[:, 230:326].copy()
-        bad[:, 60:] *= 1e200
-        with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="covariance"):
-            asr.asr_process_chunk(asr.MultichannelChunk(bad, SRATE, 230), state, proc)
+        # the updates at 255, 287 and 319 all reject; building the third
+        # reconstruction raises, after the first two were built
+        calls = []
+        real = processing._reconstruct
+
+        def third_fails(calib, rejected):
+            calls.append(rejected.shape)
+            if len(calls) == 3:
+                raise CalibrationDegenerate("the update at 319 fails")
+            return real(calib, rejected)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(processing, "_reconstruct", third_fails)
+            with pytest.raises(CalibrationDegenerate, match="319"):
+                chunk = asr.MultichannelChunk(stream[:, 230:326], SRATE, 230)
+                asr.asr_process_chunk(chunk, state, proc)
+        assert len(calls) == 3
         for f in dataclasses.fields(proc):
             got, want = getattr(proc, f.name), getattr(before, f.name)
             if isinstance(want, np.ndarray):
@@ -366,7 +381,7 @@ class TestProcessChunk:
         assert proc.total_samples_seen == seen
         assert np.array_equal(proc.filter_state, filt)
 
-    def test_failed_update_leaves_every_field_untouched(self, clean_calibration):
+    def test_failed_update_leaves_every_field_untouched(self, clean_calibration, monkeypatch):
         _, state = clean_calibration
         rng = np.random.default_rng(12)
         stream = rng.standard_normal((4, 420)) * 3.0
@@ -384,10 +399,14 @@ class TestProcessChunk:
         head = asr.MultichannelChunk(stream[:, :100], SRATE, 0)
         _, proc = asr.asr_process_chunk(head, state, proc)
         before = copy.deepcopy(proc)
-        # finite input whose covariance overflows: the update at sample 127 raises
-        bad = asr.MultichannelChunk(stream[:, 100:164] * 1e200, SRATE, 100)
-        with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="covariance"):
-            asr.asr_process_chunk(bad, state, proc)
+        # detection raises on the chunk's one update instant, sample 127
+        def failing(*args):
+            raise InvalidInput("covariance contains non-finite entries")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(processing, "detect", failing)
+            with pytest.raises(InvalidInput, match="covariance"):
+                asr.asr_process_chunk(asr.MultichannelChunk(stream[:, 100:164], SRATE, 100), state, proc)
         for f in dataclasses.fields(proc):
             got, want = getattr(proc, f.name), getattr(before, f.name)
             if isinstance(want, np.ndarray):
@@ -502,6 +521,50 @@ class TestProcessChunk:
         _, proc = run_stream(stream, state, chunk_size=100)
         budget = int(np.floor(state.params.max_dims_fraction * 4))
         assert max(n for _, n in proc.update_log) <= budget
+
+
+class TestHugeSamples:
+    """Finite samples whose window covariance overflows are cleaned like
+    smaller ones: the covariance is rebuilt from its segment times 2**-k."""
+
+    def test_shifted_stack_detects_alike(self, clean_calibration):
+        _, state = clean_calibration
+        u = np.array([0.2, 1.0, -0.7, 0.4])
+        base = state.mixing @ state.mixing
+        covs = np.array([base + a * np.outer(u, u) for a in (0.0, 5.0, 50.0, 500.0)])
+        want = processing.detect(covs, state, 0.66)
+        assert want[2].all(axis=1).tolist() == [True, False, False, False]
+        shifts = np.array([0, 3, 50, 1])
+        got = processing.detect(np.ldexp(covs, -2 * shifts[:, None, None]), state, 0.66, shifts)
+        assert np.array_equal(got[0], np.ldexp(want[0], -2 * shifts[:, None]))
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        assert got[3][0] is None and want[3][0] is None
+        for r_got, r_want in zip(got[3][1:], want[3][1:]):
+            assert np.array_equal(r_got, r_want)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_a_stretch_too_large_to_square_is_cleaned_as_a_smaller_one(
+        self, clean_calibration, scale
+    ):
+        _, state = clean_calibration
+        rec = np.random.default_rng(7).standard_normal((4, 2000))
+        runs = []
+        for s in (1e150, scale):
+            x = rec.copy()
+            x[:, 1000:1040] *= s
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no overflow warning either
+                runs.append(asr.clean_recording(x, state, 32))
+        (small, small_proc), (huge, huge_proc) = runs
+        assert huge_proc.update_log == small_proc.update_log
+        assert sum(1 for _, n in huge_proc.update_log if n) > 3  # the stretch was rejected
+        shifted = slice(1000 + huge_proc.lookahead, 1040 + huge_proc.lookahead)
+        np.testing.assert_allclose(huge[:, shifted] * (1e150 / scale), small[:, shifted], rtol=1e-12)
+        rest = np.ones(2000, dtype=bool)
+        rest[shifted] = False
+        np.testing.assert_allclose(huge[:, rest], small[:, rest], rtol=0, atol=1e-12)
+        # cleaned, not passed through: the stretch's largest output is below its input's
+        assert np.abs(huge[:, shifted]).max() < 0.9 * np.abs(rec[:, 1000:1040]).max() * scale
 
 
 def chunk_loop(stream, state, chunk):

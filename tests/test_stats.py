@@ -53,6 +53,22 @@ class TestSlidingRms:
         assert np.abs(got - np.asarray(want)).max() < 1e-12
 
 
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.66])
+    def test_rows_equal_their_one_dimensional_results(self, overlap):
+        x = np.random.default_rng(31).standard_normal((5, 1003)) * np.arange(1, 6)[:, None]
+        got = sliding_rms(x, 100.0, 0.37, overlap)
+        want = np.array([sliding_rms(row, 100.0, 0.37, overlap) for row in x])
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_overwrite_input_squares_in_place(self):
+        x = np.random.default_rng(32).standard_normal((3, 400))
+        want = sliding_rms(x, 50.0, 1.0, 0.5)
+        squared = x * x
+        got = sliding_rms(x, 50.0, 1.0, 0.5, overwrite_input=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(x, squared)
+
+
 class TestRobustStats:
     def test_forced_arithmetic(self):
         # median 5, absolute deviations (4,3,2,1,0,1,2,3,4) -> MAD 2
@@ -84,6 +100,26 @@ class TestRobustStats:
         mu1, sig1 = robust_stats(v * scale + shift)
         assert mu1 == pytest.approx(mu0 * scale + shift, rel=1e-9, abs=1e-9)
         assert sig1 == pytest.approx(sig0 * scale, rel=1e-9, abs=1e-9)
+
+
+    def test_rows_equal_their_one_dimensional_results(self):
+        rng = np.random.default_rng(33)
+        v = rng.standard_normal((6, 41)) * rng.random((6, 1)) + rng.standard_normal((6, 1))
+        v[2] = 1.5  # a constant row: sigma 0
+        mu, sigma = robust_stats(v)
+        want = [robust_stats(row) for row in v]
+        assert mu.shape == sigma.shape == (6,)
+        assert np.array_equal(mu, [m for m, _ in want])
+        assert np.array_equal(sigma, [s for _, s in want])
+        assert sigma[2] == 0.0
+
+    def test_one_dimensional_input_gives_floats(self):
+        mu, sigma = robust_stats(np.arange(9.0))
+        assert type(mu) is float and type(sigma) is float
+
+    def test_minimum_count_is_per_row(self):
+        with pytest.raises(InsufficientData, match="got 7"):
+            robust_stats(np.ones((20, 7)))
 
 
 class TestRobustCovariance:
