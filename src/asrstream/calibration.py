@@ -67,7 +67,7 @@ def asr_calibrate(
     params.check_window(srate, c)
     w = params.window_samples(srate)
     stride = params.window_stride(srate)
-    # durations in seconds: at an absurd rate a sample count has 300 digits
+    # needs in seconds: at an absurd rate a needed sample count has 300 digits
     needs = (
         (w, "one statistics window"),
         (w + (MIN_STATS_VALUES - 1) * stride, f"{MIN_STATS_VALUES} statistics windows"),
@@ -76,7 +76,8 @@ def asr_calibrate(
     for need, what in needs:
         if n < need:
             raise InsufficientData(
-                f"need at least {need / srate:.4g} s of data ({what}), got {n / srate:.4g} s"
+                f"need at least {need / srate:.4g} s of data ({what}), "
+                f"got {n} samples ({n / srate:.4g} s)"
             )
     if n / srate < RECOMMENDED_MIN_SECONDS:
         logger.info(
@@ -95,10 +96,8 @@ def asr_calibrate(
     mixing = matrix_sqrt_psd(cov)  # CalibrationDegenerate propagates
     _, eigvecs = symmetric_eig(mixing)
 
-    # squared in place: a squared copy would double the peak at 64 channels
     rms = sliding_rms(
-        eigvecs.T @ filtered, srate, params.window_len, params.window_overlap,
-        overwrite_input=True,
+        eigvecs.T @ filtered, srate, params.window_len, params.window_overlap
     )
     mu, sigma = robust_stats(rms)
 

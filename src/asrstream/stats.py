@@ -23,18 +23,14 @@ MEDIAN_MAX_ITER = 2000
 
 
 def sliding_rms(
-    signal: np.ndarray,
-    srate: float,
-    window_len: float,
-    window_overlap: float,
-    overwrite_input: bool = False,
+    signal: np.ndarray, srate: float, window_len: float, window_overlap: float
 ) -> np.ndarray:
     """RMS over windows of round(window_len*srate) samples along the last axis.
 
     Window starts advance by ``max(1, round(W*(1-overlap)))`` samples; each
-    row of a ``(..., N)`` signal gives ``(N - W)//stride + 1`` values, equal
-    bit for bit to the result for that row alone. With ``overwrite_input``
-    the signal is squared in place instead of in a copy of its size.
+    row of a ``(..., N)`` signal gives ``(N - W)//stride + 1`` values. Rows
+    are squared one at a time into one N-sample buffer, so a row's result
+    equals its 1-d result bit for bit and the signal is never copied whole.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim < 1:
@@ -44,12 +40,17 @@ def sliding_rms(
         raise InvalidInput("window must span at least 2 samples")
     if not 0 <= window_overlap < 1:
         raise InvalidInput("window_overlap must be in [0, 1)")
-    if x.shape[-1] < w:
-        raise InsufficientData(f"need at least {w} samples, got {x.shape[-1]}")
+    n = x.shape[-1]
+    if n < w:
+        raise InsufficientData(f"need at least {w} samples, got {n}")
     stride = max(1, int(round(w * (1.0 - window_overlap))))
-    power = np.square(x, out=x if overwrite_input else None)
-    windows = sliding_window_view(power, w, axis=-1)[..., ::stride, :]
-    return np.sqrt(windows.mean(axis=-1))
+    rows = x.reshape(-1, n)
+    out = np.empty((rows.shape[0], (n - w) // stride + 1))
+    power = np.empty(n)
+    for row, dest in zip(rows, out):
+        np.square(row, out=power)
+        dest[:] = sliding_window_view(power, w)[::stride].mean(axis=1)
+    return np.sqrt(out).reshape(x.shape[:-1] + out.shape[1:])
 
 
 def robust_stats(values) -> tuple:

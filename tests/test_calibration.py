@@ -92,26 +92,27 @@ def test_component_statistics_take_one_call_each(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "samples,srate,message",
+    "samples,srate,params,message",
     [
-        (100, 250.0, "need at least 0.5 s of data (one statistics window), got 0.4 s"),
-        (200, 250.0, "need at least 1.676 s of data (8 statistics windows), got 0.8 s"),
-        (2500, 1e308, "need at least 0.5 s of data (one statistics window), got 2.5e-305 s"),
+        (100, 250.0, None,
+         "need at least 0.5 s of data (one statistics window), got 100 samples (0.4 s)"),
+        (200, 250.0, None,
+         "need at least 1.676 s of data (8 statistics windows), got 200 samples (0.8 s)"),
+        # one sample short: the durations round alike, the counts differ
+        (16899, 1e4, None,
+         "need at least 1.69 s of data (8 statistics windows), got 16899 samples (1.69 s)"),
+        (2500, 1e308, None,
+         "need at least 0.5 s of data (one statistics window), got 2500 samples (2.5e-305 s)"),
+        (500, 250.0, asr.CalibrationParams(blocksize=600),
+         "need at least 2.4 s of data (one covariance block of 600 samples), "
+         "got 500 samples (2 s)"),
     ],
 )
-def test_too_little_data_is_stated_in_seconds(samples, srate, message):
+def test_too_little_data_is_stated_in_seconds(samples, srate, params, message):
+    data = np.random.default_rng(25).standard_normal((4, samples))
     with pytest.raises(InsufficientData) as info:
-        asr.asr_calibrate(np.random.default_rng(25).standard_normal((4, samples)), srate)
+        asr.asr_calibrate(data, srate, params)
     assert str(info.value) == message
-
-
-def test_too_few_samples_for_a_covariance_block_is_stated_in_seconds():
-    params = asr.CalibrationParams(blocksize=600)
-    with pytest.raises(InsufficientData) as info:
-        asr.asr_calibrate(np.random.default_rng(26).standard_normal((4, 500)), 250.0, params)
-    assert str(info.value) == (
-        "need at least 2.4 s of data (one covariance block of 600 samples), got 2 s"
-    )
 
 
 def test_deterministic():

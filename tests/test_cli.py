@@ -607,7 +607,10 @@ def test_a_stream_rate_no_calibration_csv_can_cover_is_one_short_error(
     rc = main(["process", "--stream", "--calibration", str(workspace / "calib.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == "error: need at least 0.5 s of data (one statistics window), got 5e-305 s\n"
+    assert err == (
+        "error: need at least 0.5 s of data (one statistics window), "
+        "got 5000 samples (5e-305 s)\n"
+    )
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])

@@ -60,13 +60,12 @@ class TestSlidingRms:
         want = np.array([sliding_rms(row, 100.0, 0.37, overlap) for row in x])
         assert got.shape == want.shape and np.array_equal(got, want)
 
-    def test_overwrite_input_squares_in_place(self):
-        x = np.random.default_rng(32).standard_normal((3, 400))
-        want = sliding_rms(x, 50.0, 1.0, 0.5)
-        squared = x * x
-        got = sliding_rms(x, 50.0, 1.0, 0.5, overwrite_input=True)
-        assert np.array_equal(got, want)
-        assert np.array_equal(x, squared)
+    def test_leaves_its_input_untouched(self):
+        x = np.random.default_rng(32).standard_normal((2, 3, 400))
+        before = x.copy()
+        got = sliding_rms(x, 50.0, 1.0, 0.5)
+        assert got.shape == (2, 3, 15) and np.array_equal(x, before)
+        assert np.array_equal(got[1, 2], sliding_rms(x[1, 2], 50.0, 1.0, 0.5))
 
 
 class TestRobustStats:
