@@ -26,7 +26,7 @@ from .io_formats import (
 )
 from .linalg import geometric_median, matrix_sqrt_psd, pinv, symmetric_eig
 from .oracle import oracle_process
-from .processing import asr_process_chunk, clean_recording, update_reconstruction
+from .processing import asr_process_chunk, clean_recording
 from .runtime import ChunkFifo, Pipeline, SideChannelRegistry
 from .stats import robust_covariance, robust_stats, sliding_rms
 from .synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
@@ -36,7 +36,6 @@ from .types import (
     MultichannelChunk,
     PipelineConfig,
     ProcessorState,
-    ReconstructionUpdate,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +52,6 @@ __all__ = [
     "Pipeline",
     "PipelineConfig",
     "ProcessorState",
-    "ReconstructionUpdate",
     "SideChannelRegistry",
     "SignalRecord",
     "SyntheticSpec",
@@ -80,6 +78,5 @@ __all__ = [
     "save_signal_record",
     "sliding_rms",
     "symmetric_eig",
-    "update_reconstruction",
     "__version__",
 ]

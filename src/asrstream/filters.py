@@ -37,7 +37,9 @@ def iir_filter(data: np.ndarray, b, a, state: np.ndarray | None = None):
     Carrying ``state`` across calls makes chunked processing equal
     whole-signal processing. Returns ``(filtered, new_state)``; for the
     identity filter (order 0, gain 1) ``filtered`` is ``data`` itself, not a
-    copy, so callers must not write into it.
+    copy, so callers must not write into it. Non-finite output raises
+    FilterDiverged, without a warning: from finite input it means that the
+    output overflowed or that the filter is unstable.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -58,12 +60,19 @@ def iir_filter(data: np.ndarray, b, a, state: np.ndarray | None = None):
     if order == 0:
         # pure gain; lfilter requires a non-empty state axis
         gain = b[0] / a[0]
-        return (data if gain == 1.0 else data * gain), state
-    if data.shape[1] == 0:
+        if gain == 1.0:
+            return data, state
+        with np.errstate(over="ignore"):
+            filtered, new_state = data * gain, state
+    elif data.shape[1] == 0:
         return data.copy(), state.copy()
-    from scipy.signal import lfilter  # deferred: scipy.signal takes ~1 s to import
+    else:
+        from scipy.signal import lfilter  # deferred: scipy.signal takes ~1 s to import
 
-    filtered, new_state = lfilter(b, a, data, axis=1, zi=state)
+        with np.errstate(over="ignore"):
+            filtered, new_state = lfilter(b, a, data, axis=1, zi=state)
     if not np.all(np.isfinite(filtered)):
-        raise FilterDiverged("filter output is non-finite; coefficients are unstable")
+        raise FilterDiverged(
+            "filter output is non-finite: it overflowed or the filter is unstable"
+        )
     return filtered, new_state

@@ -42,13 +42,7 @@ from .filters import filter_order, iir_filter
 # pinv and symmetric_eig stay bound though unused: perfbench/tracing.py wraps
 # processing.pinv and processing.symmetric_eig
 from .linalg import pinv, symmetric_eig  # noqa: F401
-from .types import (
-    DEFAULT_STEPSIZE,
-    CalibrationState,
-    MultichannelChunk,
-    ProcessorState,
-    ReconstructionUpdate,
-)
+from .types import DEFAULT_STEPSIZE, CalibrationState, MultichannelChunk, ProcessorState
 
 
 def load_kernels(calib: CalibrationState) -> None:
@@ -75,10 +69,7 @@ def _reconstruct(calib: CalibrationState, rejected: np.ndarray) -> np.ndarray:
 
 
 def detect(
-    covs: np.ndarray,
-    calib: CalibrationState,
-    max_dims_fraction: float,
-    shifts: np.ndarray | None = None,
+    covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray | None]]:
     """One detection step for each covariance of the ``(k, C, C)`` stack
     ``covs``: compare its eigenvalues against the calibration thresholds and
@@ -91,11 +82,12 @@ def detect(
     The stack is checked for finiteness once, symmetrized, and decomposed by
     one batched ``eigh``. Component j (eigenvalues ascending) is kept iff its
     eigenvalue stays at or below ``sum((threshold @ v_j)**2)``, or j lies
-    below the rejection budget ``floor(max_dims_fraction * C)`` counted from
-    the top. With nothing rejected the reconstruction is the identity, held
-    as ``None``, and with everything rejected it is exactly zero; otherwise
-    it is ``R = M @ pinv(keep * (V^T M)) @ V^T`` (all-real arithmetic
-    throughout), evaluated from the r rejected eigenvectors ``V_r`` alone.
+    below the rejection budget ``floor(calib.params.max_dims_fraction * C)``
+    counted from the top. With nothing rejected the reconstruction is the
+    identity, held as ``None``, and with everything rejected it is exactly
+    zero; otherwise it is ``R = M @ pinv(keep * (V^T M)) @ V^T`` (all-real
+    arithmetic throughout), evaluated from the r rejected eigenvectors
+    ``V_r`` alone.
     With M symmetric positive definite, N = M^-1 and V orthogonal, ``R`` is
     the oblique projector that annuls ``V_r`` and fixes the range of
     ``M^2 V_k``, so ``R = I - V_r pinv(N V_r) N``; with the thin QR
@@ -118,7 +110,7 @@ def detect(
     c = calib.channels
     eigvals, eigvecs = np.linalg.eigh((covs + covs.transpose(0, 2, 1)) / 2.0)
 
-    budget = int(np.floor(max_dims_fraction * c))
+    budget = int(np.floor(calib.params.max_dims_fraction * c))
     protected = np.arange(c) < c - budget  # smallest components, never rejected
     limits = np.sum((calib.threshold @ eigvecs) ** 2, axis=1)
     if shifts is not None:
@@ -135,24 +127,9 @@ def detect(
     return eigvals, eigvecs, keep, recons
 
 
-def update_reconstruction(
-    cov: np.ndarray, calib: CalibrationState, max_dims_fraction: float
-) -> ReconstructionUpdate:
-    """:func:`detect` on the one covariance ``cov``; an asymmetric ``cov``
-    gives the update of its symmetric part, and the reconstruction of an
-    update that rejects nothing is exactly the identity matrix."""
-    cov = np.asarray(cov, dtype=float)
-    c = calib.channels
-    if cov.shape != (c, c):
-        raise InvalidInput(f"covariance must be {c}x{c}")
-    eigvals, eigvecs, keep, (recon,) = detect(cov[None], calib, max_dims_fraction)
-    return ReconstructionUpdate(
-        eigvals=eigvals[0],
-        eigvecs=eigvecs[0],
-        keep=keep[0],
-        reconstruction=np.eye(c) if recon is None else recon,
-        n_rejected=int(np.count_nonzero(~keep[0])),
-    )
+# stays bound though nothing calls it: perfbench/tracing.py wraps
+# processing.update_reconstruction
+update_reconstruction = detect
 
 
 def _overflow_shift(segment: np.ndarray) -> int:
@@ -261,7 +238,7 @@ def asr_process_chunk(
                 np.matmul(scaled, scaled.T, out=covs[i])
                 covs[i] /= min(t0 + j + 1, window)
     if instants:
-        _, _, keep, recons = detect(covs, calib, calib.params.max_dims_fraction, shifts)
+        _, _, keep, recons = detect(covs, calib, shifts)
     r_current, r_previous = state.r_current, state.r_previous
     log = []
     pos = 0

@@ -192,19 +192,6 @@ class ProcessorState:
 
 
 @dataclass(frozen=True)
-class ReconstructionUpdate:
-    """Result of one detection step."""
-
-    eigvals: np.ndarray  # (C,) ascending
-    # (C, C) orthonormal columns with LAPACK's signs, which the reconstruction
-    # does not depend on
-    eigvecs: np.ndarray
-    keep: np.ndarray  # (C,) bool, per-component keep flags
-    reconstruction: np.ndarray  # (C, C); exactly the identity when nothing rejected
-    n_rejected: int
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     """Runtime configuration; immutable between prepare and release."""
 

@@ -262,7 +262,7 @@ def process_offenders(growth):
     return offenders
 
 
-def realtime_pipeline(tmp_path, state, output_sink=None):
+def realtime_pipeline(tmp_path, state, output_sink=None, fifo_capacity=8):
     """A prepared 4-channel pipeline with its freelists and worker warmed up."""
     calib_path = tmp_path / "state.json"
     save_calibration_state(calib_path, state)
@@ -271,7 +271,7 @@ def realtime_pipeline(tmp_path, state, output_sink=None):
         params=asr.CalibrationParams(window_len=0.5),
         var_name="eeg",
         calibration_file_name=str(calib_path),
-        fifo_capacity=8,
+        fifo_capacity=fifo_capacity,
     )
     registry = SideChannelRegistry()
     registry.register("eeg", stride=4, capacity=64)
@@ -355,6 +355,62 @@ def test_criterion_06_check_sees_process_allocations(tmp_path, clean_calibration
     pipeline.release()
     assert drained > 0, "no chunk was drained during the window"
     assert offenders, f"{drained} retained chunk copies went unreported"
+
+
+PER_CALL_ROUNDS = 10
+
+
+def per_call_rises(tmp_path, state, monkeypatch, output_sink=None):
+    """How far tracemalloc's peak rises above the pre-call size in each of
+    ``PER_CALL_ROUNDS`` publish + ``process()`` calls, as ``(rise, chunks
+    drained)`` pairs. The peak counter is process-wide, so the worker is
+    patched to exit at prepare and the outbound ring is pre-filled: each
+    call then drains one chunk with no other thread allocating, and a buffer
+    that ``process()`` allocates and frees within the call shows."""
+    monkeypatch.setattr(Pipeline, "_worker_loop", lambda pipeline: None)
+    registry, pipeline, block = realtime_pipeline(
+        tmp_path, state, output_sink, fifo_capacity=2 * PER_CALL_ROUNDS
+    )
+    for seq in range(PER_CALL_ROUNDS):
+        pipeline._outbound.push(block, block.shape[1], seq)
+    rises = []
+    tracemalloc.start()
+    try:
+        for _ in range(PER_CALL_ROUNDS):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            registry.publish("eeg", block)
+            drained = pipeline.process()
+            rises.append((tracemalloc.get_traced_memory()[1] - before, drained))
+    finally:
+        tracemalloc.stop()
+    pipeline.release()
+    return rises
+
+
+def test_criterion_06_no_transient_buffer_per_call(tmp_path, clean_calibration, monkeypatch):
+    _, state = clean_calibration
+    rises = per_call_rises(tmp_path, state, monkeypatch)
+    report(
+        6,
+        "publish + process() allocates no chunk buffer, even within one call",
+        all(rise < 2048 and drained == 1 for rise, drained in rises),
+        f"peak rise per call {sorted({rise for rise, _ in rises})} bytes, "
+        f"chunks drained {sum(drained for _, drained in rises)}/{PER_CALL_ROUNDS}",
+    )
+
+
+def test_criterion_06_per_call_check_sees_transient_buffers(
+    tmp_path, clean_calibration, monkeypatch
+):
+    """A sink that copies the view and drops the copy inside process()
+    leaves nothing retained, and the per-call check still trips."""
+    _, state = clean_calibration
+    rises = per_call_rises(
+        tmp_path, state, monkeypatch, output_sink=lambda view, n, seq: view.copy()
+    )
+    assert all(drained == 1 for _, drained in rises)
+    assert all(rise >= 2048 for rise, _ in rises), rises
 
 
 def test_criterion_07_throughput():

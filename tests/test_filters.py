@@ -78,6 +78,22 @@ def test_unstable_coefficients_diverge():
         iir_filter(x, [1.0], [1.0, -2.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b, a", [([2.0], [1.0]), ([1.5, 0.5], [1.0, 0.2])])
+def test_overflowing_output_diverges_without_a_warning(b, a):
+    """Finite samples near DBL_MAX overflow a filter of gain above 1; both
+    the pure-gain and the lfilter path raise FilterDiverged and name the
+    overflow."""
+    rng = np.random.default_rng(6)
+    state = asrstream.asr_calibrate(
+        rng.standard_normal((4, 2500)), 250.0, filter_b=b, filter_a=a
+    )
+    record = rng.standard_normal((4, 500))
+    record[:, 100:140] = 1.2e308
+    with pytest.raises(FilterDiverged, match="overflowed"):
+        asrstream.clean_recording(record, state, 250)
+
+
 def test_state_dimension_enforced():
     with pytest.raises(InvalidInput):
         iir_filter(np.zeros((2, 5)), [1.0, 0.5], [1.0], np.zeros((2, 3)))

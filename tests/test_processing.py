@@ -19,56 +19,62 @@ from asrstream.errors import (
 from conftest import SRATE, run_stream
 
 
-class TestUpdateReconstruction:
+def detect_one(cov, state):
+    """:func:`processing.detect` on the one-matrix stack ``[cov]``: that
+    update's eigenvalues, eigenvectors, keep flags and reconstruction (None
+    when nothing is rejected)."""
+    eigvals, eigvecs, keep, (recon,) = processing.detect(np.asarray(cov)[None], state)
+    return eigvals[0], eigvecs[0], keep[0], recon
+
+
+class TestDetectOne:
     def test_calibration_covariance_keeps_everything(self, clean_calibration):
         _, state = clean_calibration
-        cov = state.mixing @ state.mixing
-        upd = asr.update_reconstruction(cov, state, state.params.max_dims_fraction)
-        assert upd.n_rejected == 0
-        assert np.array_equal(upd.reconstruction, np.eye(state.channels))
+        _, _, keep, recon = detect_one(state.mixing @ state.mixing, state)
+        assert keep.all()
+        assert recon is None
 
     def test_zero_budget_forces_identity(self, clean_calibration):
         _, state = clean_calibration
         cov = np.eye(state.channels) * 1e6  # wildly above any threshold
-        upd = asr.update_reconstruction(cov, state, 0.2)  # floor(0.2 * 4) = 0
-        assert upd.n_rejected == 0
-        assert np.array_equal(upd.reconstruction, np.eye(state.channels))
+        params = dataclasses.replace(state.params, max_dims_fraction=0.2)  # floor(0.2 * 4) = 0
+        _, _, keep, recon = detect_one(cov, dataclasses.replace(state, params=params))
+        assert keep.all()
+        assert recon is None
 
     def test_scaled_eigendirection_is_rejected(self, clean_calibration):
         _, state = clean_calibration
         c = state.channels
         u = np.full(c, 1.0) / np.sqrt(c)
         cov = state.mixing @ state.mixing + 100.0 * np.outer(u, u)
-        upd = asr.update_reconstruction(cov, state, state.params.max_dims_fraction)
-        assert upd.n_rejected == 1
-        assert not upd.keep[-1]  # the largest eigenvalue is the spiked one
-        spike_dir = upd.eigvecs[:, -1]
-        assert np.linalg.norm(upd.reconstruction @ spike_dir) < 0.2
+        _, eigvecs, keep, recon = detect_one(cov, state)
+        assert np.count_nonzero(~keep) == 1
+        assert not keep[-1]  # the largest eigenvalue is the spiked one
+        assert np.linalg.norm(recon @ eigvecs[:, -1]) < 0.2
 
     def test_rejection_budget_capped(self, clean_calibration):
         _, state = clean_calibration
         c = state.channels
         budget = int(np.floor(state.params.max_dims_fraction * c))
-        cov = np.eye(c) * 1e9
-        upd = asr.update_reconstruction(cov, state, state.params.max_dims_fraction)
-        assert upd.n_rejected == budget
-        assert upd.keep[: c - budget].all()
+        _, _, keep, _ = detect_one(np.eye(c) * 1e9, state)
+        assert np.count_nonzero(~keep) == budget
+        assert keep[: c - budget].all()
 
     def test_eigvecs_orthonormal_and_ascending(self, clean_calibration):
         _, state = clean_calibration
         rng = np.random.default_rng(5)
         b = rng.standard_normal((state.channels, state.channels))
-        upd = asr.update_reconstruction(b @ b.T, state, 0.66)
+        eigvals, eigvecs, _, _ = detect_one(b @ b.T, state)
         c = state.channels
-        assert np.linalg.norm(upd.eigvecs.T @ upd.eigvecs - np.eye(c)) < 1e-8
-        assert np.all(np.diff(upd.eigvals) >= 0)
+        assert np.linalg.norm(eigvecs.T @ eigvecs - np.eye(c)) < 1e-8
+        assert np.all(np.diff(eigvals) >= 0)
 
     def test_non_finite_rejected(self, clean_calibration):
         _, state = clean_calibration
         cov = np.eye(state.channels)
         cov[0, 0] = np.nan
         with pytest.raises(InvalidInput):
-            asr.update_reconstruction(cov, state, 0.66)
+            detect_one(cov, state)
 
     def test_asymmetric_covariance_gives_the_symmetrized_update(self, clean_calibration):
         _, state = clean_calibration
@@ -76,18 +82,19 @@ class TestUpdateReconstruction:
         rng = np.random.default_rng(8)
         b = rng.standard_normal((c, c))
         cov = 50.0 * b @ b.T + rng.standard_normal((c, c))  # far from symmetric
-        got = asr.update_reconstruction(cov, state, 0.66)
-        want = asr.update_reconstruction((cov + cov.T) / 2.0, state, 0.66)
-        assert got.n_rejected == want.n_rejected > 0
-        for name in ("eigvals", "eigvecs", "keep", "reconstruction"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        got = detect_one(cov, state)
+        want = detect_one((cov + cov.T) / 2.0, state)
+        assert np.count_nonzero(~got[2]) > 0
+        for name, g, w in zip(("eigvals", "eigvecs", "keep", "reconstruction"), got, want):
+            assert np.array_equal(g, w), name
 
 
-def _detection_case(mixing, seed, reject=None):
-    """A calibration state around ``mixing`` and a covariance whose update
-    rejects the components flagged in ``reject`` (ascending order; by
-    default a random mask with at least one kept and one rejected) when
-    every component is within the rejection budget."""
+def _detection_case(mixing, seed, reject=None, fraction=1.0):
+    """A calibration state around ``mixing`` with the rejection budget
+    ``fraction``, and a covariance whose update rejects the components
+    flagged in ``reject`` (ascending order; by default a random mask with at
+    least one kept and one rejected) when every component is within the
+    budget."""
     c = mixing.shape[0]
     rng = np.random.default_rng(seed)
     basis = np.linalg.qr(rng.standard_normal((c, c)))[0]
@@ -102,16 +109,16 @@ def _detection_case(mixing, seed, reject=None):
         filter_b=(1.0,),
         filter_a=(1.0,),
         srate=SRATE,
-        params=asr.CalibrationParams(),
+        params=asr.CalibrationParams(max_dims_fraction=fraction),
     )
     return state, (basis * eigvals) @ basis.T, reject
 
 
-def _pinv_reconstruction(upd, mixing):
+def _pinv_reconstruction(eigvecs, keep, mixing):
     """The textbook form ``M pinv(D V^T M) V^T`` through the SVD pinv."""
-    proj = upd.eigvecs.T @ mixing
-    proj[~upd.keep] = 0.0
-    return mixing @ asr.pinv(proj) @ upd.eigvecs.T
+    proj = eigvecs.T @ mixing
+    proj[~keep] = 0.0
+    return mixing @ asr.pinv(proj) @ eigvecs.T
 
 
 def _clamped_mixing(c, rank, seed):
@@ -133,9 +140,9 @@ class TestClosedFormReconstruction:
         b = np.random.default_rng(1000 + seed).standard_normal((c, c))
         mixing = asr.matrix_sqrt_psd(b @ b.T / c + 0.1 * np.eye(c))
         state, cov, reject = _detection_case(mixing, seed)
-        upd = asr.update_reconstruction(cov, state, 1.0)
-        assert np.array_equal(~upd.keep, reject)
-        assert _rel_err(upd.reconstruction, _pinv_reconstruction(upd, mixing)) < 1e-10
+        _, eigvecs, keep, recon = detect_one(cov, state)
+        assert np.array_equal(~keep, reject)
+        assert _rel_err(recon, _pinv_reconstruction(eigvecs, keep, mixing)) < 1e-10
 
     @pytest.mark.parametrize("c, rank", [(4, 2), (4, 1), (24, 12), (24, 1), (64, 32), (64, 1)])
     def test_matches_pinv_form_on_clamped_mixing(self, c, rank):
@@ -143,33 +150,33 @@ class TestClosedFormReconstruction:
         # mpmath test below measures it), so they agree to that order only
         mixing = _clamped_mixing(c, rank, seed=c)
         state, cov, reject = _detection_case(mixing, seed=c)
-        upd = asr.update_reconstruction(cov, state, 1.0)
-        assert np.array_equal(~upd.keep, reject)
+        _, eigvecs, keep, recon = detect_one(cov, state)
+        assert np.array_equal(~keep, reject)
         bound = 10 * np.finfo(float).eps * np.linalg.cond(mixing)
-        assert _rel_err(upd.reconstruction, _pinv_reconstruction(upd, mixing)) < bound
+        assert _rel_err(recon, _pinv_reconstruction(eigvecs, keep, mixing)) < bound
 
     @pytest.mark.parametrize("c", [4, 8, 24])
     def test_accurate_on_clamped_mixing(self, c):
         mp = pytest.importorskip("mpmath")
         mixing = _clamped_mixing(c, 1, seed=c)
         state, cov, _ = _detection_case(mixing, seed=c)
-        upd = asr.update_reconstruction(cov, state, 1.0)
+        _, eigvecs, keep, recon = detect_one(cov, state)
         with mp.workdps(60):
             m = mp.matrix(mixing.tolist())
-            kept = mp.matrix(upd.eigvecs[:, upd.keep].tolist())
+            kept = mp.matrix(eigvecs[:, keep].tolist())
             a = kept.T * m
             exact = m * a.T * mp.inverse(a * a.T) * kept.T
             exact = np.array(exact.tolist(), dtype=float)
         # the Gram solve (V_k^T C V_k)^-1 squares cond(M) and lands near 1e-4
         bound = 10 * np.finfo(float).eps * np.linalg.cond(mixing)
-        assert _rel_err(upd.reconstruction, exact) < bound
+        assert _rel_err(recon, exact) < bound
 
     def test_everything_rejected_gives_zero(self):
         mixing = np.diag([1.0, 2.0, 3.0])
         state, cov, _ = _detection_case(mixing, seed=0)
-        upd = asr.update_reconstruction(cov * 1e9, state, 1.0)
-        assert upd.n_rejected == 3
-        assert np.array_equal(upd.reconstruction, _pinv_reconstruction(upd, mixing))
+        _, eigvecs, keep, recon = detect_one(cov * 1e9, state)
+        assert not keep.any()
+        assert np.array_equal(recon, _pinv_reconstruction(eigvecs, keep, mixing))
 
     @pytest.mark.parametrize("clamped", [False, True])
     @pytest.mark.parametrize("fraction", [1 / 64, 0.66])
@@ -184,11 +191,10 @@ class TestClosedFormReconstruction:
             mixing = asr.matrix_sqrt_psd(b @ b.T / c + 0.1 * np.eye(c))
             bound = 1e-10
         reject = np.arange(c) >= c - n_reject
-        state, cov, _ = _detection_case(mixing, seed=n_reject, reject=reject)
-        upd = asr.update_reconstruction(cov, state, fraction)
-        assert upd.n_rejected == n_reject
-        assert np.array_equal(~upd.keep, reject)
-        assert _rel_err(upd.reconstruction, _pinv_reconstruction(upd, mixing)) < bound
+        state, cov, _ = _detection_case(mixing, seed=n_reject, reject=reject, fraction=fraction)
+        _, eigvecs, keep, recon = detect_one(cov, state)
+        assert np.array_equal(~keep, reject)
+        assert _rel_err(recon, _pinv_reconstruction(eigvecs, keep, mixing)) < bound
 
     def test_singular_mixing_is_degenerate_with_few_kept(self):
         # rank 3 of 4 with one kept vector: M V_k has full column rank, so
@@ -199,14 +205,14 @@ class TestClosedFormReconstruction:
         state, cov, _ = _detection_case(b @ b.T, seed=3, reject=reject)
         assert np.linalg.matrix_rank(state.mixing) == 3
         with pytest.raises(CalibrationDegenerate, match="singular"):
-            asr.update_reconstruction(cov, state, 1.0)
+            detect_one(cov, state)
 
     def test_singular_mixing_is_degenerate(self):
         u = np.array([1.0, 2.0, -1.0, 0.5]) / 2.5
         state, cov, reject = _detection_case(np.outer(u, u), seed=2)
         assert np.count_nonzero(~reject) >= 2  # more kept rows than rank(M)
         with pytest.raises(CalibrationDegenerate):
-            asr.update_reconstruction(cov, state, 1.0)
+            detect_one(cov, state)
 
 
 class TestBatchedDetection:
@@ -216,29 +222,30 @@ class TestBatchedDetection:
         mixing = asr.matrix_sqrt_psd(b @ b.T / c + 0.1 * np.eye(c))
         state, cov, reject = _detection_case(mixing, seed=7)
         covs = np.stack([cov, mixing @ mixing * 1e-3, cov * 1e9, cov.T * 2.0])
-        eigvals, eigvecs, keep, recons = processing.detect(covs, state, 1.0)
+        eigvals, eigvecs, keep, recons = processing.detect(covs, state)
         assert np.array_equal(~keep[0], reject)
         assert recons[1] is None and not keep[2].any()  # nothing and everything rejected
         for i, cov_i in enumerate(covs):
-            upd = asr.update_reconstruction(cov_i, state, 1.0)
-            want = np.eye(c) if recons[i] is None else recons[i]
-            assert np.array_equal(upd.reconstruction, want), i
-            assert upd.n_rejected == np.count_nonzero(~keep[i]), i
-            assert np.array_equal(upd.eigvals, eigvals[i]), i
-            assert np.array_equal(upd.eigvecs, eigvecs[i]), i
+            one = detect_one(cov_i, state)
+            for name, got, want in zip(
+                ("eigvals", "eigvecs", "keep", "reconstruction"),
+                one,
+                (eigvals[i], eigvecs[i], keep[i], recons[i]),
+            ):
+                assert np.array_equal(got, want), (i, name)
 
     @pytest.mark.parametrize("c", [4, 64])
     def test_reconstruction_ignores_eigenvector_signs(self, c):
         b = np.random.default_rng(c).standard_normal((c, c))
         mixing = asr.matrix_sqrt_psd(b @ b.T / c + 0.1 * np.eye(c))
         state, cov, _ = _detection_case(mixing, seed=c)
-        upd = asr.update_reconstruction(cov, state, 1.0)
-        rejected = upd.eigvecs[:, ~upd.keep]
+        _, eigvecs, keep, recon = detect_one(cov, state)
+        rejected = eigvecs[:, ~keep]
         signs = np.where(np.random.default_rng(0).random(rejected.shape[1]) < 0.5, -1.0, 1.0)
         signs[0] = -1.0
         flipped = processing._reconstruct(state, rejected * signs)
         assert np.array_equal(flipped, processing._reconstruct(state, rejected))
-        assert np.array_equal(flipped, upd.reconstruction)
+        assert np.array_equal(flipped, recon)
 
     def test_one_eigh_per_chunk_with_an_update_instant(self, clean_calibration, monkeypatch):
         _, state = clean_calibration
@@ -532,10 +539,10 @@ class TestHugeSamples:
         u = np.array([0.2, 1.0, -0.7, 0.4])
         base = state.mixing @ state.mixing
         covs = np.array([base + a * np.outer(u, u) for a in (0.0, 5.0, 50.0, 500.0)])
-        want = processing.detect(covs, state, 0.66)
+        want = processing.detect(covs, state)
         assert want[2].all(axis=1).tolist() == [True, False, False, False]
         shifts = np.array([0, 3, 50, 1])
-        got = processing.detect(np.ldexp(covs, -2 * shifts[:, None, None]), state, 0.66, shifts)
+        got = processing.detect(np.ldexp(covs, -2 * shifts[:, None, None]), state, shifts)
         assert np.array_equal(got[0], np.ldexp(want[0], -2 * shifts[:, None]))
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
         assert got[3][0] is None and want[3][0] is None
