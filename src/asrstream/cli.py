@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 import time
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .comparison import compare
 from .errors import AsrError, InvalidValue, ParseError, WorkerDied
 from .io_formats import (
     SignalRecord,
-    atomic_write_lines,
+    atomic_write_text,
     format_row,
     load_calibration_data,
     load_calibration_state,
@@ -216,8 +215,9 @@ def _process_stream(args, stdin, stdout) -> int:
     try:
         stdout.write(f"# channels={channels} srate={srate!r}\n")
         _, lines = read_preamble(stdin, {}, start=2)
-        while block := list(parse_rows(islice(lines, args.chunk), channels)):
-            _publish_paced(pipeline, registry, STREAM_VAR, np.array(block).T)
+        block = np.empty((args.chunk, channels))  # publish copies each chunk out of it
+        while n := parse_rows(lines, block):
+            _publish_paced(pipeline, registry, STREAM_VAR, block[:n].T)
             _write_spool()
         pipeline.flush(timeout=STREAM_DRAIN_TIMEOUT_S)
         _write_spool()
@@ -286,7 +286,7 @@ def cmd_simulate(args) -> int:
         save_calibration_csv(args.output_calibration, calibration)
         written.append(args.output_calibration)
     if args.output_mask:
-        atomic_write_lines(args.output_mask, [",".join(str(int(v)) for v in mask)])
+        atomic_write_text(args.output_mask, [",".join(str(int(v)) for v in mask), "\n"])
         written.append(args.output_mask)
     print(
         f"synthesized {spec.channels} ch x {recording.shape[1]} samples "

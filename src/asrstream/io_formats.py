@@ -8,8 +8,12 @@ that open a table, :func:`parse_row` each data line after them.
 All text is UTF-8 with '.' decimals (locale-independent); LF, CRLF and CR
 line endings are accepted. A byte that is not UTF-8 is read as a surrogate
 escape, so it fails to parse like any other bad character and the error
-names its line. Tables are read and written one line at a time,
-so no file is ever held as one string. Floats are written with repr
+names its line. Tables are read and written one line at a time, so no file
+is ever held as one string. In the record and calibration formats a line is
+a whole channel, so a line is itself parsed in slices of about
+``SLICE_CHARS`` characters and written in pieces of ``PIECE_VALUES``
+values: a row's transient Python objects are one slice's or one piece's,
+not one float and one string per sample. Floats are written with repr
 precision, so every save/load round trip is value-exact. Writers go through
 a temp file and an atomic rename, so a failed write never leaves a partial
 file behind.
@@ -42,17 +46,19 @@ from .types import CalibrationParams, CalibrationState, PipelineConfig
 STATE_FORMAT_NAME = "asr-calibration-state"
 STATE_FORMAT_VERSION = 1
 MAX_FILTER_ORDER = 8
+SLICE_CHARS = 1 << 16  # text of a data line parsed at a time, cut at the next comma
+PIECE_VALUES = 1 << 12  # values of a row formatted and written at a time
 
 
-def atomic_write_lines(path, lines) -> None:
-    """Write each of ``lines``, followed by a newline, to path via a
-    same-directory temp file and an atomic rename.
+def atomic_write_text(path, pieces) -> None:
+    """Write the text ``pieces`` yields to path via a same-directory temp file
+    and an atomic rename.
 
-    Each item is written as soon as ``lines`` yields it, so a table is never
-    held as one string; an item may itself span several lines. If anything
-    fails, ``lines`` raising included, the temp file is removed and path is
-    left as it was. The file gets the mode a plain ``open`` would give it
-    (0666 less the umask), not the 0600 of the temp file.
+    Each piece is written as soon as ``pieces`` yields it, so a table is never
+    held as one string; a piece may be part of a line or span several. If
+    anything fails, ``pieces`` raising included, the temp file is removed and
+    path is left as it was. The file gets the mode a plain ``open`` would give
+    it (0666 less the umask), not the 0600 of the temp file.
     """
     path = Path(path)
     try:
@@ -61,9 +67,8 @@ def atomic_write_lines(path, lines) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
+            for piece in pieces:
+                fh.write(piece)
             umask = os.umask(0)  # the umask can only be read by setting it
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
@@ -87,32 +92,55 @@ def parse_cell(cell: str, row: int, col: int = 1) -> float:
     return value
 
 
-def parse_row(line: str, lineno: int, width: int | None = None) -> list[float]:
-    """The comma-separated finite floats of data line ``lineno``; ``width`` of
-    them when it is given.
+def parse_row(line: str, lineno: int, width: int | None = None, out=None) -> np.ndarray:
+    """The comma-separated finite floats of data line ``lineno`` as an array;
+    ``width`` of them when it is given. They are written into ``out``, a
+    float array of ``width`` values, when it is given.
 
     Of several faults the first in reading order is raised: a '#' line, then
     the first unparseable or non-finite cell (ParseError with its 1-based
     column), then a wrong cell count (RaggedCsv). A good line costs one
-    ``float()`` per cell and one finiteness test of their sum; only a line
-    that fails that screen is parsed again, cell by cell.
+    ``float()`` per cell, taken a slice at a time, and one finiteness test of
+    each slice's sum; only a line that fails that screen is parsed again,
+    whole and cell by cell.
     """
-    cells = line.split(",")
-    try:
-        values = list(map(float, cells))  # the grammar of parse_cell
-    except ValueError:
-        pass  # some cell fails parse_cell below
-    else:
-        if isfinite(sum(values)) and (width is None or len(values) == width):
-            return values
+    cells = line.count(",") + 1
+    row = np.empty(cells) if out is None else out
+    if width is None or cells == width:
+        start = filled = 0
+        try:
+            while True:
+                # a slice is cut at a comma, so every cell lies whole in one slice
+                cut = line.find(",", start + SLICE_CHARS)
+                end = len(line) if cut < 0 else cut
+                # the grammar of parse_cell
+                values = list(map(float, line[start:end].split(",")))
+                if not isfinite(sum(values)):
+                    break
+                row[filled : filled + len(values)] = values
+                filled += len(values)
+                if cut < 0:
+                    return row
+                start = cut + 1
+        except ValueError:
+            pass  # some cell fails parse_cell below
+    row[:] = _parse_cells(line, lineno, width)
+    return row
+
+
+def _parse_cells(line: str, lineno: int, width: int | None) -> list[float]:
+    """:func:`parse_row` one cell at a time, for a line that failed its screen."""
     if line.lstrip().startswith("#"):
         raise ParseError("comment lines are only allowed before data", row=lineno)
-    for col, cell in enumerate(cells, start=1):
-        # strip only what float() ignores, so every cell float() refused raises
+    cells = line.split(",")
+    # strip only what float() ignores, so every cell float() refused raises
+    values = [
         parse_cell(cell.strip(string.whitespace), lineno, col)
+        for col, cell in enumerate(cells, start=1)
+    ]
     if width is not None and len(cells) != width:
         raise RaggedCsv(lineno, f"row {lineno} has {len(cells)} cells, expected {width}")
-    return values  # every value is finite; only their sum overflowed
+    return values  # every value is finite; only a slice's sum overflowed
 
 
 _KEY_LINE = re.compile(r"#+\s*([^\s:=]+)[\s:=]+(.*)")
@@ -128,33 +156,34 @@ def read_preamble(lines, keys: dict, start: int = 1):
     ``(found, rows)``: the values set, and an iterator over the non-blank
     lines from the first data line on, as (line number, text) pairs.
     """
-    numbered = ((n, line) for n, line in enumerate(lines, start) if line.strip())
+    # a data line may hold a whole channel: test its blankness without copying it
+    numbered = ((n, line) for n, line in enumerate(lines, start) if line and not line.isspace())
     found = {}
     for lineno, line in numbered:
-        line = line.strip()
-        if not line.startswith("#"):
+        if not line.lstrip().startswith("#"):
             return found, chain([(lineno, line)], numbered)
-        match = _KEY_LINE.fullmatch(line)
+        match = _KEY_LINE.fullmatch(line.strip())
         if match and match[1] in keys:
             found[match[1]] = keys[match[1]](match[2], lineno)
     return found, numbered
 
 
-def parse_rows(rows, width: int | None = None):
+def parse_rows(rows, out) -> int:
     """Parse ``rows``, (line number, text) pairs as :func:`read_preamble`
-    returns them, yielding each row's values as it is read; every row must
-    have ``width`` cells, or as many as the first."""
-    for lineno, line in rows:
-        values = parse_row(line, lineno, width)
-        width = len(values)
-        yield values
-        del values  # not held while the next row is read
+    returns them, into the rows of ``out`` in turn, each row as wide as
+    ``out``; returns how many were parsed, fewer than ``out`` holds only when
+    ``rows`` ran out."""
+    count = 0
+    for row, (lineno, line) in zip(out, rows):  # out first: no line is read past its last row
+        parse_row(line, lineno, len(row), out=row)
+        count += 1
+    return count
 
 
 def _parse_coefficients(value: str, lineno: int) -> list[float]:
     if not value:
         raise ParseError("filter preamble carries no values", row=lineno)
-    coefficients = parse_row(value, lineno)
+    coefficients = parse_row(value, lineno).tolist()
     if len(coefficients) > MAX_FILTER_ORDER + 1:
         raise ParseError(
             f"filter preamble exceeds the supported filter order of {MAX_FILTER_ORDER}",
@@ -170,7 +199,9 @@ def load_calibration_data(path):
     keys = {"filter_b": _parse_coefficients, "filter_a": _parse_coefficients}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         preamble, rows = read_preamble(fh, keys)
-        parsed = [np.array(values) for values in parse_rows(rows)]
+        parsed = []  # every row as wide as the first
+        for lineno, line in rows:
+            parsed.append(parse_row(line, lineno, len(parsed[0]) if parsed else None))
     if not parsed:
         raise EmptyFile("no data rows found")
     matrix = np.array(parsed)
@@ -184,14 +215,27 @@ def format_row(row) -> str:
     return ",".join(map(repr, np.asarray(row, dtype=float).tolist()))
 
 
+def _table_text(preamble, matrix):
+    """A table's text: its '#' lines, then a line for each row of ``matrix``,
+    which is :func:`format_row` of that row yielded PIECE_VALUES values at a
+    time, so that a long row is never one string."""
+    for line in preamble:
+        yield line + "\n"
+    for row in np.asarray(matrix, dtype=float):
+        for start in range(0, len(row), PIECE_VALUES):
+            if start:
+                yield ","
+            yield format_row(row[start : start + PIECE_VALUES])
+        yield "\n"
+
+
 def save_calibration_csv(path, matrix, filter_b=None, filter_a=None) -> None:
     preamble = []
     if filter_b is not None:
         preamble.append("# filter_b: " + format_row(filter_b))
     if filter_a is not None:
         preamble.append("# filter_a: " + format_row(filter_a))
-    rows = map(format_row, np.asarray(matrix, dtype=float))
-    atomic_write_lines(path, chain(preamble, rows))
+    atomic_write_text(path, _table_text(preamble, matrix))
 
 
 @dataclass(frozen=True)
@@ -216,8 +260,7 @@ def save_signal_record(path, record: SignalRecord) -> None:
         f"# channels: {record.channels}",
         f"# srate: {repr(float(record.srate))}",
     ]
-    rows = map(format_row, np.asarray(record.data, dtype=float))
-    atomic_write_lines(path, chain(preamble, rows))
+    atomic_write_text(path, _table_text(preamble, record.data))
 
 
 def _parse_channels(value: str, lineno: int) -> int:
@@ -239,19 +282,18 @@ def load_signal_record(path) -> SignalRecord:
         if header["srate"] <= 0:
             raise ParseError("srate must be > 0")
         channels, count = header["channels"], 0
-        for values in parse_rows(rows):
+        for lineno, line in rows:
             if count == 0:
+                width = line.count(",") + 1
                 # a row of w cells takes at least 2w - 1 bytes, so a wrong
                 # header allocates no more rows than the file has room for
                 size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
-                fit = size // (2 * len(values) - 1) if size else 1
-                matrix = np.empty((max(min(channels, fit), 0), len(values)))
+                fit = size // (2 * width - 1) if size else 1
+                matrix = np.empty((max(min(channels, fit), 0), width))
             elif count == len(matrix) < channels:  # a pipe: double, up to the header's count
-                matrix = np.resize(matrix, (min(2 * count, channels), len(values)))
-            if count < len(matrix):
-                matrix[count] = values
+                matrix = np.resize(matrix, (min(2 * count, channels), width))
+            parse_row(line, lineno, width, out=matrix[count] if count < len(matrix) else None)
             count += 1
-            del values  # not held while the next row is read
     if count == 0:
         raise EmptyFile("no data rows found")
     if count != channels:
@@ -270,7 +312,7 @@ def save_calibration_state(path, state: CalibrationState) -> None:
         "filter_a": list(state.filter_a),
         "params": asdict(state.params),
     }
-    atomic_write_lines(path, [json.dumps(payload, indent=1)])
+    atomic_write_text(path, [json.dumps(payload, indent=1), "\n"])
 
 
 def load_calibration_state(path) -> CalibrationState:

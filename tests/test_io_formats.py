@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import stat
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asrstream import io_formats
@@ -22,12 +24,13 @@ from asrstream.errors import (
 )
 from asrstream.io_formats import (
     SignalRecord,
-    atomic_write_lines,
+    atomic_write_text,
     format_row,
     load_calibration_data,
     load_calibration_state,
     load_signal_record,
     parse_config,
+    parse_row,
     save_calibration_csv,
     save_calibration_state,
     save_signal_record,
@@ -178,7 +181,8 @@ class TestLocatedErrors:
     @pytest.mark.parametrize(
         "bad, message",
         [("x", "cannot parse 'x'"), ("nan", "non-finite value 'nan'"),
-         ("1e999", "non-finite value '1e999'")],
+         ("1e999", "non-finite value '1e999'"), (" ", "cannot parse ''"),
+         ("", "cannot parse ''")],
     )
     def test_bad_cell(self, tmp_path, write, header_lines, bad, message):
         load = write(tmp_path / "f.csv", f"1,2,3\n4,{bad},6\n")
@@ -305,7 +309,7 @@ class TestLineAtATime:
         save_signal_record(p, SignalRecord(long_data, 500.0))
         rec, peak = self._peak(load_signal_record, p)
         assert np.array_equal(rec.data, long_data)
-        assert peak <= 2.0 * rec.data.nbytes
+        assert peak <= 1.5 * rec.data.nbytes
 
     def test_calibration_load_peak(self, tmp_path, long_data):
         p = tmp_path / "c.csv"
@@ -316,7 +320,28 @@ class TestLineAtATime:
 
     def test_record_save_peak(self, tmp_path, long_data):
         _, peak = self._peak(save_signal_record, tmp_path / "r.csv", SignalRecord(long_data, 500.0))
-        assert peak <= 1.0 * long_data.nbytes
+        assert peak <= 0.15 * long_data.nbytes
+
+    @pytest.fixture(scope="class")
+    def long_rows(self):
+        return np.random.default_rng(33).standard_normal((2, 300_000))  # 5 min at 1 kHz
+
+    def test_long_row_load_peak(self, tmp_path, long_rows):
+        # a line is one channel: what a row costs beyond the array is a few
+        # copies of its text, not objects per sample
+        p = tmp_path / "r.csv"
+        save_signal_record(p, SignalRecord(long_rows, 1000.0))
+        with open(p) as fh:
+            longest = max(map(len, fh))
+        rec, peak = self._peak(load_signal_record, p)
+        assert np.array_equal(rec.data, long_rows)
+        assert peak - rec.data.nbytes <= 5 * longest
+
+    def test_long_row_save_peak(self, tmp_path, long_rows):
+        p = tmp_path / "r.csv"
+        _, peak = self._peak(save_signal_record, p, SignalRecord(long_rows, 1000.0))
+        assert peak <= 0.15 * long_rows.nbytes
+        assert np.array_equal(load_signal_record(p).data, long_rows)
 
     def test_saved_bytes_are_the_joined_lines(self, tmp_path):
         m = np.random.default_rng(32).standard_normal((3, 50))
@@ -397,14 +422,92 @@ class TestLineAtATime:
         p = tmp_path / "t.csv"
         p.write_text("old\n")
 
-        def lines():
-            yield "new"
+        def pieces():
+            yield "new\n"
             raise RuntimeError("formatting failed")
 
         with pytest.raises(RuntimeError):
-            atomic_write_lines(p, lines())
+            atomic_write_text(p, pieces())
         assert p.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def _per_cell(line: str, lineno: int, width=None):
+    """Data line ``lineno`` read whole, one cell at a time: its values, or
+    the (error type, row, column) of its first fault in reading order."""
+    if line.lstrip().startswith("#"):
+        return ParseError, lineno, None
+    cells = line.split(",")
+    values = []
+    for col, cell in enumerate(cells, start=1):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            return ParseError, lineno, col
+        if not math.isfinite(values[-1]):
+            return ParseError, lineno, col
+    if width is not None and len(cells) != width:
+        return RaggedCsv, lineno, None
+    return values
+
+
+def _sliced(line: str, lineno: int, width, slice_chars: int):
+    """parse_row's outcome, as :func:`_per_cell` gives it, with slices of
+    ``slice_chars`` characters."""
+    with mock.patch.object(io_formats, "SLICE_CHARS", slice_chars):
+        try:
+            return parse_row(line, lineno, width).tolist()
+        except (ParseError, RaggedCsv) as err:
+            return type(err), err.row, getattr(err, "col", None)
+
+
+_PAD = st.sampled_from(["", " ", "\t", " \x0c"])
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["-0.0", "+.5", "1_000.5", "1e-05", "1E+16", "5e-324", "1.7e308"]),
+)
+_BAD_CELLS = st.sampled_from(
+    ["", " ", "\t", "x", "#", "nan", "-inf", "Infinity", "1e999", "1,5", "1 2", "1__0", "0x1", "1e"]
+)
+
+
+class TestSlicedRows:
+    """A data line is parsed in slices cut at commas: whatever the slice
+    length, a good line gives the values of the per-cell grammar bit for bit,
+    and a bad one the error type, row and column of its first fault."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_slices_match_the_per_cell_grammar(self, data):
+        padded = st.tuples(_PAD, _GOOD_CELLS, _PAD).map("".join)
+        cells = data.draw(st.lists(padded, min_size=1, max_size=12))
+        if data.draw(st.booleans()):
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_BAD_CELLS)
+        line = ",".join(cells) + data.draw(st.sampled_from(["", "\n"]))
+        width = data.draw(st.sampled_from([None, len(cells), len(cells) + 1, len(cells) - 1]))
+        expected = _per_cell(line, 7, width)
+        got = _sliced(line, 7, width, slice_chars=data.draw(st.integers(0, 8)))
+        if isinstance(expected, list):
+            assert np.array(got).tobytes() == np.array(expected, dtype=float).tobytes()
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("slice_chars", [0, 1, 3, 1 << 16])
+    @pytest.mark.parametrize(
+        "line, fault",
+        [("1, ,3", (ParseError, 7, 2)), ("1,,3", (ParseError, 7, 2)),
+         ("1,\t,3", (ParseError, 7, 2)), (" ,1", (ParseError, 7, 1)),
+         ("1,2, ", (ParseError, 7, 3)), ("1,2,3,", (ParseError, 7, 4)),
+         ("1,2", (RaggedCsv, 7, None)), ("# 1,2,3", (ParseError, 7, None))],
+    )
+    def test_blank_cells_and_faults(self, line, fault, slice_chars):
+        assert _sliced(line, 7, 3, slice_chars) == fault
+
+    @pytest.mark.parametrize("slice_chars", [0, 1 << 16])
+    def test_a_sum_that_overflows_keeps_its_finite_values(self, slice_chars):
+        line = "1.7e308,1.7e308,-1e308"
+        assert _sliced(line, 7, 3, slice_chars) == [1.7e308, 1.7e308, -1e308]
 
 
 class TestCalibrationStateFile:
