@@ -10,12 +10,51 @@ import numpy as np
 from .errors import InsufficientData, InvalidInput
 from .filters import NOOP_A, NOOP_B, initial_filter_state, iir_filter, normalize_coefficients
 from .linalg import matrix_sqrt_psd, symmetric_eig
+from . import stats
 from .stats import MIN_STATS_VALUES, robust_covariance, robust_stats, sliding_rms
 from .types import CalibrationParams, CalibrationState
 
 logger = logging.getLogger(__name__)
 
 RECOMMENDED_MIN_SECONDS = 10.0
+# a gemm computes a product's last N % unroll columns with an edge kernel
+# whose sums round differently (OpenBLAS at 64 channels: unroll 8), so
+# projected column groups start and end on multiples of this, a multiple of
+# the usual unrolls along N
+COLUMN_ALIGN = 64
+
+
+def _component_rms(filtered, eigvecs, srate: float, params: CalibrationParams) -> np.ndarray:
+    """``sliding_rms(eigvecs.T @ filtered, ...)``, projected in column groups.
+
+    A group holds at most ``stats.GROUP_FLOATS // C`` columns of window
+    starts, the ``W - stride`` samples its last window runs past them and up
+    to ``COLUMN_ALIGN`` columns at either end; the last group runs to the
+    end of the data. Every window lies inside one group, and every column is
+    computed by the same BLAS kernel as in a whole-array product, so on one
+    BLAS thread the result is that product's bit for bit, whatever the
+    group size.
+    """
+    c, n = filtered.shape
+    w = params.window_samples(srate)
+    stride = params.window_stride(srate)
+    windows = (n - w) // stride + 1
+    per = max(1, stats.GROUP_FLOATS // (c * stride))  # windows per group
+    rms = np.empty((c, windows))
+    for j in range(0, windows, per):
+        last = min(j + per, windows)
+        first = j * stride
+        end = n if last == windows else (last - 1) * stride + w
+        start = first - first % COLUMN_ALIGN
+        stop = min(n, end + -end % COLUMN_ALIGN)
+        # a temporary, freed before the next group's product is made
+        rms[:, j:last] = sliding_rms(
+            (eigvecs.T @ filtered[:, start:stop])[:, first - start : end - start],
+            srate,
+            params.window_len,
+            params.window_overlap,
+        )
+    return rms
 
 
 def asr_calibrate(
@@ -37,7 +76,12 @@ def asr_calibrate(
     4. per-component sliding RMS, then median/MAD location and scale,
     5. threshold operator diag(mu + cutoff*sigma) @ V.T.
 
-    Deterministic for fixed input.
+    Deterministic for fixed input. Steps 2 to 4 walk the data in column
+    groups of at most ``stats.GROUP_FLOATS`` floats (a group of step 4 also
+    holds the ``W - stride`` samples its last statistics window of W samples
+    runs past the group), so beyond its input calibration holds
+    O(GROUP_FLOATS + C*W + C*C + N/blocksize + C*N/stride) floats, plus one
+    filtered copy of the data when a shaping filter is given.
 
     Parameters
     ----------
@@ -56,8 +100,6 @@ def asr_calibrate(
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise InvalidInput("data must be (channels, samples)")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("data contains non-finite values")
     if not 0 < srate < inf:  # NaN too
         raise InvalidInput("srate must be > 0")
     c, n = x.shape
@@ -90,15 +132,17 @@ def asr_calibrate(
         NOOP_B if filter_b is None else filter_b,
         NOOP_A if filter_a is None else filter_a,
     )
+    # robust_covariance checks finiteness group by group; a filter would
+    # turn a non-finite input into FilterDiverged, so check it first there
+    if (b, a) != (NOOP_B, NOOP_A) and not np.isfinite(x).all():
+        raise InvalidInput("data contains non-finite values")
     filtered, _ = iir_filter(x, b, a, initial_filter_state(c, b, a))
 
     cov = robust_covariance(filtered, params.blocksize)
     mixing = matrix_sqrt_psd(cov)  # CalibrationDegenerate propagates
     _, eigvecs = symmetric_eig(mixing)
 
-    rms = sliding_rms(
-        eigvecs.T @ filtered, srate, params.window_len, params.window_overlap
-    )
+    rms = _component_rms(filtered, eigvecs, srate, params)
     mu, sigma = robust_stats(rms)
 
     threshold = np.diag(mu + params.cutoff * sigma) @ eigvecs.T

@@ -28,7 +28,7 @@ import string
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +192,35 @@ def _parse_coefficients(value: str, lineno: int) -> list[float]:
     return coefficients
 
 
+def _read_matrix(fh, rows, limit=inf) -> tuple[np.ndarray, int]:
+    """Parse ``rows`` of the open table ``fh``, (line number, text) pairs as
+    :func:`read_preamble` returns them, straight into one matrix as wide as
+    the first row: ``(matrix, rows read)``. Rows past ``limit`` are parsed
+    and counted but not kept. EmptyFile if there is no row.
+
+    The matrix starts with as many rows as the file's size over the first
+    line's length (the lines of a table are about equally long), so no more
+    than the file has room for. If rows remain it doubles, and at the end it
+    is cut to the rows kept, both through ``ndarray.resize``: a ``realloc``,
+    which moves a large array's pages instead of holding two copies.
+    """
+    count = 0
+    for lineno, line in rows:
+        if count == 0:
+            width = line.count(",") + 1
+            guess = round(os.fstat(fh.fileno()).st_size / len(line)) or 1  # a pipe's size reads 0
+            matrix = np.empty((max(min(guess, limit), 0), width))
+        elif count == len(matrix) < limit:
+            matrix.resize((min(2 * count, limit), width), refcheck=False)  # no view of it is alive
+        parse_row(line, lineno, width, out=matrix[count] if count < len(matrix) else None)
+        count += 1
+    if count == 0:
+        raise EmptyFile("no data rows found")
+    if count < len(matrix):
+        matrix.resize((count, width), refcheck=False)
+    return matrix, count
+
+
 def load_calibration_data(path):
     """Calibration data, every row a channel and every column a sample, with
     the shaping-filter coefficients its '#' preamble may carry: (matrix,
@@ -199,12 +228,7 @@ def load_calibration_data(path):
     keys = {"filter_b": _parse_coefficients, "filter_a": _parse_coefficients}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         preamble, rows = read_preamble(fh, keys)
-        parsed = []  # every row as wide as the first
-        for lineno, line in rows:
-            parsed.append(parse_row(line, lineno, len(parsed[0]) if parsed else None))
-    if not parsed:
-        raise EmptyFile("no data rows found")
-    matrix = np.array(parsed)
+        matrix, _ = _read_matrix(fh, rows)
     if matrix.shape[1] < 2:
         raise ParseError("calibration data needs at least 2 columns (samples)", row=1)
     return matrix, preamble.get("filter_b"), preamble.get("filter_a")
@@ -271,9 +295,8 @@ def _parse_channels(value: str, lineno: int) -> int:
 
 
 def load_signal_record(path) -> SignalRecord:
-    """The record at path, each data row parsed straight into one matrix
-    sized from the '# channels:' header, but never past what the input holds:
-    a file's size bounds its rows, and a pipe's matrix grows as rows arrive."""
+    """The record at path, its data rows parsed straight into one matrix of
+    at most the '# channels:' header's rows (see :func:`_read_matrix`)."""
     keys = {"channels": _parse_channels, "srate": parse_cell}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header, rows = read_preamble(fh, keys)
@@ -281,21 +304,8 @@ def load_signal_record(path) -> SignalRecord:
             raise ParseError("missing '# channels:' or '# srate:' header")
         if header["srate"] <= 0:
             raise ParseError("srate must be > 0")
-        channels, count = header["channels"], 0
-        for lineno, line in rows:
-            if count == 0:
-                width = line.count(",") + 1
-                # a row of w cells takes at least 2w - 1 bytes, so a wrong
-                # header allocates no more rows than the file has room for
-                size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
-                fit = size // (2 * width - 1) if size else 1
-                matrix = np.empty((max(min(channels, fit), 0), width))
-            elif count == len(matrix) < channels:  # a pipe: double, up to the header's count
-                matrix = np.resize(matrix, (min(2 * count, channels), width))
-            parse_row(line, lineno, width, out=matrix[count] if count < len(matrix) else None)
-            count += 1
-    if count == 0:
-        raise EmptyFile("no data rows found")
+        channels = header["channels"]
+        matrix, count = _read_matrix(fh, rows, channels)
     if count != channels:
         raise ParseError(f"header says {channels} channels but body has {count} rows")
     return SignalRecord(data=matrix, srate=header["srate"])

@@ -17,7 +17,7 @@ MIN_STATS_VALUES = 8
 # absolute error stays near 2e-15 * (||B||^2 + ||E||^2) (measured at 8 to
 # 64 channels), so above the threshold its relative error is at most ~2e-13.
 EXACT_DIST_SHARE = 1e-2
-GROUP_FLOATS = 1 << 18  # bound on the per-group temporaries of block passes
+GROUP_FLOATS = 1 << 18  # floats of data a calibration pass takes at a time (2 MB)
 MEDIAN_TOL = 1e-13  # Weiszfeld stops when a step is this small relative to the estimate
 MEDIAN_MAX_ITER = 2000
 
@@ -29,8 +29,9 @@ def sliding_rms(
 
     Window starts advance by ``max(1, round(W*(1-overlap)))`` samples; each
     row of a ``(..., N)`` signal gives ``(N - W)//stride + 1`` values. Rows
-    are squared one at a time into one N-sample buffer, so a row's result
-    equals its 1-d result bit for bit and the signal is never copied whole.
+    are squared one at a time into one N-sample buffer, whose window view
+    serves every row, so a row's result equals its 1-d result bit for bit
+    and the signal is never copied whole.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim < 1:
@@ -47,10 +48,12 @@ def sliding_rms(
     rows = x.reshape(-1, n)
     out = np.empty((rows.shape[0], (n - w) // stride + 1))
     power = np.empty(n)
+    windows = sliding_window_view(power, w)[::stride]
     for row, dest in zip(rows, out):
         np.square(row, out=power)
-        dest[:] = sliding_window_view(power, w)[::stride].mean(axis=1)
-    return np.sqrt(out).reshape(x.shape[:-1] + out.shape[1:])
+        np.add.reduce(windows, axis=1, out=dest)  # the sum a mean takes
+    out /= w
+    return np.sqrt(out, out=out).reshape(x.shape[:-1] + out.shape[1:])
 
 
 def robust_stats(values) -> tuple:
@@ -75,15 +78,11 @@ def robust_stats(values) -> tuple:
 
 def _block_sq_norms(blocks: np.ndarray) -> np.ndarray:
     """``||X_k X_k^T||_F^2`` of every block in ``blocks`` (n_blocks, C, b),
-    from the smaller of the C x C and b x b Gram matrices (equal norms)."""
-    n_blocks, c, b = blocks.shape
-    out = np.empty(n_blocks)
-    group = max(1, GROUP_FLOATS // (c * b + min(c, b) ** 2))
-    for k in range(0, n_blocks, group):
-        y = blocks[k : k + group]
-        gram = y @ y.transpose(0, 2, 1) if c <= b else y.transpose(0, 2, 1) @ y
-        out[k : k + group] = np.einsum("kij,kij->k", gram, gram)
-    return out
+    from the smaller of the C x C and b x b Gram matrices (equal norms); the
+    Grams take no more floats than the blocks."""
+    c, b = blocks.shape[1:]
+    gram = blocks @ blocks.transpose(0, 2, 1) if c <= b else blocks.transpose(0, 2, 1) @ blocks
+    return np.einsum("kij,kij->k", gram, gram)
 
 
 def _block_sq_dists(
@@ -96,8 +95,8 @@ def _block_sq_dists(
     """``||B_k - E||_F^2`` for every block covariance ``B_k = X_k X_k^T / b``.
 
     Expanded as ``||B_k||^2 - 2 tr(B_k E) + ||E||^2`` with the cross terms
-    ``x_t^T E x_t`` from one ``C x N`` matmul into ``buf`` and one column-wise
-    dot product; a value at or below
+    ``x_t^T E x_t`` from one matmul of ``samples`` into ``buf`` and one
+    column-wise dot product; a value at or below
     ``EXACT_DIST_SHARE * (||B_k||^2 + ||E||^2)`` lost too many digits to
     cancellation and is recomputed from the block's own samples.
     """
@@ -120,27 +119,29 @@ def robust_covariance(data: np.ndarray, blocksize: int) -> np.ndarray:
     """Geometric median of per-block mean outer products, symmetrized.
 
     Samples are split into ``N // blocksize`` consecutive blocks (any
-    remainder is dropped); each block contributes its mean outer product
-    ``B_k = X_k X_k^T / b`` as a C*C vector, and the Weiszfeld median of
-    those vectors is the estimate (the iteration of
-    ``linalg.geometric_median``, from the block mean).
+    remainder is dropped, though it must be finite too); each block
+    contributes its mean outer product ``B_k = X_k X_k^T / b`` as a C*C
+    vector, and the Weiszfeld median of those vectors is the estimate (the
+    iteration of ``linalg.geometric_median``, from the block mean).
 
-    The iteration runs in sample space, so the ``(n_blocks, C*C)`` matrix of
-    block covariances is never built and memory stays O(C*N): a step takes
-    the distances from ``_block_sq_dists`` (one ``gemm``) and the weighted
-    mean ``sum_k w_k B_k / sum_k w_k`` as ``Y Y^T`` with
-    ``Y = X diag(sqrt(w_k / b) per sample)`` written into the same work
-    buffer, which numpy hands to the symmetric rank-k update ``syrk`` at
-    half the flops of a general product. A block that coincides with the
-    estimate is skipped, and the loop stops when the step's Frobenius norm
-    drops below ``MEDIAN_TOL * (1 + ||estimate||)`` or after
-    ``MEDIAN_MAX_ITER`` steps.
+    The iteration runs in sample space and walks the data in groups of
+    whole blocks of at most ``GROUP_FLOATS`` floats (one block if a block
+    is larger), so neither the ``(n_blocks, C*C)`` matrix of block
+    covariances nor any C x N temporary is built: beyond its input it holds
+    O(GROUP_FLOATS + C*C + N/blocksize) floats. A first pass checks each
+    group's finiteness and takes its blocks' squared norms. Each step is
+    then one pass: a group's distances come from ``_block_sq_dists`` (one
+    ``gemm`` into the group's work buffer), and its share of the weighted
+    sum ``sum_k w_k B_k`` is ``Y Y^T`` with
+    ``Y = X diag(sqrt(w_k / b) per sample)`` written into the same buffer,
+    which numpy hands to the symmetric rank-k update ``syrk``. A block that
+    coincides with the estimate is skipped, and the loop stops when the
+    step's Frobenius norm drops below ``MEDIAN_TOL * (1 + ||estimate||)``
+    or after ``MEDIAN_MAX_ITER`` steps.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise InvalidInput("data must be (channels, samples)")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("data contains non-finite values")
     if blocksize < 1:
         raise InvalidInput("blocksize must be >= 1")
     c, n = x.shape
@@ -149,20 +150,37 @@ def robust_covariance(data: np.ndarray, blocksize: int) -> np.ndarray:
         raise InsufficientData(f"need at least one block of {blocksize} samples")
     if n < c:
         raise InsufficientData("need at least as many samples as channels")
-    samples = x[:, : n_blocks * blocksize]
-    blocks = samples.reshape(c, n_blocks, blocksize).transpose(1, 0, 2)
-    block_sq = _block_sq_norms(blocks) / blocksize**2
-    buf = np.empty_like(samples)
+    b = blocksize
+    samples = x[:, : n_blocks * b]
+    blocks = samples.reshape(c, n_blocks, b).transpose(1, 0, 2)
+    per = max(1, GROUP_FLOATS // (c * b))  # blocks per group
+    groups = [slice(k, min(k + per, n_blocks)) for k in range(0, n_blocks, per)]
+    block_sq = np.empty(n_blocks)
+    for group in groups:
+        if not np.isfinite(blocks[group]).all():
+            raise InvalidInput("data contains non-finite values")
+        block_sq[group] = _block_sq_norms(blocks[group]) / b**2
+    if not np.isfinite(x[:, n_blocks * b :]).all():
+        raise InvalidInput("data contains non-finite values")
+
+    work = np.empty(c * b * min(per, n_blocks))
+    inv = np.empty(n_blocks)
     est = (samples @ samples.T) / samples.shape[1]
     for _ in range(MEDIAN_MAX_ITER):
-        dist = np.sqrt(_block_sq_dists(samples, blocks, block_sq, est, buf))
-        good = dist > 0.0
-        if not good.any():
+        weighted = np.zeros((c, c))
+        for group in groups:
+            cols = samples[:, group.start * b : group.stop * b]
+            buf = work[: cols.size].reshape(cols.shape)
+            dist = np.sqrt(_block_sq_dists(cols, blocks[group], block_sq[group], est, buf))
+            w = inv[group]
+            w[:] = 0.0
+            np.divide(1.0, dist, out=w, where=dist > 0.0)
+            np.multiply(cols, np.repeat(np.sqrt(w / b), b), out=buf)
+            weighted += buf @ buf.T
+        total = inv.sum()
+        if total == 0.0:
             break  # every block sits on the estimate: it is the median
-        inv = np.zeros(n_blocks)
-        inv[good] = 1.0 / dist[good]
-        np.multiply(samples, np.repeat(np.sqrt(inv / blocksize), blocksize), out=buf)
-        new = (buf @ buf.T) / inv.sum()
+        new = weighted / total
         step = float(np.linalg.norm(new - est))
         est = new
         if step < MEDIAN_TOL * (1.0 + float(np.linalg.norm(est))):

@@ -54,23 +54,70 @@ def test_rejects_non_finite():
         asr.asr_calibrate(data, 250.0)
 
 
+def test_rejects_non_finite_before_a_shaping_filter():
+    # the filter would smear the NaN into its output: still invalid input, not divergence
+    data = np.zeros((2, 1000))
+    data[0, 3] = np.nan
+    with pytest.raises(InvalidInput, match="non-finite"):
+        asr.asr_calibrate(data, 250.0, filter_b=[0.5, 0.5])
+
+
 @pytest.mark.parametrize("srate", [0.0, -250.0, float("nan")])
 def test_rejects_a_rate_that_is_not_positive(srate):
     with pytest.raises(InvalidInput, match="srate must be > 0"):
         asr.asr_calibrate(np.zeros((2, 1000)), srate)
 
 
-def test_memory_stays_near_the_input():
-    # without a shaping filter nothing copies the data: the peak is the
-    # robust covariance's one work buffer, then the projected components
-    x = np.random.default_rng(23).standard_normal((64, 30_000))
+def calibration_peak(x, srate):
+    """The tracemalloc peak of ``asr_calibrate(x, srate)``, in bytes."""
     tracemalloc.start()
     try:
-        asr.asr_calibrate(x, 1000.0)
+        asr.asr_calibrate(x, srate)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * x.nbytes
+    return peak
+
+
+def test_memory_stays_near_the_input():
+    # without a shaping filter nothing copies the data: calibration walks it
+    # in column groups of stats.GROUP_FLOATS floats (2 MB)
+    x = np.random.default_rng(23).standard_normal((64, 30_000))
+    assert calibration_peak(x, 1000.0) <= 0.25 * x.nbytes
+
+
+def test_memory_does_not_grow_with_the_recording():
+    # 4x the samples adds only the per-block and per-window arrays
+    short = calibration_peak(np.random.default_rng(23).standard_normal((64, 30_000)), 1000.0)
+    long = calibration_peak(np.random.default_rng(23).standard_normal((64, 120_000)), 1000.0)
+    assert long - short <= 1_000_000
+
+
+@pytest.mark.parametrize("channels,srate,samples", [(8, 250.0, 1060), (64, 1000.0, 9401)])
+def test_component_statistics_do_not_depend_on_the_group_size(channels, srate, samples):
+    # one group is the whole-array product; groups of 1 to 3 windows, the
+    # last one partial, see the same projected values, so the per-window
+    # RMS and the threshold are bit-identical
+    from asrstream import calibration, stats
+
+    x = np.random.default_rng(25).standard_normal((channels, samples))
+    cov = stats.robust_covariance(x, 10)  # held fixed: only the projection is grouped
+    stride = asr.CalibrationParams().window_stride(srate)
+    runs = []
+    for floats in (samples * channels, channels * stride, 2 * channels * stride, 3 * channels * stride):
+        rms = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats, "GROUP_FLOATS", floats)
+            patch.setattr(calibration, "robust_covariance", lambda data, blocksize: cov)
+            real = calibration.robust_stats
+            patch.setattr(calibration, "robust_stats", lambda v: rms.append(v) or real(v))
+            state = asr.asr_calibrate(x, srate)
+        runs.append((rms[0], state.threshold))
+    windows = runs[0][0].shape[1]
+    assert windows % 2 and windows % 3  # a partial last group at 2 and 3 windows
+    for rms, threshold in runs[1:]:
+        assert np.array_equal(rms, runs[0][0])
+        assert np.array_equal(threshold, runs[0][1])
 
 
 def test_component_statistics_take_one_call_each(monkeypatch):

@@ -149,6 +149,14 @@ class TestRobustCovariance:
         with pytest.raises(InsufficientData):
             robust_covariance(np.zeros((6, 4)), blocksize=2)
 
+    @pytest.mark.parametrize("column", [5, 600, 1003])  # first group, a later one, the remainder
+    def test_rejects_non_finite_anywhere(self, column, monkeypatch):
+        monkeypatch.setattr(stats, "GROUP_FLOATS", 4 * 10 * 10)  # groups of 10 blocks
+        x = np.ones((4, 1004))
+        x[2, column] = np.inf
+        with pytest.raises(InvalidInput, match="non-finite"):
+            robust_covariance(x, blocksize=10)
+
     def test_result_is_symmetric(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((4, 500))
@@ -253,4 +261,16 @@ class TestSampleSpaceMedian:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * x.nbytes
+        # the data is walked in groups of GROUP_FLOATS floats (2 MB)
+        assert peak < 0.25 * x.nbytes
+
+    @pytest.mark.parametrize("blocks_per_group", [1, 2, 3])
+    def test_group_size_does_not_change_the_median(self, blocks_per_group):
+        c, b = 8, 7
+        x = np.random.default_rng(27).standard_normal((c, 151 * b + 3))
+        default = robust_covariance(x, b)  # one group
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats, "GROUP_FLOATS", blocks_per_group * c * b)
+            got = robust_covariance(x, b)  # 151 blocks: the last group is partial
+        assert rel_frobenius(got, default) <= 1e-13
+        assert rel_frobenius(got, explicit_median(x, b)) <= 1e-12
