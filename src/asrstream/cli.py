@@ -2,8 +2,9 @@
 compare, bench.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad inputs, failed
-comparison), 2 runtime error mid-stream (I/O failures after processing
-started, or chunks still in flight when the stream's drain gives up).
+comparison, an array too large to allocate), 2 runtime error mid-stream (I/O
+failures after processing started, or chunks still in flight when the
+stream's drain gives up).
 ``ASR_LOG`` in {error, warn, info, debug} controls log verbosity. ``main``
 runs numpy's BLAS on one thread, so output bytes do not depend on the
 machine's core count.
@@ -41,6 +42,7 @@ from .io_formats import (
 # asr_process_chunk stays bound though unused: perfbench/tracing.py wraps it
 from .processing import asr_process_chunk, clean_recording  # noqa: F401
 from .runtime import Pipeline, SideChannelRegistry, _is_state_file, load_calibration
+from .stats import median
 from .synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
 from .types import DEFAULT_STEPSIZE, CalibrationParams, CalibrationState, PipelineConfig
 
@@ -118,7 +120,7 @@ def cmd_calibrate(args) -> int:
         )
         print(
             "per-component thresholds: "
-            f"min {amplitudes.min():.4g}, median {np.median(amplitudes):.4g}, "
+            f"min {amplitudes.min():.4g}, median {median(amplitudes):.4g}, "
             f"max {amplitudes.max():.4g}"
         )
         print(f"wrote {args.output}")
@@ -178,7 +180,9 @@ def _parse_stream_header(line: str) -> tuple[int, float]:
         raise ParseError(
             "stream header must look like '# channels=8 srate=250.0'"
         ) from None
-    return channels, parse_cell(srate, row=1)
+    if (rate := parse_cell(srate, row=1)) <= 0:
+        raise ParseError("srate must be > 0", row=1)
+    return channels, rate
 
 
 def _process_stream(args, stdin, stdout) -> int:
@@ -200,17 +204,12 @@ def _process_stream(args, stdin, stdout) -> int:
         raise InvalidValue("channels", f"stream header says {channels} channels, calibration has {c}")
     registry = SideChannelRegistry()
     registry.register(STREAM_VAR, channels, args.chunk)
-    spool: list[np.ndarray] = []
-    pipeline = Pipeline(
-        config, registry, output_sink=lambda view, n, seq: spool.append(view.copy())
-    )
+
+    def write_rows(view, n, seq):  # each chunk as it drains, on this thread, inside process()
+        stdout.write("".join(format_row(col) + "\n" for col in view.T))
+
+    pipeline = Pipeline(config, registry, output_sink=write_rows)
     pipeline.prepare(calibration)
-
-    def _write_spool() -> None:
-        while spool:
-            block = spool.pop(0)
-            stdout.write("".join(format_row(col) + "\n" for col in block.T))
-
     exit_code = 0
     try:
         stdout.write(f"# channels={channels} srate={srate!r}\n")
@@ -218,9 +217,7 @@ def _process_stream(args, stdin, stdout) -> int:
         block = np.empty((args.chunk, channels))  # publish copies each chunk out of it
         while n := parse_rows(lines, block):
             _publish_paced(pipeline, registry, STREAM_VAR, block[:n].T)
-            _write_spool()
         pipeline.flush(timeout=STREAM_DRAIN_TIMEOUT_S)
-        _write_spool()
         stdout.flush()
         if missing := pipeline.in_flight():
             raise WorkerDied(
@@ -439,6 +436,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_UsageError, AsrError, OSError) as exc:  # stream mode exits 2 on I/O mid-stream itself
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -14,9 +14,10 @@ reproduce exactly:
    reconstruction pair rotates (previous <- current <- new); a rejecting
    update builds ``R = M pinv(D V^T M) V^T`` in its closed complement form
    ``I - V_r pinv(M^-1 V_r) M^-1`` from a thin QR of ``M^-1 V_r`` over the
-   rejected eigenvectors ``V_r`` (no SVD, numpy only). A chunk stacks the
-   covariances of all its update instants and detects on them in one
-   :func:`detect` call, one batched ``eigh`` for the whole stack,
+   rejected eigenvectors ``V_r`` (no SVD, numpy only). A chunk builds the
+   covariances of its update instants in one loop (one that overflows from
+   its segment times ``2**-k``) and detects on them in one :func:`detect`
+   call, one batched ``eigh`` for the whole stack,
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
    ``ssu = (t + 1) mod stepsize`` counts samples since the last update (0 at
@@ -69,14 +70,15 @@ def _reconstruct(calib: CalibrationState, rejected: np.ndarray) -> np.ndarray:
 
 
 def detect(
-    covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray | None = None
+    covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray | int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray | None]]:
     """One detection step for each covariance of the ``(k, C, C)`` stack
     ``covs``: compare its eigenvalues against the calibration thresholds and
-    build its reconstruction matrix. ``shifts``, if given, holds one integer
-    per covariance: ``covs[i]`` is the covariance scaled by ``4**-shifts[i]``,
-    and its limits are scaled the same way, so the keep flags and ``R`` do
-    not change (``R`` depends only on the eigenvectors and ``M``); its
+    build its reconstruction matrix. ``shifts`` holds one integer per
+    covariance, or one for all (0 by default): ``covs[i]`` is the covariance
+    scaled by ``4**-shifts[i]``, and its limits are scaled the same way
+    (exactly, and not at all by a shift of 0), so the keep flags and ``R``
+    do not change (``R`` depends only on the eigenvectors and ``M``); its
     eigenvalues are returned as scaled.
 
     The stack is checked for finiteness once, symmetrized, and decomposed by
@@ -113,8 +115,7 @@ def detect(
     budget = int(np.floor(calib.params.max_dims_fraction * c))
     protected = np.arange(c) < c - budget  # smallest components, never rejected
     limits = np.sum((calib.threshold @ eigvecs) ** 2, axis=1)
-    if shifts is not None:
-        limits = np.ldexp(limits, -2 * np.asarray(shifts)[:, None])
+    limits = np.ldexp(limits, -2 * np.reshape(shifts, (-1, 1)))
     keep = (eigvals <= limits) | protected
     recons = []
     for vecs, kept in zip(eigvecs, keep):
@@ -134,8 +135,9 @@ update_reconstruction = detect
 
 def _overflow_shift(segment: np.ndarray) -> int:
     """A k >= 0 that brings ``segment * 2**-k`` low enough for the sums of
-    products over its W columns to stay below ``2**1020``; 0 when the
-    segment is not finite, which leaves its covariance non-finite."""
+    products over its W columns to stay below ``2**1020``, for a segment
+    whose covariance overflowed; 0 when the segment is not finite, which
+    leaves its covariance non-finite for :func:`detect` to reject."""
     _, exponent = np.frexp(np.max(np.abs(segment)))  # max |x| < 2**exponent
     return max(0, int(exponent) - (1020 - segment.shape[1].bit_length()) // 2)
 
@@ -220,23 +222,18 @@ def asr_process_chunk(
     tail = np.concatenate([state.cov_window, filtered], axis=1)
     instants = range(step - 1 - t0 % step, n_samples, step)
     covs = np.empty((len(instants), c, c))
-    shifts = None
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is mended below
-        for cov, j in zip(covs, instants):
+    shifts = np.zeros(len(instants), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is mended at once
+        for i, j in enumerate(instants):
             segment = tail[:, j + 1 : j + 1 + window]
-            np.matmul(segment, segment.T, out=cov)
-            cov /= min(t0 + j + 1, window)
-        if not np.isfinite(covs).all():
-            # finite samples whose products overflow: rebuild the covariance
-            # from the segment times 2**-k, which scales it by exactly 4**-k
-            shifts = np.zeros(len(instants), dtype=int)
-            for i in np.flatnonzero(~np.isfinite(covs).all(axis=(1, 2))):
-                j = instants[i]
-                segment = tail[:, j + 1 : j + 1 + window]
+            np.matmul(segment, segment.T, out=covs[i])
+            if not np.isfinite(covs[i]).all():
+                # finite samples whose products overflow: rebuild the covariance
+                # from the segment times 2**-k, which scales it by exactly 4**-k
                 shifts[i] = _overflow_shift(segment)
                 scaled = np.ldexp(segment, -shifts[i])
                 np.matmul(scaled, scaled.T, out=covs[i])
-                covs[i] /= min(t0 + j + 1, window)
+            covs[i] /= min(t0 + j + 1, window)
     if instants:
         _, _, keep, recons = detect(covs, calib, shifts)
     r_current, r_previous = state.r_current, state.r_previous

@@ -56,6 +56,16 @@ def sliding_rms(
     return np.sqrt(out, out=out).reshape(x.shape[:-1] + out.shape[1:])
 
 
+def median(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=-1)`` of finite values, bit for bit: the same
+    partition and mean of the middle one or two, without the NaN check whose
+    first call imports ``numpy.ma`` (about 15 ms)."""
+    n = values.shape[-1]
+    half = n // 2
+    part = np.partition(values, [half - 1, half, -1] if n % 2 == 0 else [half, -1], axis=-1)
+    return part[..., (n - 1) // 2 : half + 1].mean(axis=-1)
+
+
 def robust_stats(values) -> tuple:
     """Median and scaled MAD along the last axis: (mu, sigma); sigma may be 0.
 
@@ -69,8 +79,8 @@ def robust_stats(values) -> tuple:
         )
     if not np.all(np.isfinite(v)):
         raise InvalidInput("values contain non-finite entries")
-    mu = np.median(v, axis=-1)
-    sigma = MAD_SCALE * np.median(np.abs(v - mu[..., None]), axis=-1)
+    mu = median(v)
+    sigma = MAD_SCALE * median(np.abs(v - mu[..., None]))
     if v.ndim == 1:
         return float(mu), float(sigma)
     return mu, sigma

@@ -302,6 +302,26 @@ def test_import_and_calibrate_leave_scipy_linalg_unloaded(workspace):
     assert (workspace / "state.json").exists()
 
 
+def test_calibration_leaves_numpy_ma_unloaded(workspace):
+    """np.median's first call imports numpy.ma (about 15 ms); calibration
+    takes its medians without it."""
+    src = os.path.dirname(os.path.dirname(asr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from asrstream import asr_calibrate\n"
+        "from asrstream.cli import main\n"
+        "asr_calibrate(np.random.default_rng(0).standard_normal((4, 2000)), 250.0)\n"
+        "assert 'numpy.ma' not in sys.modules, 'asr_calibrate'\n"
+        f"assert main(['calibrate', '--input', {str(workspace / 'calib.csv')!r}, "
+        f"'--srate', '250', '--output', {str(workspace / 'state.json')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'calibrate'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def _record_to_stream_text(record):
     lines = [f"# channels={record.channels} srate={record.srate!r}"]
     for col in record.data.T:
@@ -624,6 +644,19 @@ def test_stream_mode_rejects_a_non_finite_srate(workspace, monkeypatch, capsys, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("rate", ["-250.0", "0", "-0.0"])
+def test_stream_mode_rejects_a_rate_not_above_0_as_a_header_error(
+    workspace, monkeypatch, capsys, rate
+):
+    stream = f"# channels=4 srate={rate}\n" + "0.5,0.25,-0.5,1.0\n" * 8
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    rc = main(["process", "--calibration", str(workspace / "calib.csv"), "--stream"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: srate must be > 0 (row 1)\n"
+    assert captured.out == ""
+
+
 def test_stream_mode_rejects_a_ragged_line(workspace, monkeypatch, capsys):
     rec = load_signal_record(workspace / "rec.csv")
     text = _stream_text_with(rec, {(50, 4): "1.0,2.0"})  # 5 cells on a 4-channel line
@@ -854,6 +887,43 @@ def test_an_os_error_exits_1_naming_the_path_given(workspace, monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.err.rstrip().endswith(repr(named.format(**paths)))
+    assert captured.out == ""
+    assert not (workspace / "out.file").exists()
+
+
+def _allocation_fails_above(monkeypatch, floats):
+    """Make np.zeros and np.empty raise numpy's MemoryError for any array of
+    more than ``floats`` entries, without allocating it."""
+    for name in ("zeros", "empty"):
+        real = getattr(np, name)
+
+        def fake(shape, *args, _real=real, **kwargs):
+            if np.prod(shape, dtype=float) > floats:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return _real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, fake)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "process --calibration {calib} --stream --chunk 1000000000",
+        "simulate --channels 100000 --duration 100000 --output-record {out}",
+    ],
+)
+def test_running_out_of_memory_exits_1_with_an_error_line(workspace, monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("# channels=4 srate=250.0\n0,0,0,0\n"))
+    argv = argv.format(calib=workspace / "calib.csv", out=workspace / "out.file").split()
+    _allocation_fails_above(monkeypatch, 1e8)
+    if argv[0] == "simulate":  # its first array is channels x channels of random draws
+        fake_rng = mock.Mock(standard_normal=np.zeros)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: fake_rng)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory: Unable to allocate")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not (workspace / "out.file").exists()
 

@@ -548,10 +548,20 @@ class TestHugeSamples:
         assert got[3][0] is None and want[3][0] is None
         for r_got, r_want in zip(got[3][1:], want[3][1:]):
             assert np.array_equal(r_got, r_want)
+        # shifts of 0, as every ordinary chunk passes them, change nothing
+        zero = processing.detect(covs, state, np.zeros(4, dtype=int))
+        for a, b in zip(zero[:3], want[:3]):
+            assert a.tobytes() == b.tobytes()
+        assert [r is None for r in zero[3]] == [r is None for r in want[3]]
+        for r_zero, r_want in zip(zero[3][1:], want[3][1:]):
+            assert r_zero.tobytes() == r_want.tobytes()
 
+    # at chunk 32 each chunk holds one update instant; at 256 and 7 a chunk's
+    # stack mixes overflowing covariances with ordinary ones, or holds none
+    @pytest.mark.parametrize("chunk", [32, 256, 7])
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     def test_a_stretch_too_large_to_square_is_cleaned_as_a_smaller_one(
-        self, clean_calibration, scale
+        self, clean_calibration, scale, chunk
     ):
         _, state = clean_calibration
         rec = np.random.default_rng(7).standard_normal((4, 2000))
@@ -561,7 +571,7 @@ class TestHugeSamples:
             x[:, 1000:1040] *= s
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # no overflow warning either
-                runs.append(asr.clean_recording(x, state, 32))
+                runs.append(asr.clean_recording(x, state, chunk))
         (small, small_proc), (huge, huge_proc) = runs
         assert huge_proc.update_log == small_proc.update_log
         assert sum(1 for _, n in huge_proc.update_log if n) > 3  # the stretch was rejected

@@ -120,6 +120,17 @@ class TestRobustStats:
         with pytest.raises(InsufficientData, match="got 7"):
             robust_stats(np.ones((20, 7)))
 
+    @pytest.mark.parametrize("n", [8, 9, 58, 59, 2999, 3000, 8821, 8822])
+    def test_median_equals_numpys_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((3, n))
+        rows[1] = rng.integers(-2, 3, n)  # ties
+        rows[2] = rng.choice([0.0, -0.0, 1.0], n)  # signed zeros
+        for v in (rows, rows[0], rows[1], rows[2]):
+            got, want = stats.median(v), np.median(v, axis=-1)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
 
 class TestRobustCovariance:
     def test_zero_data(self):
