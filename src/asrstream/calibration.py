@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from math import inf
+from math import inf, sqrt
 
 import numpy as np
 
@@ -57,6 +57,28 @@ def _component_rms(filtered, eigvecs, srate: float, params: CalibrationParams) -
     return rms
 
 
+def threshold_gain(mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+    """``(g, n_eff)``: the gain ``g = 1 + sqrt(C / n_eff)`` that lifts the
+    per-component limits to the top of the Marchenko–Pastur spectrum, and
+    the effective sample count ``n_eff`` of a statistics window.
+
+    The largest eigenvalue of a C-channel covariance from n effective samples
+    sits near ``(1 + sqrt(C / n))**2`` times its population value (Johnstone,
+    Ann. Stat. 2001), a factor the RMS along fixed directions misses. The
+    RMS of n Gaussian samples has a relative spread of ``1 / sqrt(2 n)``, so
+    ``n_eff = median_j(mu_j**2 / (2 sigma_j**2))`` over the C components.
+    A component with ``sigma = 0`` counts as infinitely many samples, and
+    ``n_eff`` is at least 1 (a window holds at least one sample), so g stays
+    finite and lies in ``[1, 1 + sqrt(C)]``. Heavy tails raise sigma, lower
+    ``n_eff`` and raise g: the estimate errs on the side of rejecting less.
+    """
+    ratio = np.full(mu.shape, inf)
+    with np.errstate(over="ignore"):  # a huge ratio is as good as an infinite one
+        np.divide(mu, sigma, out=ratio, where=sigma > 0)
+        n_eff = max(1.0, float(stats.median(ratio * ratio)) / 2.0)
+    return 1.0 + sqrt(mu.size / n_eff), n_eff
+
+
 def asr_calibrate(
     data: np.ndarray,
     srate: float,
@@ -74,7 +96,8 @@ def asr_calibrate(
     2. robust block covariance, then its PSD square root (the mixing matrix),
     3. projection onto the mixing matrix's eigenbasis,
     4. per-component sliding RMS, then median/MAD location and scale,
-    5. threshold operator diag(mu + cutoff*sigma) @ V.T.
+    5. threshold operator g * diag(mu + cutoff*sigma) @ V.T, with the
+       Marchenko–Pastur gain g of :func:`threshold_gain`.
 
     Deterministic for fixed input. Steps 2 to 4 walk the data in column
     groups of at most ``stats.GROUP_FLOATS`` floats (a group of step 4 also
@@ -145,7 +168,8 @@ def asr_calibrate(
     rms = _component_rms(filtered, eigvecs, srate, params)
     mu, sigma = robust_stats(rms)
 
-    threshold = np.diag(mu + params.cutoff * sigma) @ eigvecs.T
+    gain, n_eff = threshold_gain(mu, sigma)
+    threshold = np.diag(gain * (mu + params.cutoff * sigma)) @ eigvecs.T
     return CalibrationState(
         mixing=mixing,
         threshold=threshold,
@@ -153,4 +177,6 @@ def asr_calibrate(
         filter_a=a,
         srate=float(srate),
         params=params,
+        gain=gain,
+        n_eff=n_eff,
     )

@@ -111,6 +111,8 @@ def cmd_calibrate(args) -> int:
                 f"threshold_min={float(amplitudes.min())!r}",
                 f"threshold_max={float(amplitudes.max())!r}",
                 f"output={args.output}",
+                f"gain={state.gain!r}",
+                f"n_eff={state.n_eff!r}",
             ]
         )
     else:

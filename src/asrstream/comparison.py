@@ -120,6 +120,43 @@ def attenuation_metrics(cleaned, raw, mask) -> AttenuationMetrics:
     return AttenuationMetrics(artifact_rms_reduction=reduction, clean_rms_change=change)
 
 
+@dataclass(frozen=True)
+class QualityMetrics:
+    residual: float | None  # RMS(cleaned - clean | mask) / RMS(raw - clean | mask)
+    far_field: float | None  # RMS(cleaned - clean | far) / RMS(clean | far)
+
+
+def quality_metrics(cleaned, raw, clean, mask, margin: int) -> QualityMetrics:
+    """Cleaning quality against ``clean``, the recording without its
+    artifacts: the *residual* is the share of the artifact left inside the
+    mask, ``RMS(cleaned - clean) / RMS(raw - clean)``, and the *far field*
+    is the change of the signal on the samples more than ``margin`` samples
+    from every masked one, ``RMS(cleaned - clean) / RMS(clean)``. Either is
+    None when it has no samples or a zero denominator. Inputs must already
+    be aligned for pipeline delay."""
+    cleaned, raw, clean = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (cleaned, raw, clean))
+    mask = np.asarray(mask, dtype=bool)
+    if not cleaned.shape == raw.shape == clean.shape:
+        raise ShapeMismatch(f"shapes differ: {cleaned.shape}, {raw.shape}, {clean.shape}")
+    n = raw.shape[1]
+    if mask.shape != (n,):
+        raise ShapeMismatch("mask length must equal the sample count")
+    if margin < 0:
+        raise InvalidValue("margin", "must be >= 0")
+
+    def ratio(num, den):
+        den = _rms(den)
+        return _rms(num) / den if num.size and den > 0 else None
+
+    residual = ratio(cleaned[:, mask] - clean[:, mask], raw[:, mask] - clean[:, mask])
+    # masked samples in [t - margin, t + margin], from a running count
+    count = np.concatenate(([0], np.cumsum(mask)))
+    t = np.arange(n)
+    far = count[np.minimum(t + margin + 1, n)] == count[np.maximum(t - margin, 0)]
+    far_field = ratio(cleaned[:, far] - clean[:, far], clean[:, far])
+    return QualityMetrics(residual=residual, far_field=far_field)
+
+
 def align_for_delay(cleaned, raw, mask, lookahead: int):
     """Trim so cleaned[:, t] lines up with raw[:, t]: the pipeline emits the
     input delayed by ``lookahead`` samples."""

@@ -169,11 +169,18 @@ def oracle_calibrate(data, srate, params: CalibrationParams, filter_b=None, filt
     stride = max(1, round_samples(width * (1.0 - params.window_overlap)))
     mu = np.empty(channels)
     sigma = np.empty(channels)
+    samples = []  # effective samples per window, one estimate per component
     for i in range(channels):
         rms = np.asarray(_naive_window_rms(projected[i], width, stride))
         mu[i] = float(np.median(rms))
         sigma[i] = 1.4826 * float(np.median(np.abs(rms - mu[i])))
-    threshold = np.diag(mu + params.cutoff * sigma) @ basis.T
+        # the RMS of n Gaussian samples spreads by 1/sqrt(2n) of its value
+        samples.append(math.inf if sigma[i] == 0.0 else mu[i] ** 2 / (2.0 * sigma[i] ** 2))
+    # lift the limits to the Marchenko-Pastur edge (1 + sqrt(C/n))^2 of the
+    # top eigenvalue; same floor of one sample as the streaming path
+    n_eff = max(1.0, float(np.median(samples)))
+    gain = 1.0 + math.sqrt(channels / n_eff)
+    threshold = np.diag(gain * (mu + params.cutoff * sigma)) @ basis.T
     return mixing, threshold
 
 

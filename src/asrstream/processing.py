@@ -16,8 +16,13 @@ reproduce exactly:
    ``I - V_r pinv(M^-1 V_r) M^-1`` from a thin QR of ``M^-1 V_r`` over the
    rejected eigenvectors ``V_r`` (no SVD, numpy only). A chunk builds the
    covariances of its update instants in one loop (one that overflows from
-   its segment times ``2**-k``) and detects on them in one :func:`detect`
-   call, one batched ``eigh`` for the whole stack,
+   its segment times ``2**-k``), then screens them: a covariance S for which
+   ``4**-k (1 - eps) T^T T - S`` has a Cholesky factor (one batched
+   factorization for the stack; see ``CalibrationState.screen_bound``)
+   provably keeps every component, so its update is the identity with
+   nothing rejected and needs no ``eigh``. The covariances the screen cannot
+   clear go to one :func:`detect` call, one batched ``eigh`` for them all,
+   so the outputs are those of running :func:`detect` on every update,
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
    ``ssu = (t + 1) mod stepsize`` counts samples since the last update (0 at
@@ -142,6 +147,35 @@ def _overflow_shift(segment: np.ndarray) -> int:
     return max(0, int(exponent) - (1020 - segment.shape[1].bit_length()) // 2)
 
 
+def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.ndarray:
+    """Which covariances of the finite ``(k, C, C)`` stack ``covs`` are
+    proven clean: ``covs[i]`` (scaled by ``4**-shifts[i]``, as in
+    :func:`detect`) passes iff ``4**-shifts[i] * calib.screen_bound -
+    covs[i]`` has a Cholesky factor, and then :func:`detect` would keep all
+    of its components. The stack is factored at once, and one matrix at a
+    time only when that raises. No covariance passes when the calibration
+    has no screen bound.
+    """
+    passed = np.zeros(len(covs), dtype=bool)
+    bound = calib.screen_bound
+    if bound is None:
+        return passed
+    if shifts.any():
+        bound = np.ldexp(bound, -2 * shifts[:, None, None])
+    margins = bound - covs
+    try:
+        np.linalg.cholesky(margins)
+        passed[:] = True
+    except np.linalg.LinAlgError:
+        for i, margin in enumerate(margins):
+            try:
+                np.linalg.cholesky(margin)
+                passed[i] = True
+            except np.linalg.LinAlgError:
+                pass
+    return passed
+
+
 @lru_cache(maxsize=8)
 def _blend_weights(stepsize: int) -> np.ndarray:
     """The read-only ``(2, stepsize)`` table of the weights ``w`` and
@@ -234,15 +268,24 @@ def asr_process_chunk(
                 scaled = np.ldexp(segment, -shifts[i])
                 np.matmul(scaled, scaled.T, out=covs[i])
             covs[i] /= min(t0 + j + 1, window)
+    # a screened update rejects nothing; only the others reach detect
+    recons: list[np.ndarray | None] = [None] * len(instants)
+    rejected = [0] * len(instants)
     if instants:
-        _, _, keep, recons = detect(covs, calib, shifts)
+        if not np.isfinite(covs).all():
+            raise InvalidInput("covariance contains non-finite entries")
+        suspects = np.flatnonzero(~screen(covs, calib, shifts))
+        if suspects.size:
+            _, _, keep, found = detect(covs[suspects], calib, shifts[suspects])
+            for i, kept, r in zip(suspects, keep, found):
+                recons[i], rejected[i] = r, c - int(np.count_nonzero(kept))
     r_current, r_previous = state.r_current, state.r_previous
     log = []
     pos = 0
     for i, j in enumerate(instants):
         _emit(out, delayed, r_current, r_previous, weights, pos, j, (t0 + pos + 1) % step)
         r_previous, r_current = r_current, recons[i]
-        log.append((t0 + j, c - int(np.count_nonzero(keep[i]))))
+        log.append((t0 + j, rejected[i]))
         _emit(out, delayed, r_current, r_previous, weights, j, j + 1, 0)
         pos = j + 1
     _emit(out, delayed, r_current, r_previous, weights, pos, n_samples, (t0 + pos + 1) % step)

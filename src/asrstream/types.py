@@ -78,6 +78,10 @@ class CalibrationParams:
 
 
 DEFAULT_STEPSIZE = 32  # samples between detection updates
+# the screen's margin is this times C**2 times the condition number of T^T T
+# (see CalibrationState.screen_bound): about 4500 machine epsilons per C**2,
+# against rounding errors of a few per C**2 in the screen and in detect
+SCREEN_REL_TOL = 1e-12
 UPDATE_LOG_LIMIT = 65536  # bounded diagnostic history of (sample, n_rejected)
 
 
@@ -86,7 +90,10 @@ class CalibrationState:
     """The learned model; immutable and safe to share across threads.
 
     mixing:    PSD square root of the robust calibration covariance (C x C).
-    threshold: per-component threshold operator diag(mu + k*sigma) @ V.T (C x C).
+    threshold: per-component threshold operator g*diag(mu + k*sigma) @ V.T (C x C).
+    gain, n_eff: the Marchenko–Pastur gain g and the effective window sample
+               count it came from; reported by a fresh calibration, not
+               saved, so None on a loaded or hand-made state.
     """
 
     mixing: np.ndarray
@@ -95,6 +102,8 @@ class CalibrationState:
     filter_a: tuple[float, ...]  # filter_a[0] == 1 after normalization
     srate: float
     params: CalibrationParams
+    gain: float | None = field(default=None, compare=False)
+    n_eff: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = self.mixing
@@ -133,6 +142,28 @@ class CalibrationState:
         if not vals[0] > PINV_REL_TOL * self.channels * vals[-1]:
             return None
         return (vecs / vals) @ vecs.T
+
+    @cached_property
+    def screen_bound(self) -> np.ndarray | None:
+        """``(1 - eps) T^T T`` for the threshold operator T, computed on
+        first use and never saved; None when the margin
+        ``eps = SCREEN_REL_TOL * C**2 * cond(T^T T)`` reaches 1 (T is
+        singular or nearly so), which turns the screen off.
+
+        A covariance ``S <= (1 - eps) T^T T`` in the PSD order has
+        ``v^T S v <= (1 - eps) |T v|**2`` for every unit vector v, so each of
+        its eigenvalues stays below its limit and detection keeps every
+        component. The margin ``eps |T v|**2 >= eps s_min(T)**2`` covers the
+        rounding of the Cholesky factorization that proves the order and of
+        the ``eigh`` and limits that detection would compute, all of them
+        O(C**2 u s_max(T)**2) with u the unit roundoff.
+        """
+        c = self.channels
+        gram = self.threshold.T @ self.threshold
+        vals = np.linalg.eigvalsh(gram)
+        if not vals[0] > SCREEN_REL_TOL * c * c * vals[-1]:
+            return None
+        return gram * (1.0 - SCREEN_REL_TOL * c * c * vals[-1] / vals[0])
 
     def window_samples(self) -> int:
         return self.params.window_samples(self.srate)

@@ -1,9 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import asrstream as asr
+from asrstream.calibration import threshold_gain
 from asrstream.errors import InsufficientData, InvalidInput, InvalidValue, WindowTooShort
 from asrstream.linalg import matrix_sqrt_psd
 
@@ -202,3 +204,55 @@ def test_a_mixing_whose_norm_overflows_is_an_invalid_value(scale):
             srate=250.0,
             params=asr.CalibrationParams(),
         )
+
+
+class TestThresholdGain:
+    def test_gaussian_spread_gives_the_marchenko_pastur_gain(self):
+        # an RMS over n Gaussian samples spreads by 1/sqrt(2n) of its value
+        mu = np.linspace(1.0, 4.0, 16)
+        gain, n_eff = threshold_gain(mu, mu / np.sqrt(2 * 50.0))
+        assert n_eff == pytest.approx(50.0)
+        assert gain == pytest.approx(1.0 + np.sqrt(16 / 50.0))
+
+    @pytest.mark.parametrize(
+        "mu, sigma, n_eff",
+        [
+            ([1.0, 2.0, 3.0], [0.0, 0.0, 0.1], np.inf),  # sigma = 0 counts as endless data
+            ([0.0, 0.0, 3.0], [0.0, 0.0, 0.1], np.inf),  # and so does mu = sigma = 0
+            ([0.0, 2.0, 3.0], [0.0, 0.1, 0.3], 200.0),  # the median of inf, 200 and 50
+            ([1e-200, 1e-200, 1.0], [1.0, 1.0, 0.0], 1.0),  # at least one sample
+            ([1e200, 1e200, 1.0], [1e-200, 1e-200, 1.0], np.inf),  # a ratio past the float range
+        ],
+    )
+    def test_degenerate_components_give_a_finite_gain_without_warnings(self, mu, sigma, n_eff):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gain, got = threshold_gain(np.array(mu), np.array(sigma))
+        assert got == pytest.approx(n_eff)
+        assert gain == pytest.approx(1.0 + np.sqrt(3 / n_eff))
+        assert 1.0 <= gain <= 1.0 + np.sqrt(3)
+
+    @pytest.mark.parametrize("silent", ["zero", "constant-rms"])
+    def test_calibration_with_a_flat_component_stays_finite(self, silent):
+        rng = np.random.default_rng(21)
+        data = rng.standard_normal((4, 7500))
+        # a zero channel is a component with mu = sigma = 0; a square wave
+        # one whose RMS is the same in every window
+        data[3] = 0.0 if silent == "zero" else np.where(np.arange(7500) % 2, 1.0, -1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state = asr.asr_calibrate(data, 250.0)
+        # the zero channel's rank deficiency is reported; nothing overflows or divides by 0
+        assert all("rank deficient" in str(w.message) for w in caught)
+        assert np.isfinite(state.threshold).all()
+        assert 1.0 <= state.gain <= 1.0 + np.sqrt(4) and state.n_eff >= 1.0
+
+    def test_threshold_carries_the_gain(self):
+        rng = np.random.default_rng(22)
+        data = rng.standard_normal((8, 7500))
+        state = asr.asr_calibrate(data, 250.0)
+        # per-component RMS of 125-sample windows: about 125 effective samples
+        assert 60.0 < state.n_eff < 250.0
+        assert state.gain == 1.0 + np.sqrt(8 / state.n_eff)
+        rows = np.linalg.norm(state.threshold, axis=1)
+        assert rows.min() > state.gain  # unit noise: mu near 1 plus 5 sigma, times g

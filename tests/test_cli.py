@@ -69,11 +69,18 @@ def test_calibrate_report_values_are_plain_numbers(workspace, capsys):
     argv = ["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250"]
     assert main([*argv, "--output", output, "--report"]) == 0
     fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    # the gain lines come after the older ones, which keep their order
+    assert list(fields) == [
+        "channels", "window_samples", "threshold_min", "threshold_max", "output", "gain", "n_eff"
+    ]
     assert fields.pop("output") == output
-    assert set(fields) == {"channels", "window_samples", "threshold_min", "threshold_max"}
     for key, value in fields.items():
         float(value)  # np.float64(...) would not parse
     assert 0 < float(fields["threshold_min"]) <= float(fields["threshold_max"])
+    # the gain is 1 + sqrt(C / n_eff), the Marchenko-Pastur edge
+    channels, n_eff = int(fields["channels"]), float(fields["n_eff"])
+    assert float(fields["gain"]) == pytest.approx(1.0 + np.sqrt(channels / n_eff))
+    assert 1.0 < float(fields["gain"]) < 1.0 + np.sqrt(channels)
 
 
 def test_calibrate_window_rule_exit_code_and_message(workspace, capsys):

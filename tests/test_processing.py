@@ -584,6 +584,111 @@ class TestHugeSamples:
         assert np.abs(huge[:, shifted]).max() < 0.9 * np.abs(rec[:, 1000:1040]).max() * scale
 
 
+
+def _burst_case(channels, srate, seed, **params):
+    """A state calibrated on 10 s of synthetic data and a 3 s recording
+    that holds a 0.5 s burst."""
+    spec = asr.SyntheticSpec(
+        channels=channels, srate=srate, duration=3.0, calibration_duration=10.0,
+        mixing_seed=seed, noise_seed=seed + 1, events=(asr.ArtifactEvent(1.0, 0.5, 10.0),),
+    )
+    calibration, recording, _ = asr.generate_synthetic(spec)
+    return asr.asr_calibrate(calibration, srate, asr.CalibrationParams(**params)), recording
+
+
+def _no_screen(covs, calib, shifts):
+    return np.zeros(len(covs), dtype=bool)
+
+
+class TestScreen:
+    """An update whose covariance a Cholesky factorization proves clean
+    skips detection; that must never change what detection decides."""
+
+    @pytest.mark.parametrize("shift", [0, 40])
+    def test_covariances_at_the_boundary_pass_only_where_detect_keeps_all(self, shift):
+        # every component may reject, so detection keeps all only when every
+        # eigenvalue stays below its limit
+        state, _ = _burst_case(24, 500.0, 5, max_dims_fraction=1.0)
+        bound = state.screen_bound
+        gram = state.threshold.T @ state.threshold
+        size = np.linalg.norm(bound, 2)
+        rng = np.random.default_rng(9)
+        covs = [bound, gram]
+        # the bound and the limits T^T T above it, scaled or moved along
+        # random directions by 10**-3 to 10**-16 of their norm either way
+        for step in 10.0 ** -np.arange(3, 17):
+            for sign in (-1.0, 1.0):
+                for base in (bound, gram):
+                    u = rng.standard_normal(state.channels)
+                    u /= np.linalg.norm(u)
+                    covs += [base * (1.0 + sign * step), base + sign * step * size * np.outer(u, u)]
+        covs = np.ldexp(np.array(covs), -2 * shift)
+        shifts = np.full(len(covs), shift)
+        passed = processing.screen(covs, state, shifts)
+        assert 0 < passed.sum() < len(covs)
+        _, _, keep, recons = processing.detect(covs[passed], state, shifts[passed])
+        assert keep.all() and all(r is None for r in recons)
+        # a stack of passing covariances is factored at once, to the same verdict
+        assert processing.screen(covs[passed], state, shifts[passed]).all()
+        if shift:
+            # scaling by 4**-k is exact, so the verdicts are those of the unscaled stack
+            unscaled = processing.screen(np.ldexp(covs, 2 * shift), state, np.zeros_like(shifts))
+            assert np.array_equal(passed, unscaled)
+
+    @pytest.mark.parametrize("channels, srate", [(8, 250.0), (24, 500.0), (64, 1000.0)])
+    def test_outputs_are_those_of_detecting_every_update(self, channels, srate, monkeypatch):
+        state, recording = _burst_case(channels, srate, 3)
+        verdicts = []
+        real = processing.screen
+
+        def counted(covs, calib, shifts):
+            passed = real(covs, calib, shifts)
+            verdicts.extend(passed)
+            return passed
+
+        for chunk in (1, 32, 256):
+            with monkeypatch.context() as patch:
+                patch.setattr(processing, "screen", counted)
+                out, proc = asr.clean_recording(recording, state, chunk)
+                patch.setattr(processing, "screen", _no_screen)
+                want, ref = asr.clean_recording(recording, state, chunk)
+            assert np.array_equal(out, want), chunk
+            assert proc.update_log == ref.update_log, chunk
+        rejecting = sum(1 for _, n in ref.update_log if n)
+        assert 0 < rejecting < len(ref.update_log) / 2
+        # most updates were screened, and none that rejects
+        assert len(verdicts) / 2 < sum(verdicts) <= 3 * (len(ref.update_log) - rejecting)
+
+    def test_a_non_finite_covariance_raises_and_leaves_the_state(self, clean_calibration):
+        _, state = clean_calibration
+        rng = np.random.default_rng(4)
+        proc = asr.ProcessorState.initial(state)
+        head = asr.MultichannelChunk(rng.standard_normal((4, 100)), SRATE, 0)
+        _, proc = asr.asr_process_chunk(head, state, proc)
+        # a Cholesky factorization lets a NaN through, so the stack is checked first
+        proc.cov_window[2, -1] = np.nan
+        before = copy.deepcopy(proc)
+        chunk = asr.MultichannelChunk(rng.standard_normal((4, 64)), SRATE, 100)
+        with pytest.raises(InvalidInput, match="covariance"):
+            asr.asr_process_chunk(chunk, state, proc)
+        for f in dataclasses.fields(proc):
+            got, want = getattr(proc, f.name), getattr(before, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want, equal_nan=True), f.name
+            else:
+                assert got == want, f.name
+
+    def test_a_singular_threshold_turns_the_screen_off(self, clean_calibration):
+        _, state = clean_calibration
+        threshold = state.threshold.copy()
+        threshold[0] = 0.0  # a component with mu = sigma = 0
+        flat = dataclasses.replace(state, threshold=threshold)
+        assert flat.screen_bound is None
+        covs = np.array([np.zeros((4, 4)), 1e-30 * np.eye(4)])
+        assert not processing.screen(covs, flat, np.zeros(2, dtype=int)).any()
+        assert processing.screen(covs[1:], state, np.zeros(1, dtype=int)).all()
+
+
 def chunk_loop(stream, state, chunk):
     """The per-chunk loop clean_recording stands for, written out by hand."""
     proc = asr.ProcessorState.initial(state)
