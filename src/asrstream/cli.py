@@ -3,8 +3,9 @@ compare, bench.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad inputs, failed
 comparison, an array too large to allocate), 2 runtime error mid-stream (I/O
-failures after processing started, or chunks still in flight when the
-stream's drain gives up).
+failures after processing started, chunks the worker never gave back within
+``runtime.DRAIN_TIMEOUT_S`` of the last one, or a worker that cannot be
+joined).
 ``ASR_LOG`` in {error, warn, info, debug} controls log verbosity. ``main``
 runs numpy's BLAS on one thread, so output bytes do not depend on the
 machine's core count.
@@ -49,7 +50,6 @@ from .types import DEFAULT_STEPSIZE, CalibrationParams, CalibrationState, Pipeli
 logger = logging.getLogger(__name__)
 
 STREAM_VAR = "eeg"  # the side-channel variable stream mode publishes into
-STREAM_DRAIN_TIMEOUT_S = 5.0  # end of stream: give up after this long without a chunk drained
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -159,18 +159,6 @@ def _process_file(args, record: SignalRecord, state: CalibrationState) -> int:
     return 0
 
 
-def _publish_paced(pipeline, registry, name: str, block: np.ndarray) -> None:
-    """File-driven producer: apply backpressure instead of overrunning the
-    inbound ring, so nothing is dropped when stdin outruns the worker."""
-    while pipeline.in_flight() >= pipeline.config.fifo_capacity - 1:
-        if not pipeline.worker_alive():
-            raise WorkerDied("the worker thread stopped; the stream is incomplete")
-        if not pipeline.process():
-            time.sleep(0.0002)
-    registry.publish(name, block)
-    pipeline.process()
-
-
 def _parse_stream_header(line: str) -> tuple[int, float]:
     body = line.lstrip("#").strip()
     fields = dict(
@@ -218,24 +206,20 @@ def _process_stream(args, stdin, stdout) -> int:
         _, lines = read_preamble(stdin, {}, start=2)
         block = np.empty((args.chunk, channels))  # publish copies each chunk out of it
         while n := parse_rows(lines, block):
-            _publish_paced(pipeline, registry, STREAM_VAR, block[:n].T)
-        pipeline.flush(timeout=STREAM_DRAIN_TIMEOUT_S)
+            pipeline.feed(block[:n].T)
+        pipeline.flush()
         stdout.flush()
-        if missing := pipeline.in_flight():
-            raise WorkerDied(
-                f"{missing} chunks never came back from the worker; the stream is incomplete"
-            )
     except (OSError, WorkerDied) as exc:
         logger.error("stream aborted: %s", exc)
         exit_code = 2
     finally:
-        stats = pipeline.stats()
-        pipeline.release()
-        print(
-            "stream done: "
-            + " ".join(f"{k}={v}" for k, v in sorted(stats.items())),
-            file=sys.stderr,
-        )
+        stats = " ".join(f"{k}={v}" for k, v in sorted(pipeline.stats().items()))
+        print(f"stream done: {stats}", file=sys.stderr)
+        try:
+            pipeline.release()
+        except AsrError as exc:  # a worker that cannot be joined
+            logger.error("stream aborted: %s", exc)
+            exit_code = 2
     return exit_code
 
 

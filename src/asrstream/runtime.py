@@ -9,7 +9,8 @@ is what "prepared" means.
 
 Concurrency model: exactly two roles per pipeline. The caller thread runs
 ``process()`` (real-time side: no locks, no blocking, no buffer allocation
-after prepare); one worker thread runs the cleaning loop. All shared state
+after prepare), and ``feed()``/``flush()``, which wrap it for a producer
+that may wait; one worker thread runs the cleaning loop. All shared state
 flows through the two single-producer/single-consumer rings plus plain
 attribute flags and counters, which CPython's GIL makes atomic to read and
 write; each counter has a single writer.
@@ -30,6 +31,7 @@ from .errors import (
     InvalidValue,
     PrepareFailed,
     WindowTooShort,
+    WorkerDied,
 )
 from .io_formats import load_calibration_data, load_calibration_state
 from .processing import asr_process_chunk, load_kernels, pass_chunk_through
@@ -37,7 +39,8 @@ from .types import CalibrationState, MultichannelChunk, PipelineConfig, Processo
 
 logger = logging.getLogger(__name__)
 
-WORKER_IDLE_PARK_S = 0.0002  # bounded park between polls when the inbound ring is empty
+IDLE_PARK_S = 0.0002  # park between polls that move nothing: the worker's, feed()'s, flush()'s
+DRAIN_TIMEOUT_S = 5.0  # feed() and flush() give up after this long without a chunk drained
 WORKER_JOIN_TIMEOUT_S = 2.0
 FAIL_OPEN_LOG_INTERVAL_S = 1.0  # at most one fail-open summary line per interval
 
@@ -315,7 +318,7 @@ class Pipeline:
         while not self._stop:
             res = inbound.pop_into(work)
             if res is None:
-                time.sleep(WORKER_IDLE_PARK_S)
+                time.sleep(IDLE_PARK_S)
                 continue
             n, seq = res
             self._popped_chunks += 1
@@ -361,27 +364,34 @@ class Pipeline:
             raise AsrError("worker thread did not stop in time")
         self._thread = None
 
-    def flush(self, timeout: float = 2.0) -> int:
-        """Drain until nothing is in flight, the worker is dead and its last
-        chunks are drained, or ``timeout`` seconds pass without a chunk
-        drained: each drained chunk restarts the clock, so a slow worker
-        that keeps up progress is waited for. Not real-time safe; intended
-        for end-of-stream shutdown. Returns the number of chunks drained."""
-        if self._thread is None:
-            raise InvalidLifecycle("pipeline is not prepared")
-        deadline = time.perf_counter() + timeout
-        drained = 0
-        while time.perf_counter() < deadline:
+    def feed(self, data: np.ndarray) -> None:
+        """File-driven producer: wait until the inbound ring has room, publish
+        ``data`` into the config's input variable and call ``process()`` once,
+        so nothing is dropped when the input outruns the worker. Not
+        real-time safe. Raises ``WorkerDied`` as ``flush()`` does."""
+        self._drain(self.config.fifo_capacity - 2)  # so neither ring ever fills
+        self.registry.publish(self.config.var_name, data)
+        self.process()
+
+    def flush(self) -> None:
+        """Drain until nothing is in flight. Not real-time safe; intended for
+        end-of-stream shutdown. Raises ``WorkerDied`` once ``DRAIN_TIMEOUT_S``
+        pass without a chunk drained (each drained chunk restarts the clock,
+        so a slow worker that keeps up progress is waited for), or once the
+        worker is dead and its last chunks are drained."""
+        self._drain(0)
+
+    def _drain(self, limit: int) -> None:
+        """Call ``process()`` until at most ``limit`` chunks are in flight."""
+        deadline = time.perf_counter() + DRAIN_TIMEOUT_S
+        while self.in_flight() > limit:
             alive = self.worker_alive()  # read first: a dead worker's last push is drained below
-            moved = self.process()
-            drained += moved
-            if self.in_flight() == 0 or not (alive or moved):
-                break
-            if moved:
-                deadline = time.perf_counter() + timeout
+            if self.process():
+                deadline = time.perf_counter() + DRAIN_TIMEOUT_S
+            elif alive and time.perf_counter() < deadline:
+                time.sleep(IDLE_PARK_S)
             else:
-                time.sleep(0.001)
-        return drained
+                raise WorkerDied(f"{self.in_flight()} chunks never came back from the worker")
 
     def worker_alive(self) -> bool:
         """Whether the worker thread runs; False before prepare, after

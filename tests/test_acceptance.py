@@ -84,17 +84,9 @@ def run_runtime_stream(calib_path, stream, channels, stepsize=32):
         config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
     )
     pipeline.prepare()
-    pos = 0
-    n = stream.shape[1]
-    while pos < n:
-        end = min(n, pos + CHUNK)
-        while pipeline.in_flight() >= config.fifo_capacity - 1:
-            pipeline.process()
-            time.sleep(0.0002)
-        registry.publish("eeg", stream[:, pos:end])
-        pipeline.process()
-        pos = end
-    pipeline.flush(timeout=10.0)
+    for pos in range(0, stream.shape[1], CHUNK):
+        pipeline.feed(stream[:, pos : pos + CHUNK])
+    pipeline.flush()
     stats = pipeline.stats()
     pipeline.release()
     return np.hstack(chunks), stats
@@ -335,7 +327,7 @@ def test_criterion_06_realtime_safety(tmp_path, clean_calibration):
     offenders = process_offenders(traced_window(registry, pipeline, block))
 
     time.sleep(0.05)
-    pipeline.flush(timeout=5.0)
+    pipeline.flush()
     started = time.perf_counter()
     pipeline.release()
     join_time = time.perf_counter() - started
@@ -362,7 +354,7 @@ def test_criterion_06_check_sees_process_allocations(tmp_path, clean_calibration
     drained_before = len(kept)
     offenders = process_offenders(traced_window(registry, pipeline, block))
     drained = len(kept) - drained_before
-    pipeline.flush(timeout=5.0)
+    pipeline.flush()
     pipeline.release()
     assert drained > 0, "no chunk was drained during the window"
     assert offenders, f"{drained} retained chunk copies went unreported"

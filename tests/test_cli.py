@@ -336,21 +336,22 @@ def _record_to_stream_text(record):
     return "\n".join(lines) + "\n"
 
 
+def _stream_args(calibration, chunk=32):
+    from asrstream.cli import build_parser
+
+    return build_parser().parse_args(
+        ["process", "--calibration", str(calibration), "--stream", "--chunk", str(chunk)]
+    )
+
+
 def test_stream_mode_matches_file_mode(workspace, capsys):
-    from asrstream.cli import build_parser, _process_stream
+    from asrstream.cli import _process_stream
 
     rec = load_signal_record(workspace / "rec.csv")
-    stdin = io.StringIO(_record_to_stream_text(rec))
     stdout = io.StringIO()
-    args = build_parser().parse_args(
-        [
-            "process",
-            "--calibration", str(workspace / "calib.csv"),
-            "--stream",
-            "--chunk", "32",
-        ]
+    rc = _process_stream(
+        _stream_args(workspace / "calib.csv"), io.StringIO(_record_to_stream_text(rec)), stdout
     )
-    rc = _process_stream(args, stdin, stdout)
     err = capsys.readouterr().err
     assert rc == 0
     assert "dropped_in=0" in err  # counters reported on exit
@@ -373,25 +374,20 @@ def test_stream_mode_matches_file_mode(workspace, capsys):
 
 
 def test_stream_done_counters_are_integers(workspace, capsys):
-    from asrstream.cli import build_parser, _process_stream
+    from asrstream.cli import _process_stream
 
     rec = load_signal_record(workspace / "rec.csv")
-    args = build_parser().parse_args(
-        ["process", "--calibration", str(workspace / "calib.csv"), "--stream"]
-    )
+    args = _stream_args(workspace / "calib.csv", chunk=256)
     assert _process_stream(args, io.StringIO(_record_to_stream_text(rec)), io.StringIO()) == 0
-    line = [l for l in capsys.readouterr().err.splitlines() if l.startswith("stream done: ")]
-    counters = {k: int(v) for k, v in (p.split("=") for p in line[-1].split()[2:])}
+    counters = _stream_done(capsys.readouterr().err)
     assert counters["errors"] == 0 and counters["last_error_sample"] == -1
     assert counters["worker_alive"] == 1
 
 
 def test_stream_mode_rejects_bad_header(workspace):
-    from asrstream.cli import build_parser, _process_stream
+    from asrstream.cli import _process_stream
 
-    args = build_parser().parse_args(
-        ["process", "--calibration", str(workspace / "calib.csv"), "--stream"]
-    )
+    args = _stream_args(workspace / "calib.csv")
     with pytest.raises(asr.AsrError):
         _process_stream(args, io.StringIO("garbage\n"), io.StringIO())
 
@@ -399,14 +395,6 @@ def test_stream_mode_rejects_bad_header(workspace):
 def test_file_mode_requires_input_and_output(workspace, capsys):
     rc = main(["process", "--calibration", str(workspace / "calib.csv")])
     assert rc == 1
-
-
-def _stream_args(calibration, chunk=32):
-    from asrstream.cli import build_parser
-
-    return build_parser().parse_args(
-        ["process", "--calibration", str(calibration), "--stream", "--chunk", str(chunk)]
-    )
 
 
 def test_stream_mode_calibrates_from_csv_once(workspace, monkeypatch, capsys):
@@ -422,13 +410,8 @@ def test_stream_mode_calibrates_from_csv_once(workspace, monkeypatch, capsys):
 
     monkeypatch.setattr(runtime, "asr_calibrate", counting)
     monkeypatch.setattr(cli, "asr_calibrate", counting)
-    rec = load_signal_record(workspace / "rec.csv")
-    rc = cli._process_stream(
-        _stream_args(workspace / "calib.csv"),
-        io.StringIO(_record_to_stream_text(rec)),
-        io.StringIO(),
-    )
-    assert rc == 0
+    stdin = io.StringIO(_record_to_stream_text(load_signal_record(workspace / "rec.csv")))
+    assert cli._process_stream(_stream_args(workspace / "calib.csv"), stdin, io.StringIO()) == 0
     assert calls == 1
 
 
@@ -448,6 +431,11 @@ def test_stream_mode_golden_text(workspace, monkeypatch, capsys):
     rc = cli._process_stream(_stream_args(workspace / "calib.csv", chunk=2), io.StringIO(text), stdout)
     assert rc == 0
     assert stdout.getvalue() == text
+
+
+def _stream_done(err: str) -> dict[str, int]:
+    """The counters of the ``stream done:`` line on stderr."""
+    return {k: int(v) for k, v in (f.split("=") for f in err.split("stream done: ")[1].split())}
 
 
 class _WorkerKilled(BaseException):
@@ -472,47 +460,50 @@ def test_stream_mode_exits_2_when_the_worker_dies(workspace, monkeypatch, capsys
     monkeypatch.setattr(threading, "excepthook", lambda info: thread_errors.append(info.exc_type))
     rec = load_signal_record(workspace / "rec.csv")
     stdin = io.StringIO(_record_to_stream_text(rec))  # 157 chunks of 32 samples
-    result = {}
-
-    def run():
-        result["rc"] = cli._process_stream(_stream_args(workspace / "calib.csv"), stdin, io.StringIO())
-
     start = time.perf_counter()
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=20.0)
-    assert not runner.is_alive(), "stream mode kept waiting for a dead worker"
+    assert cli._process_stream(_stream_args(workspace / "calib.csv"), stdin, io.StringIO()) == 2
     assert time.perf_counter() - start < 10.0
-    assert result["rc"] == 2
     assert thread_errors == [_WorkerKilled]
-    assert "worker_alive=0" in capsys.readouterr().err
+    assert _stream_done(capsys.readouterr().err)["worker_alive"] == 0
 
 
-def test_stream_drain_bound_counts_time_without_progress(workspace, monkeypatch, capsys):
-    """The end-of-stream drain gives up only after STREAM_DRAIN_TIMEOUT_S
-    without a drained chunk: a worker slower than that in total but not per
-    chunk gets every row written, one stalled past it exits 2."""
+@pytest.mark.parametrize(
+    "delay, stall_at, stall, join_timeout, rc, pushed, drained",
+    [
+        (0.03, 352, 0.03, 2.0, 0, 12, 12),  # slower in total than the bound: waited for
+        (0.0, 352, 0.6, 2.0, 2, 12, 11),  # stalled in the end-of-stream drain
+        (0.0, 0, 0.6, 2.0, 2, 7, 0),  # stalled while the producer waits for room
+        (0.0, 352, 1.0, 0.1, 2, 12, 11),  # and still stalled when release() gives up
+    ],
+    ids=["slow", "stalled_in_flush", "stalled_in_feed", "unjoinable"],
+)
+def test_stream_drain_bound_counts_time_without_progress(
+    workspace, monkeypatch, capsys, delay, stall_at, stall, join_timeout, rc, pushed, drained
+):
+    """Stream mode waits for the worker until DRAIN_TIMEOUT_S pass without
+    a drained chunk: a worker slower than that in total but not per chunk
+    gets every row written; one stalled past it, while the producer feeds or
+    at the end, exits 2 with the rows drained so far and the counters line,
+    even when the worker cannot be joined."""
     from asrstream import cli, runtime
 
+    real = runtime.asr_process_chunk
+
+    def slow(chunk, calib, state):
+        time.sleep(stall if chunk.first_sample_index == stall_at else delay)
+        return real(chunk, calib, state)
+
+    monkeypatch.setattr(runtime, "asr_process_chunk", slow)
+    monkeypatch.setattr(runtime, "DRAIN_TIMEOUT_S", 0.15)
+    monkeypatch.setattr(runtime, "WORKER_JOIN_TIMEOUT_S", join_timeout)
     rec = load_signal_record(workspace / "rec.csv")
     text = _record_to_stream_text(SignalRecord(rec.data[:, :384], rec.srate))  # 12 chunks of 32
-    real = runtime.asr_process_chunk
-    monkeypatch.setattr(cli, "STREAM_DRAIN_TIMEOUT_S", 0.15)
-    # about 7 chunks are in flight at the end: 0.21 s of drain at 0.03 s each
-    for delay, stall, rc, rows in ((0.03, 0.03, 0, 384), (0.0, 0.6, 2, 352)):
-
-        def slow(chunk, calib, state, delay=delay, stall=stall):
-            time.sleep(stall if chunk.first_sample_index == 352 else delay)
-            return real(chunk, calib, state)
-
-        monkeypatch.setattr(runtime, "asr_process_chunk", slow)
-        stdout = io.StringIO()
-        args = _stream_args(workspace / "calib.csv")
-        assert cli._process_stream(args, io.StringIO(text), stdout) == rc
-        assert len(stdout.getvalue().splitlines()) == rows + 1  # header + rows
-        err = capsys.readouterr().err
-        stats = dict(f.split("=") for f in err.split("stream done: ")[1].split())
-        assert (stats["drained"], stats["pushed"], stats["worker_alive"]) == (str(rows // 32), "12", "1")
+    stdout = io.StringIO()
+    args = _stream_args(workspace / "calib.csv")
+    assert cli._process_stream(args, io.StringIO(text), stdout) == rc
+    assert len(stdout.getvalue().splitlines()) == 1 + 32 * drained  # header + rows
+    stats = _stream_done(capsys.readouterr().err)
+    assert (stats["pushed"], stats["drained"], stats["worker_alive"]) == (pushed, drained, 1)
 
 
 def test_parser_defaults_come_from_the_library(capsys):

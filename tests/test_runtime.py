@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import asrstream as asr
-from asrstream.errors import InvalidLifecycle, InvalidValue, PrepareFailed, WindowTooShort
+from asrstream.errors import (
+    InvalidLifecycle, InvalidValue, PrepareFailed, WindowTooShort, WorkerDied,
+)
 from asrstream.io_formats import save_calibration_csv, save_calibration_state
 from asrstream.runtime import ChunkFifo, Pipeline, SideChannelRegistry, _is_state_file
 from conftest import SRATE, run_stream
@@ -142,17 +144,10 @@ def pipeline_setup(tmp_path, clean_calibration):
     return config, registry, state
 
 
-def stream_through(pipeline, registry, stream, chunk=32, var="eeg"):
-    outputs = []
-    pos = 0
-    n = stream.shape[1]
-    while pos < n:
-        end = min(n, pos + chunk)
-        registry.publish(var, stream[:, pos:end])
-        pipeline.process()
-        pos = end
-    pipeline.flush(timeout=5.0)
-    return outputs
+def collecting_pipeline(config, registry):
+    """A pipeline whose sink keeps a copy of every chunk it drains."""
+    chunks: list[np.ndarray] = []
+    return Pipeline(config, registry, lambda view, n, seq: chunks.append(view.copy())), chunks
 
 
 class TestPipelineLifecycle:
@@ -332,22 +327,11 @@ class TestPipelineDataPath:
         stream = rng.standard_normal((4, 2048))
         stream[:, 700:800] += 9 * np.outer([1.0, 0.4, -0.2, 0.6], np.ones(100))
 
-        chunks: list[np.ndarray] = []
-        pipeline = Pipeline(
-            config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
-        )
+        pipeline, chunks = collecting_pipeline(config, registry)
         pipeline.prepare()
-        pos = 0
-        while pos < stream.shape[1]:
-            end = min(stream.shape[1], pos + 32)
-            # file-driven producer: hold back instead of overrunning the ring
-            while pipeline.in_flight() >= config.fifo_capacity - 1:
-                pipeline.process()
-                time.sleep(0.0002)
-            registry.publish("eeg", stream[:, pos:end])
-            pipeline.process()
-            pos = end
-        pipeline.flush(timeout=5.0)
+        for pos in range(0, stream.shape[1], 32):
+            pipeline.feed(stream[:, pos : pos + 32])
+        pipeline.flush()
         stats = pipeline.stats()
         pipeline.release()
 
@@ -364,16 +348,12 @@ class TestPipelineDataPath:
         config, _, state = pipeline_setup
         registry = SideChannelRegistry()
         registry.register("eeg", stride=state.channels, capacity=128)
-        chunks: list[np.ndarray] = []
-        pipeline = Pipeline(
-            config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
-        )
+        pipeline, chunks = collecting_pipeline(config, registry)
         pipeline.prepare()
         stream = np.random.default_rng(23).standard_normal((4, 100))
         try:
-            registry.publish("eeg", stream)
-            pipeline.process()
-            pipeline.flush(timeout=5.0)
+            pipeline.feed(stream)
+            pipeline.flush()
             stats = pipeline.stats()
         finally:
             pipeline.release()
@@ -431,16 +411,12 @@ class TestPipelineDataPath:
     def test_nan_chunk_fails_open(self, pipeline_setup):
         config, registry, _ = pipeline_setup
         config = dataclasses.replace(config, lookahead=8)
-        chunks: list[np.ndarray] = []
-        pipeline = Pipeline(
-            config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
-        )
+        pipeline, chunks = collecting_pipeline(config, registry)
         pipeline.prepare()
         bad = np.ones((4, 16))
         bad[2, 5] = np.nan
-        registry.publish("eeg", bad)
-        pipeline.process()
-        pipeline.flush(timeout=5.0)
+        pipeline.feed(bad)
+        pipeline.flush()
         stats = pipeline.stats()
 
         # the poisoned chunk is forwarded uncleaned, delayed by the lookahead,
@@ -451,9 +427,8 @@ class TestPipelineDataPath:
 
         # and the stream keeps working afterwards, with the rest of it in line
         good = np.ones((4, 16))
-        registry.publish("eeg", good)
-        pipeline.process()
-        pipeline.flush(timeout=5.0)
+        pipeline.feed(good)
+        pipeline.flush()
         assert pipeline.stats()["errors"] == 1
         assert len(chunks) == 2
         assert np.array_equal(chunks[1], np.hstack([bad[:, 8:], good[:, :8]]))
@@ -474,22 +449,15 @@ class TestPipelineDataPath:
             return real(chunk, calib, state)
 
         monkeypatch.setattr(runtime, "asr_process_chunk", flaky)
-        chunks: list[np.ndarray] = []
-        pipeline = Pipeline(
-            config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
-        )
+        pipeline, chunks = collecting_pipeline(config, registry)
         pipeline.prepare()
         lookahead = pipeline._proc_state.lookahead
         # half the calibration noise's scale: no update rejects anything
         stream = 0.5 * np.random.default_rng(17).standard_normal((4, 20 * 16))
         try:
             for pos in range(0, stream.shape[1], 16):
-                while pipeline.in_flight() >= config.fifo_capacity - 1:
-                    pipeline.process()
-                    time.sleep(0.0002)
-                registry.publish("eeg", stream[:, pos : pos + 16])
-                pipeline.process()
-            pipeline.flush(timeout=5.0)
+                pipeline.feed(stream[:, pos : pos + 16])
+            pipeline.flush()
             stats = pipeline.stats()
             rejecting = sum(1 for _, r in pipeline._proc_state.update_log if r)
         finally:
@@ -521,20 +489,13 @@ class TestPipelineDataPath:
             return real(chunk, calib, state)
 
         monkeypatch.setattr(runtime, "asr_process_chunk", flaky)
-        chunks: list[np.ndarray] = []
-        pipeline = Pipeline(
-            config, registry, output_sink=lambda view, n, seq: chunks.append(view.copy())
-        )
+        pipeline, chunks = collecting_pipeline(config, registry)
         pipeline.prepare()
         try:
             rng = np.random.default_rng(11)
             for _ in range(6):
-                while pipeline.in_flight() >= config.fifo_capacity - 1:
-                    pipeline.process()
-                    time.sleep(0.0002)
-                registry.publish("eeg", rng.standard_normal((4, 16)))
-                pipeline.process()
-            pipeline.flush(timeout=5.0)
+                pipeline.feed(rng.standard_normal((4, 16)))
+            pipeline.flush()
             stats = pipeline.stats()
             in_flight = pipeline.in_flight()
         finally:
@@ -562,12 +523,8 @@ class TestPipelineDataPath:
         with caplog.at_level(logging.WARNING, logger=runtime.__name__):
             try:
                 for _ in range(20):
-                    while pipeline.in_flight() >= config.fifo_capacity - 1:
-                        pipeline.process()
-                        time.sleep(0.0002)
-                    registry.publish("eeg", np.zeros((4, 16)))
-                    pipeline.process()
-                pipeline.flush(timeout=5.0)
+                    pipeline.feed(np.zeros((4, 16)))
+                pipeline.flush()
                 stats = pipeline.stats()
             finally:
                 pipeline.release()  # the worker logs what it still holds back
@@ -602,7 +559,8 @@ class TestPipelineDataPath:
                 registry.publish("eeg", np.zeros((4, 16)))
                 pipeline.process()
             start = time.perf_counter()
-            pipeline.flush(timeout=5.0)
+            with pytest.raises(WorkerDied, match="3 chunks never came back"):
+                pipeline.flush()
             elapsed = time.perf_counter() - start
             stats = pipeline.stats()
             in_flight = pipeline.in_flight()
@@ -611,6 +569,37 @@ class TestPipelineDataPath:
         assert elapsed < 1.0
         assert stats["worker_alive"] == 0
         assert in_flight > 0  # the chunks the worker never cleaned stay counted
+
+    def test_feed_gives_up_on_a_stalled_worker(self, pipeline_setup, monkeypatch):
+        """A worker that lives but never finishes a chunk: feed() waits for
+        room only DRAIN_TIMEOUT_S, then raises."""
+        from asrstream import runtime
+
+        gate = threading.Event()
+        real = runtime.asr_process_chunk
+
+        def stuck(chunk, calib, state):
+            gate.wait(10.0)
+            return real(chunk, calib, state)
+
+        monkeypatch.setattr(runtime, "asr_process_chunk", stuck)
+        monkeypatch.setattr(runtime, "DRAIN_TIMEOUT_S", 0.2)
+        config, registry, _ = pipeline_setup  # fifo_capacity 8: feed() holds 7 in flight
+        pipeline = Pipeline(config, registry)
+        pipeline.prepare()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(WorkerDied, match="7 chunks never came back"):
+                for _ in range(20):
+                    pipeline.feed(np.zeros((4, 16)))
+            elapsed = time.perf_counter() - start
+            stats = pipeline.stats()
+        finally:
+            gate.set()
+            pipeline.release()
+        assert 0.2 <= elapsed < 2.0
+        assert stats["worker_alive"] == 1
+        assert (stats["pushed"], stats["drained"], stats["dropped_in"]) == (7, 0, 0)
 
     def test_process_moves_one_cleaned_chunk_per_call(self, pipeline_setup, monkeypatch):
         from asrstream import runtime
@@ -624,10 +613,7 @@ class TestPipelineDataPath:
 
         monkeypatch.setattr(runtime, "asr_process_chunk", gated)
         config, registry, _ = pipeline_setup
-        sunk: list[np.ndarray] = []
-        pipeline = Pipeline(
-            config, registry, output_sink=lambda view, n, seq: sunk.append(view.copy())
-        )
+        pipeline, sunk = collecting_pipeline(config, registry)
         pipeline.prepare()
         try:
             rng = np.random.default_rng(5)
@@ -669,7 +655,7 @@ class TestPipelineDataPath:
         registry.publish("eeg", data)
         registry.publish("eeg", data)  # overwrites the chunk before it
         pipeline.process()
-        pipeline.flush(timeout=5.0)
+        pipeline.flush()
         stats = pipeline.stats()
         pipeline.release()
         assert sunk == 64
@@ -685,7 +671,7 @@ class TestPipelineDataPath:
         for _ in range(50):
             registry.publish("eeg", rng.standard_normal((4, 16)))
             pipeline.process()
-        pipeline.flush(timeout=5.0)
+        pipeline.flush()
         stats = pipeline.stats()
         pipeline.release()
         assert stats["pushed"] == stats["drained"] + stats["dropped_in"] + stats["dropped_out"]
