@@ -151,6 +151,7 @@ def _process_file(args, record: SignalRecord, state: CalibrationState) -> int:
                 f"samples={n}",
                 f"lookahead={proc.lookahead}",
                 f"updates={proc.total_samples_seen // proc.stepsize}",
+                f"rejecting_updates={proc.rejecting_updates}",
                 f"output={args.output}",
             ]
         )

@@ -14,15 +14,25 @@ reproduce exactly:
    reconstruction pair rotates (previous <- current <- new); a rejecting
    update builds ``R = M pinv(D V^T M) V^T`` in its closed complement form
    ``I - V_r pinv(M^-1 V_r) M^-1`` from a thin QR of ``M^-1 V_r`` over the
-   rejected eigenvectors ``V_r`` (no SVD, numpy only). A chunk builds the
-   covariances of its update instants in one loop (one that overflows from
-   its segment times ``2**-k``), then screens them: a covariance S for which
-   ``4**-k (1 - eps) T^T T - S`` has a Cholesky factor (one batched
-   factorization for the stack; see ``CalibrationState.screen_bound``)
-   provably keeps every component, so its update is the identity with
-   nothing rejected and needs no ``eigh``. The covariances the screen cannot
-   clear go to one :func:`detect` call, one batched ``eigh`` for them all,
-   so the outputs are those of running :func:`detect` on every update,
+   rejected eigenvectors ``V_r`` (no SVD, numpy only). A covariance S for
+   which ``4**-k (1 - eps) T^T T - S`` has a Cholesky factor (one batched
+   factorization per stack; see :func:`screen` and
+   ``CalibrationState.screen_bound``) provably keeps every component, so
+   its update is the identity with nothing rejected and needs no ``eigh``.
+   A chunk first splits its update instants into consecutive groups whose
+   windows span at most 2W samples and screens, for each group, the
+   covariance ``Y_U Y_U^T / n_min`` of the union U of its windows (see
+   :func:`_unscreened`): each window lies inside U and each
+   ``n_i >= n_min``, so a union that passes proves every update of its
+   group clean. Its product runs over at most 2W columns, so its rounding
+   (about 1e-13 relative at W = 500) stays well inside
+   ``eps = 1e-12 C**2 cond(T^T T)``. Only for the instants of a group that
+   fails the screen, whose union is not finite, or that holds one instant
+   does the chunk build the ``(k, C, C)`` stack of update covariances, in
+   one loop (one that overflows is rebuilt from its segment times
+   ``2**-k``), and screen it. The covariances neither screen clears go to
+   one :func:`detect` call, one batched ``eigh`` for them all, so the
+   outputs are those of running :func:`detect` on every update,
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
    ``ssu = (t + 1) mod stepsize`` counts samples since the last update (0 at
@@ -39,6 +49,7 @@ invisible to the arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -155,6 +166,14 @@ def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.
     of its components. The stack is factored at once, and one matrix at a
     time only when that raises. No covariance passes when the calibration
     has no screen bound.
+
+    A chunk screens twice: first the union covariances of its groups of
+    update instants (:func:`_unscreened`, all shifts 0), then the update
+    covariances of the instants no union cleared. The margin of
+    ``screen_bound``, ``eps = 1e-12 C**2 cond(T^T T)``, covers the rounding
+    of either product (over at most 2W columns, about 1e-13 relative at
+    W = 500), of the factorization, and of the ``eigh`` and limits that
+    :func:`detect` would compute.
     """
     passed = np.zeros(len(covs), dtype=bool)
     bound = calib.screen_bound
@@ -174,6 +193,40 @@ def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.
             except np.linalg.LinAlgError:
                 pass
     return passed
+
+
+def _unscreened(
+    tail: np.ndarray, instants: range, t0: int, window: int, calib: CalibrationState
+) -> Sequence[int]:
+    """The indices into ``instants`` that no union screen proves clean. The
+    instants are split into consecutive groups of at most
+    ``W // stepsize + 1``, so that a group's windows span at most 2W samples
+    of ``tail``. Each group of two or more forms the covariance
+    ``Y_U Y_U^T / n_min`` of the union U of its windows, where ``n_min =
+    min(t0 + j_first + 1, W)`` is the smallest sample count among them. Each
+    window lies inside U and each ``n_i >= n_min``, so every update
+    covariance of the group is ``S_i <= Y_U Y_U^T / n_min`` in the PSD
+    order, and a union that :func:`screen` passes proves the whole group
+    clean. A group of one (its union is its own window) and a union that is
+    not finite (its products overflow) prove nothing."""
+    k = len(instants)
+    size = window // instants.step + 1
+    groups = [range(a, min(a + size, k)) for a in range(0, k, size)]
+    groups = [group for group in groups if len(group) > 1]
+    if not groups:
+        return range(k)
+    unions = np.empty((len(groups), tail.shape[0], tail.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for union, group in zip(unions, groups):
+            first, last = instants[group[0]], instants[group[-1]]
+            span = tail[:, first + 1 : last + 1 + window]
+            np.matmul(span, span.T, out=union)
+            union /= min(t0 + first + 1, window)
+    finite = np.isfinite(unions).all(axis=(1, 2))
+    passed = np.zeros(len(groups), dtype=bool)
+    passed[finite] = screen(unions[finite], calib, np.zeros(np.count_nonzero(finite), dtype=int))
+    cleared = {q for group, ok in zip(groups, passed) if ok for q in group}
+    return [q for q in range(k) if q not in cleared]
 
 
 @lru_cache(maxsize=8)
@@ -255,10 +308,15 @@ def asr_process_chunk(
     # the W filtered samples ending at chunk sample j are columns j + 1 .. j + W
     tail = np.concatenate([state.cov_window, filtered], axis=1)
     instants = range(step - 1 - t0 % step, n_samples, step)
-    covs = np.empty((len(instants), c, c))
-    shifts = np.zeros(len(instants), dtype=int)
+    # a screened update rejects nothing; only the others reach detect
+    recons: list[np.ndarray | None] = [None] * len(instants)
+    rejected = [0] * len(instants)
+    open_ = _unscreened(tail, instants, t0, window, calib)
+    covs = np.empty((len(open_), c, c))
+    shifts = np.zeros(len(open_), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is mended at once
-        for i, j in enumerate(instants):
+        for i, q in enumerate(open_):
+            j = instants[q]
             segment = tail[:, j + 1 : j + 1 + window]
             np.matmul(segment, segment.T, out=covs[i])
             if not np.isfinite(covs[i]).all():
@@ -268,17 +326,14 @@ def asr_process_chunk(
                 scaled = np.ldexp(segment, -shifts[i])
                 np.matmul(scaled, scaled.T, out=covs[i])
             covs[i] /= min(t0 + j + 1, window)
-    # a screened update rejects nothing; only the others reach detect
-    recons: list[np.ndarray | None] = [None] * len(instants)
-    rejected = [0] * len(instants)
-    if instants:
+    if open_:
         if not np.isfinite(covs).all():
             raise InvalidInput("covariance contains non-finite entries")
         suspects = np.flatnonzero(~screen(covs, calib, shifts))
         if suspects.size:
             _, _, keep, found = detect(covs[suspects], calib, shifts[suspects])
             for i, kept, r in zip(suspects, keep, found):
-                recons[i], rejected[i] = r, c - int(np.count_nonzero(kept))
+                recons[open_[i]], rejected[open_[i]] = r, c - int(np.count_nonzero(kept))
     r_current, r_previous = state.r_current, state.r_previous
     log = []
     pos = 0
@@ -295,6 +350,7 @@ def asr_process_chunk(
     state.filter_state = filter_state
     state.r_current, state.r_previous = r_current, r_previous
     state.update_log.extend(log)
+    state.rejecting_updates += len(rejected) - rejected.count(0)
     state.total_samples_seen = t0 + n_samples
     cleaned = MultichannelChunk(
         data=out, srate=chunk.srate, first_sample_index=chunk.first_sample_index

@@ -189,6 +189,9 @@ class ProcessorState:
     r_previous: np.ndarray | None
     stepsize: int  # samples between detection updates
     total_samples_seen: int = 0
+    # updates that rejected at least one component, all of them since the
+    # stream began; update_log keeps only the most recent
+    rejecting_updates: int = 0
     # most recent update instants as (sample index, n_rejected)
     update_log: deque[tuple[int, int]] = field(
         default_factory=lambda: deque(maxlen=UPDATE_LOG_LIMIT)

@@ -18,6 +18,7 @@ import asrstream as asr
 from asrstream.cli import main
 from asrstream.io_formats import (
     SignalRecord,
+    load_calibration_data,
     load_calibration_state,
     load_signal_record,
     save_calibration_csv,
@@ -547,9 +548,18 @@ def test_report_counts_updates_past_the_log_limit(workspace, monkeypatch, capsys
         ]
     )
     assert rc == 0
-    n = load_signal_record(workspace / "rec.csv").samples
+    record = load_signal_record(workspace / "rec.csv")
+    n = record.samples
     assert n // 32 > 4
-    assert f"updates={n // 32}" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert f"updates={n // 32}" in lines
+    # every rejecting update, though the log kept only the last four
+    monkeypatch.undo()
+    calibration, _, _ = load_calibration_data(workspace / "calib.csv")
+    _, proc = asr.clean_recording(record.data, asr.asr_calibrate(calibration, record.srate), 32)
+    rejecting = sum(1 for _, r in proc.update_log if r)
+    assert rejecting > 4
+    assert f"rejecting_updates={rejecting}" in lines
 
 
 def _stream_text_with(record, edits):

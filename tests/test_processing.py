@@ -507,6 +507,21 @@ class TestProcessChunk:
         # updates fall where (t + 1) % stepsize == 0, so their count has a closed form
         assert proc.total_samples_seen // proc.stepsize == len(proc.update_log)
 
+    def test_rejecting_updates_counts_past_the_log_limit(self, clean_calibration, monkeypatch):
+        _, state = clean_calibration
+        rng = np.random.default_rng(5)
+        stream = rng.standard_normal((4, 2000))
+        stream[:, 500:700] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(200))
+        stream[:, 1400:1500] += 20 * np.outer([1.0, -0.3, 0.1, 0.6], np.ones(100))
+        _, proc = run_stream(stream, state, chunk_size=100)
+        rejecting = sum(1 for _, n in proc.update_log if n)
+        assert 4 < rejecting < len(proc.update_log)
+        assert proc.rejecting_updates == rejecting
+        monkeypatch.setattr(asr.types, "UPDATE_LOG_LIMIT", 4)
+        _, short = run_stream(stream, state, chunk_size=100)
+        assert list(short.update_log) == list(proc.update_log)[-4:]
+        assert short.rejecting_updates == rejecting
+
     def test_window_covariance_matches_naive_recomputation(self, clean_calibration):
         _, state = clean_calibration
         rng = np.random.default_rng(88)
@@ -585,12 +600,14 @@ class TestHugeSamples:
 
 
 
-def _burst_case(channels, srate, seed, **params):
-    """A state calibrated on 10 s of synthetic data and a 3 s recording
-    that holds a 0.5 s burst."""
+def _burst_case(
+    channels, srate, seed, events=(asr.ArtifactEvent(1.0, 0.5, 10.0),), duration=3.0, **params
+):
+    """A state calibrated on 10 s of synthetic data and a recording, 3 s by
+    default, that holds ``events``, by default one 0.5 s burst."""
     spec = asr.SyntheticSpec(
-        channels=channels, srate=srate, duration=3.0, calibration_duration=10.0,
-        mixing_seed=seed, noise_seed=seed + 1, events=(asr.ArtifactEvent(1.0, 0.5, 10.0),),
+        channels=channels, srate=srate, duration=duration, calibration_duration=10.0,
+        mixing_seed=seed, noise_seed=seed + 1, events=events,
     )
     calibration, recording, _ = asr.generate_synthetic(spec)
     return asr.asr_calibrate(calibration, srate, asr.CalibrationParams(**params)), recording
@@ -637,16 +654,21 @@ class TestScreen:
 
     @pytest.mark.parametrize("channels, srate", [(8, 250.0), (24, 500.0), (64, 1000.0)])
     def test_outputs_are_those_of_detecting_every_update(self, channels, srate, monkeypatch):
-        state, recording = _burst_case(channels, srate, 3)
-        verdicts = []
+        # the first burst, 0.9-1.2 s, holds sample 256, 512 or 1024: a chunk
+        # edge at chunk 256, where one group of update instants ends
+        events = (asr.ArtifactEvent(0.9, 0.3, 10.0), asr.ArtifactEvent(2.0, 0.5, 8.0))
+        state, recording = _burst_case(channels, srate, 3, events, duration=5.0)
+        chunks = (1, 7, 32, 100, 256, 1000, recording.shape[1])
+        verdicts = {}
         real = processing.screen
 
         def counted(covs, calib, shifts):
             passed = real(covs, calib, shifts)
-            verdicts.extend(passed)
+            verdicts[chunk] += int(np.count_nonzero(passed))
             return passed
 
-        for chunk in (1, 32, 256):
+        for chunk in chunks:
+            verdicts[chunk] = 0
             with monkeypatch.context() as patch:
                 patch.setattr(processing, "screen", counted)
                 out, proc = asr.clean_recording(recording, state, chunk)
@@ -656,8 +678,95 @@ class TestScreen:
             assert proc.update_log == ref.update_log, chunk
         rejecting = sum(1 for _, n in ref.update_log if n)
         assert 0 < rejecting < len(ref.update_log) / 2
-        # most updates were screened, and none that rejects
-        assert len(verdicts) / 2 < sum(verdicts) <= 3 * (len(ref.update_log) - rejecting)
+        # most clean updates were screened one by one at chunk 1, and at every
+        # chunk size a passing union or update stands for at least one clean update
+        clean = len(ref.update_log) - rejecting
+        assert clean / 2 < verdicts[1]
+        assert all(0 < n <= clean for n in verdicts.values()), verdicts
+
+    def test_products_run_only_for_the_instants_of_failing_groups(
+        self, clean_calibration, monkeypatch
+    ):
+        _, state = clean_calibration
+        window = state.window_samples()
+        assert window // 32 + 1 == 4  # a chunk of 256 holds two groups of four instants
+        rng = np.random.default_rng(21)
+        stream = rng.standard_normal((4, 2080))
+        stream[:, 700:900] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(200))
+        products, verdicts = [], []
+        real_matmul, real_screen = np.matmul, processing.screen
+
+        def counting(a, b, *args, **kwargs):
+            products.append(a.shape[1])
+            return real_matmul(a, b, *args, **kwargs)
+
+        def recording(covs, calib, shifts):
+            passed = real_screen(covs, calib, shifts)
+            verdicts.append(passed)
+            return passed
+
+        monkeypatch.setattr(np, "matmul", counting)
+        monkeypatch.setattr(processing, "screen", recording)
+        proc = asr.ProcessorState.initial(state)
+        failed = []
+        for pos in range(0, 2048, 256):
+            products.clear()
+            verdicts.clear()
+            chunk = asr.MultichannelChunk(stream[:, pos : pos + 256], SRATE, pos)
+            _, proc = asr.asr_process_chunk(chunk, state, proc)
+            # two unions, each over four windows 32 samples apart
+            assert products[:2] == [3 * 32 + window] * 2, pos
+            unions = verdicts[0]
+            assert len(unions) == 2, pos
+            failed.append(int(np.count_nonzero(~unions)))
+            # then one product, and one screened covariance, per instant of a failing group
+            assert products[2:] == [window] * 4 * failed[-1], pos
+            assert [len(v) for v in verdicts[1:]] == ([4 * failed[-1]] if failed[-1] else []), pos
+        assert 0 < sum(failed) < 2 * len(failed)
+        assert sum(1 for _, n in proc.update_log if n) > 0
+        # a chunk with a single instant forms no union
+        products.clear()
+        verdicts.clear()
+        last = asr.MultichannelChunk(stream[:, 2048:], SRATE, 2048)
+        _, proc = asr.asr_process_chunk(last, state, proc)
+        assert products == [window] and [len(v) for v in verdicts] == [1]
+
+    def test_an_overflowing_union_falls_back_to_the_shifted_updates(
+        self, clean_calibration, monkeypatch
+    ):
+        _, state = clean_calibration
+        rec = np.random.default_rng(7).standard_normal((4, 2048))
+        rec[:, 1000:1040] *= 1e200
+        screens = []  # per chunk: (stack size, largest shift) of each screen call
+        real = processing.screen
+
+        def recording(covs, calib, shifts):
+            screens[-1].append((len(covs), int(shifts.max(initial=0))))
+            return real(covs, calib, shifts)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            with monkeypatch.context() as patch:
+                patch.setattr(processing, "screen", recording)
+                proc = asr.ProcessorState.initial(state)
+                out = np.empty(rec.shape)
+                for pos in range(0, 2048, 256):
+                    screens.append([])
+                    piece = asr.MultichannelChunk(rec[:, pos : pos + 256], SRATE, pos)
+                    cleaned, proc = asr.asr_process_chunk(piece, state, proc)
+                    out[:, pos : pos + 256] = cleaned.data
+                patch.setattr(processing, "screen", _no_screen)
+                want, ref = asr.clean_recording(rec, state, 256)
+        # the windows that hold samples 1000-1039 end at 1023 ... 1151: the
+        # second group of chunk 768 and the first of chunk 1024 overflow, so
+        # only one union of each of those chunks is screened, and their
+        # instants' covariances are rebuilt with a shift
+        assert [calls[0] for calls in screens] == [(2, 0)] * 3 + [(1, 0)] * 2 + [(2, 0)] * 3
+        shifted = [any(k for _, k in calls[1:]) for calls in screens]
+        assert shifted == [False] * 3 + [True] * 2 + [False] * 3
+        assert np.array_equal(out, want)
+        assert proc.update_log == ref.update_log
+        assert sum(1 for _, n in proc.update_log if n) > 3  # the stretch was rejected
 
     def test_a_non_finite_covariance_raises_and_leaves_the_state(self, clean_calibration):
         _, state = clean_calibration
