@@ -24,11 +24,12 @@ reproduce exactly:
    covariance ``Y_U Y_U^T / n_min`` of the union U of its windows (see
    :func:`_unscreened`): each window lies inside U and each
    ``n_i >= n_min``, so a union that passes proves every update of its
-   group clean. Its product runs over at most 2W columns, so its rounding
-   (about 1e-13 relative at W = 500) stays well inside
-   ``eps = 1e-12 C**2 cond(T^T T)``. Only for the instants of a group that
-   fails the screen, whose union is not finite, or that holds one instant
-   does the chunk build the ``(k, C, C)`` stack of update covariances, in
+   group clean. Its product runs over at most 2W columns; unions are formed
+   only while the rounding of it and of the W-column update products, about
+   ``3 W C u`` relative, stays within half of
+   ``eps = 1e-12 C**2 cond(T^T T)`` (W up to about 1500 C). Only for the
+   instants of a group that fails the screen, whose union is not finite, or
+   that holds one instant does the chunk build the ``(k, C, C)`` stack of update covariances, in
    one loop (one that overflows is rebuilt from its segment times
    ``2**-k``), and screen it. The covariances neither screen clears go to
    one :func:`detect` call, one batched ``eigh`` for them all, so the
@@ -49,7 +50,6 @@ invisible to the arithmetic.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -59,7 +59,15 @@ from .filters import filter_order, iir_filter
 # pinv and symmetric_eig stay bound though unused: perfbench/tracing.py wraps
 # processing.pinv and processing.symmetric_eig
 from .linalg import pinv, symmetric_eig  # noqa: F401
-from .types import DEFAULT_STEPSIZE, CalibrationState, MultichannelChunk, ProcessorState
+from .types import (
+    DEFAULT_STEPSIZE,
+    SCREEN_REL_TOL,
+    CalibrationState,
+    MultichannelChunk,
+    ProcessorState,
+)
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u = 2**-53
 
 
 def load_kernels(calib: CalibrationState) -> None:
@@ -167,13 +175,10 @@ def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.
     time only when that raises. No covariance passes when the calibration
     has no screen bound.
 
-    A chunk screens twice: first the union covariances of its groups of
-    update instants (:func:`_unscreened`, all shifts 0), then the update
-    covariances of the instants no union cleared. The margin of
-    ``screen_bound``, ``eps = 1e-12 C**2 cond(T^T T)``, covers the rounding
-    of either product (over at most 2W columns, about 1e-13 relative at
-    W = 500), of the factorization, and of the ``eigh`` and limits that
-    :func:`detect` would compute.
+    The margin of ``screen_bound``, ``eps = 1e-12 C**2 cond(T^T T)``, covers
+    the rounding of the factorization and of the ``eigh`` and limits that
+    :func:`detect` would compute, and, for a union covariance (see
+    :func:`_unscreened`), that of the products it vouches for.
     """
     passed = np.zeros(len(covs), dtype=bool)
     bound = calib.screen_bound
@@ -197,7 +202,7 @@ def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.
 
 def _unscreened(
     tail: np.ndarray, instants: range, t0: int, window: int, calib: CalibrationState
-) -> Sequence[int]:
+) -> list[int]:
     """The indices into ``instants`` that no union screen proves clean. The
     instants are split into consecutive groups of at most
     ``W // stepsize + 1``, so that a group's windows span at most 2W samples
@@ -207,26 +212,35 @@ def _unscreened(
     window lies inside U and each ``n_i >= n_min``, so every update
     covariance of the group is ``S_i <= Y_U Y_U^T / n_min`` in the PSD
     order, and a union that :func:`screen` passes proves the whole group
-    clean. A group of one (its union is its own window) and a union that is
-    not finite (its products overflow) prove nothing."""
-    k = len(instants)
+    clean. A group of one and a union that is not finite (its product
+    overflows) prove nothing.
+
+    A passing union vouches for update covariances it did not compute. The
+    rounding of its product (2W columns) and of theirs (W columns) is at
+    most about ``3 W C u s_max(T)**2`` in norm (u = 2**-53), so no union is
+    formed unless that stays within half the screen's margin
+    ``eps s_min(T)**2 = SCREEN_REL_TOL C**2 s_max(T)**2``: ``W <= about
+    1500 C``, 96,000 samples at 64 channels."""
+    k, c = len(instants), tail.shape[0]
+    if calib.screen_bound is None or 6 * window * _UNIT_ROUNDOFF > SCREEN_REL_TOL * c:
+        return list(range(k))
     size = window // instants.step + 1
     groups = [range(a, min(a + size, k)) for a in range(0, k, size)]
-    groups = [group for group in groups if len(group) > 1]
-    if not groups:
-        return range(k)
-    unions = np.empty((len(groups), tail.shape[0], tail.shape[0]))
+    unions = np.empty((len(groups), c, c))
+    formed = np.zeros(len(groups), dtype=bool)  # finite unions of two or more windows
     with np.errstate(over="ignore", invalid="ignore"):
-        for union, group in zip(unions, groups):
-            first, last = instants[group[0]], instants[group[-1]]
-            span = tail[:, first + 1 : last + 1 + window]
-            np.matmul(span, span.T, out=union)
-            union /= min(t0 + first + 1, window)
-    finite = np.isfinite(unions).all(axis=(1, 2))
+        for g, group in enumerate(groups):
+            if len(group) > 1:
+                first, last = instants[group[0]], instants[group[-1]]
+                span = tail[:, first + 1 : last + 1 + window]
+                np.matmul(span, span.T, out=unions[g])
+                unions[g] /= min(t0 + first + 1, window)
+                formed[g] = np.isfinite(unions[g]).all()
     passed = np.zeros(len(groups), dtype=bool)
-    passed[finite] = screen(unions[finite], calib, np.zeros(np.count_nonzero(finite), dtype=int))
-    cleared = {q for group, ok in zip(groups, passed) if ok for q in group}
-    return [q for q in range(k) if q not in cleared]
+    if formed.any():
+        shifts = np.zeros(np.count_nonzero(formed), dtype=int)
+        passed[formed] = screen(unions[formed], calib, shifts)
+    return [q for group, ok in zip(groups, passed) if not ok for q in group]
 
 
 @lru_cache(maxsize=8)

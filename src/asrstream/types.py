@@ -80,7 +80,9 @@ class CalibrationParams:
 DEFAULT_STEPSIZE = 32  # samples between detection updates
 # the screen's margin is this times C**2 times the condition number of T^T T
 # (see CalibrationState.screen_bound): about 4500 machine epsilons per C**2,
-# against rounding errors of a few per C**2 in the screen and in detect
+# against rounding errors of a few per C**2 in the screen and in detect; a
+# union screen also vouches for window products it did not compute, whose
+# rounding grows as 3 W C u, so processing forms unions only for W <= ~1500 C
 SCREEN_REL_TOL = 1e-12
 UPDATE_LOG_LIMIT = 65536  # bounded diagnostic history of (sample, n_rejected)
 

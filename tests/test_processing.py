@@ -617,6 +617,34 @@ def _no_screen(covs, calib, shifts):
     return np.zeros(len(covs), dtype=bool)
 
 
+def _count_cleared(monkeypatch):
+    """Patch the screens to count the updates they clear: each call adds to
+    the last entry of the returned lists, the updates that union screens
+    cleared and the update covariances that passed one by one."""
+    by_union, by_update = [], []
+    real_unscreened, real_screen = processing._unscreened, processing.screen
+    inside = []
+
+    def unscreened(tail, instants, t0, window, calib):
+        inside.append(True)
+        try:
+            open_ = real_unscreened(tail, instants, t0, window, calib)
+        finally:
+            inside.clear()
+        by_union[-1] += len(instants) - len(open_)
+        return open_
+
+    def screen(covs, calib, shifts):
+        passed = real_screen(covs, calib, shifts)
+        if not inside:
+            by_update[-1] += int(np.count_nonzero(passed))
+        return passed
+
+    monkeypatch.setattr(processing, "_unscreened", unscreened)
+    monkeypatch.setattr(processing, "screen", screen)
+    return by_union, by_update
+
+
 class TestScreen:
     """An update whose covariance a Cholesky factorization proves clean
     skips detection; that must never change what detection decides."""
@@ -659,30 +687,51 @@ class TestScreen:
         events = (asr.ArtifactEvent(0.9, 0.3, 10.0), asr.ArtifactEvent(2.0, 0.5, 8.0))
         state, recording = _burst_case(channels, srate, 3, events, duration=5.0)
         chunks = (1, 7, 32, 100, 256, 1000, recording.shape[1])
-        verdicts = {}
-        real = processing.screen
-
-        def counted(covs, calib, shifts):
-            passed = real(covs, calib, shifts)
-            verdicts[chunk] += int(np.count_nonzero(passed))
-            return passed
-
+        by_union, by_update = _count_cleared(monkeypatch)
         for chunk in chunks:
-            verdicts[chunk] = 0
+            by_union.append(0)
+            by_update.append(0)
+            out, proc = asr.clean_recording(recording, state, chunk)
             with monkeypatch.context() as patch:
-                patch.setattr(processing, "screen", counted)
-                out, proc = asr.clean_recording(recording, state, chunk)
                 patch.setattr(processing, "screen", _no_screen)
                 want, ref = asr.clean_recording(recording, state, chunk)
             assert np.array_equal(out, want), chunk
             assert proc.update_log == ref.update_log, chunk
         rejecting = sum(1 for _, n in ref.update_log if n)
         assert 0 < rejecting < len(ref.update_log) / 2
-        # most clean updates were screened one by one at chunk 1, and at every
-        # chunk size a passing union or update stands for at least one clean update
+        # at every chunk size the screens cleared most clean updates, and
+        # only clean ones; from chunk 100 on (three instants) unions did too
         clean = len(ref.update_log) - rejecting
-        assert clean / 2 < verdicts[1]
-        assert all(0 < n <= clean for n in verdicts.values()), verdicts
+        cleared = [u + v for u, v in zip(by_union, by_update)]
+        assert all(clean / 2 < n <= clean for n in cleared), (chunks, cleared)
+        assert by_union[:3] == [0] * 3 and all(by_union[3:]), (chunks, by_union)
+
+    def test_the_largest_window_that_forms_unions_keeps_the_outputs(self, monkeypatch):
+        # at 2 channels unions are formed up to W = 3002 samples; here W = 2900
+        state, recording = _burst_case(
+            2, 1000.0, 4, (asr.ArtifactEvent(3.0, 0.4, 10.0),), duration=12.0, window_len=2.9
+        )
+        assert state.window_samples() == 2900
+        by_union, by_update = _count_cleared(monkeypatch)
+        for chunk in (256, recording.shape[1]):
+            by_union.append(0)
+            by_update.append(0)
+            out, proc = asr.clean_recording(recording, state, chunk)
+            with monkeypatch.context() as patch:
+                patch.setattr(processing, "screen", _no_screen)
+                want, ref = asr.clean_recording(recording, state, chunk)
+            assert np.array_equal(out, want), chunk
+            assert proc.update_log == ref.update_log, chunk
+        assert all(by_union) and any(n for _, n in ref.update_log), by_union
+
+    def test_no_union_is_formed_past_the_rounding_limit(self, clean_calibration):
+        # 6 W u <= SCREEN_REL_TOL C holds up to W = 6004 at 4 channels; a
+        # zero union passes the screen, so only the limit can keep it open
+        _, state = clean_calibration
+        instants = range(31, 256, 32)
+        for window, open_ in ((6004, []), (6005, list(range(8)))):
+            tail = np.zeros((4, window + 256))
+            assert processing._unscreened(tail, instants, 10**6, window, state) == open_
 
     def test_products_run_only_for_the_instants_of_failing_groups(
         self, clean_calibration, monkeypatch
