@@ -153,6 +153,7 @@ def _process_file(args, record: SignalRecord, state: CalibrationState) -> int:
                 f"updates={proc.total_samples_seen // proc.stepsize}",
                 f"rejecting_updates={proc.rejecting_updates}",
                 f"output={args.output}",
+                f"screened_updates={proc.screened_updates}",
             ]
         )
     else:

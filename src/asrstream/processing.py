@@ -19,21 +19,26 @@ reproduce exactly:
    factorization per stack; see :func:`screen` and
    ``CalibrationState.screen_bound``) provably keeps every component, so
    its update is the identity with nothing rejected and needs no ``eigh``.
-   A chunk first splits its update instants into consecutive groups whose
-   windows span at most 2W samples and screens, for each group, the
-   covariance ``Y_U Y_U^T / n_min`` of the union U of its windows (see
-   :func:`_unscreened`): each window lies inside U and each
-   ``n_i >= n_min``, so a union that passes proves every update of its
-   group clean. Its product runs over at most 2W columns; unions are formed
+   The stream's update instants fall into consecutive groups of
+   ``W // stepsize + 1``, numbered from the stream's start, whose windows
+   span at most 2W samples. A chunk screens, for each group it reaches, the
+   covariance ``Y_U Y_U^T / n_min`` of the union U of the group's windows up
+   to its last instant in the chunk (see :func:`_screen_unions`): each
+   window lies inside U and each ``n_i >= n_min``, so a union that passes
+   proves every update of its group so far clean. A group's product is
+   carried across chunks in ``ProcessorState.union``, so a chunk that
+   continues a group adds the product of its new columns only. The union
+   sums at most 2W columns, in one product or several; unions are formed
    only while the rounding of it and of the W-column update products, about
    ``3 W C u`` relative, stays within half of
    ``eps = 1e-12 C**2 cond(T^T T)`` (W up to about 1500 C). Only for the
-   instants of a group that fails the screen, whose union is not finite, or
-   that holds one instant does the chunk build the ``(k, C, C)`` stack of update covariances, in
-   one loop (one that overflows is rebuilt from its segment times
-   ``2**-k``), and screen it. The covariances neither screen clears go to
-   one :func:`detect` call, one batched ``eigh`` for them all, so the
-   outputs are those of running :func:`detect` on every update,
+   instants whose union fails the screen or is not finite, and for those
+   of a group whose union failed in an earlier chunk, does the chunk build
+   the ``(k, C, C)`` stack of update covariances, in one loop (one that
+   overflows is rebuilt from its segment times ``2**-k``), and screen it.
+   The covariances neither screen clears go to one :func:`detect` call, one
+   batched ``eigh`` for them all, so the outputs are those of running
+   :func:`detect` on every update,
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
    ``ssu = (t + 1) mod stepsize`` counts samples since the last update (0 at
@@ -178,7 +183,8 @@ def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.
     The margin of ``screen_bound``, ``eps = 1e-12 C**2 cond(T^T T)``, covers
     the rounding of the factorization and of the ``eigh`` and limits that
     :func:`detect` would compute, and, for a union covariance (see
-    :func:`_unscreened`), that of the products it vouches for.
+    :func:`_screen_unions`), that of the products it vouches for, whether
+    its own product was summed in one piece or carried across chunks.
     """
     passed = np.zeros(len(covs), dtype=bool)
     bound = calib.screen_bound
@@ -200,47 +206,81 @@ def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.
     return passed
 
 
-def _unscreened(
-    tail: np.ndarray, instants: range, t0: int, window: int, calib: CalibrationState
-) -> list[int]:
-    """The indices into ``instants`` that no union screen proves clean. The
-    instants are split into consecutive groups of at most
-    ``W // stepsize + 1``, so that a group's windows span at most 2W samples
-    of ``tail``. Each group of two or more forms the covariance
-    ``Y_U Y_U^T / n_min`` of the union U of its windows, where ``n_min =
-    min(t0 + j_first + 1, W)`` is the smallest sample count among them. Each
-    window lies inside U and each ``n_i >= n_min``, so every update
-    covariance of the group is ``S_i <= Y_U Y_U^T / n_min`` in the PSD
-    order, and a union that :func:`screen` passes proves the whole group
-    clean. A group of one and a union that is not finite (its product
-    overflows) prove nothing.
+def _screen_unions(
+    tail: np.ndarray,
+    instants: range,
+    t0: int,
+    window: int,
+    calib: CalibrationState,
+    union: np.ndarray | None,
+) -> tuple[list[int], np.ndarray | None]:
+    """The indices into ``instants`` that no union screen proves clean, and
+    the union to carry into the next chunk (see ``ProcessorState.union``).
 
-    A passing union vouches for update covariances it did not compute. The
-    rounding of its product (2W columns) and of theirs (W columns) is at
-    most about ``3 W C u s_max(T)**2`` in norm (u = 2**-53), so no union is
-    formed unless that stays within half the screen's margin
+    The stream's update instants are numbered from 0 and split into
+    consecutive groups of ``W // stepsize + 1``, so that a group's windows
+    span at most 2W samples. The covariance ``Y_U Y_U^T / n_min`` of the
+    union U of a group's windows, where ``n_min = min(t_first + 1, W)`` is
+    the sample count of its first window, bounds each update covariance of
+    the group: each window lies inside U and each ``n_i >= n_min``, so
+    ``S_i <= Y_U Y_U^T / n_min`` in the PSD order, and a union that
+    :func:`screen` passes proves its updates clean.
+
+    The chunk's instants fall into runs that share a group. A run that
+    starts its group forms the product ``Y_U Y_U^T`` over the ``tail``
+    columns of its windows; a run that continues a group whose product so
+    far, ``union``, is live adds to it the product of its new columns only,
+    ``stepsize`` per instant. The finite unions are screened as one stack.
+    A run whose union fails or overflows stays open, and so does a run of a
+    group that has no live union: a union only grows in the PSD order, so
+    one that failed would fail again.
+
+    A passing union vouches for update covariances it did not compute. Each
+    entry of its product is a sum over at most 2W columns, whether formed in
+    one product or as a carried product plus that of the new columns: any
+    order of summing n terms errs by at most ``(n - 1) u`` times the sum of
+    their magnitudes, so the bound is that of one 2W-column product. With
+    the rounding of the W-column update products it is at most about
+    ``3 W C u s_max(T)**2`` in norm (u = 2**-53), so no union is formed
+    unless that stays within half the screen's margin
     ``eps s_min(T)**2 = SCREEN_REL_TOL C**2 s_max(T)**2``: ``W <= about
     1500 C``, 96,000 samples at 64 channels."""
     k, c = len(instants), tail.shape[0]
     if calib.screen_bound is None or 6 * window * _UNIT_ROUNDOFF > SCREEN_REL_TOL * c:
-        return list(range(k))
-    size = window // instants.step + 1
-    groups = [range(a, min(a + size, k)) for a in range(0, k, size)]
-    unions = np.empty((len(groups), c, c))
-    formed = np.zeros(len(groups), dtype=bool)  # finite unions of two or more windows
+        return list(range(k)), None
+    if not k:
+        return [], union
+    step = instants.step
+    size = window // step + 1
+    first = (t0 + instants[0] + 1) // step - 1  # the stream-wide number of instants[0]
+    # a run ends where the next group starts, at a number divisible by size
+    bounds = [0, *range(-first % size or size, k, size), k]
+    runs, products, counts = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for g, group in enumerate(groups):
-            if len(group) > 1:
-                first, last = instants[group[0]], instants[group[-1]]
-                span = tail[:, first + 1 : last + 1 + window]
-                np.matmul(span, span.T, out=unions[g])
-                unions[g] /= min(t0 + first + 1, window)
-                formed[g] = np.isfinite(unions[g]).all()
-    passed = np.zeros(len(groups), dtype=bool)
-    if formed.any():
-        shifts = np.zeros(np.count_nonzero(formed), dtype=int)
-        passed[formed] = screen(unions[formed], calib, shifts)
-    return [q for group, ok in zip(groups, passed) if not ok for q in group]
+        for a, b in zip(bounds, bounds[1:]):
+            position = (first + a) % size  # of instants[a] in its group
+            end = instants[b - 1] + 1 + window
+            if not position:
+                span = tail[:, instants[a] + 1 : end]
+            elif union is not None:
+                span = tail[:, end - (b - a) * step : end]
+            else:
+                continue
+            product = np.matmul(span, span.T)
+            if position:
+                product += union
+            if np.isfinite(product).all():
+                runs.append(range(a, b))
+                products.append(product)
+                # n_min, the sample count of the group's first window
+                counts.append(min((first + a - position + 1) * step, window))
+    if not runs:
+        return list(range(k)), None
+    stack = np.array(products) / np.array(counts)[:, None, None]
+    passed = screen(stack, calib, np.zeros(len(runs), dtype=int))
+    cleared = {q for run, ok in zip(runs, passed) if ok for q in run}
+    live = passed[-1] and runs[-1].stop == k
+    return [q for q in range(k) if q not in cleared], products[-1] if live else None
 
 
 @lru_cache(maxsize=8)
@@ -325,7 +365,8 @@ def asr_process_chunk(
     # a screened update rejects nothing; only the others reach detect
     recons: list[np.ndarray | None] = [None] * len(instants)
     rejected = [0] * len(instants)
-    open_ = _unscreened(tail, instants, t0, window, calib)
+    open_, union = _screen_unions(tail, instants, t0, window, calib, state.union)
+    screened = len(instants) - len(open_)
     covs = np.empty((len(open_), c, c))
     shifts = np.zeros(len(open_), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is mended at once
@@ -343,7 +384,9 @@ def asr_process_chunk(
     if open_:
         if not np.isfinite(covs).all():
             raise InvalidInput("covariance contains non-finite entries")
-        suspects = np.flatnonzero(~screen(covs, calib, shifts))
+        passed = screen(covs, calib, shifts)
+        screened += int(np.count_nonzero(passed))
+        suspects = np.flatnonzero(~passed)
         if suspects.size:
             _, _, keep, found = detect(covs[suspects], calib, shifts[suspects])
             for i, kept, r in zip(suspects, keep, found):
@@ -363,8 +406,10 @@ def asr_process_chunk(
     state.delay_buffer, state.cov_window = joined[:, n_samples:].copy(), tail[:, n_samples:].copy()
     state.filter_state = filter_state
     state.r_current, state.r_previous = r_current, r_previous
+    state.union = union
     state.update_log.extend(log)
     state.rejecting_updates += len(rejected) - rejected.count(0)
+    state.screened_updates += screened
     state.total_samples_seen = t0 + n_samples
     cleaned = MultichannelChunk(
         data=out, srate=chunk.srate, first_sample_index=chunk.first_sample_index
@@ -379,9 +424,10 @@ def pass_chunk_through(
     samples, uncleaned, so a stream that skips cleaning one chunk keeps its
     alignment (no sample repeats or goes missing).
 
-    Only the delay line advances; the filter, covariance window, reconstruction
-    pair and sample counters stay as they were, so the chunk never enters the
-    statistics. The call is transactional like ``asr_process_chunk``.
+    Only the delay line advances; the filter, covariance window, carried
+    union, reconstruction pair and sample counters stay as they were, so the
+    chunk never enters the statistics. The call is transactional like
+    ``asr_process_chunk``.
     """
     n_samples = chunk.data.shape[1]
     joined = np.concatenate([state.delay_buffer, chunk.data], axis=1)

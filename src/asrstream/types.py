@@ -180,7 +180,17 @@ class ProcessorState:
 
     The update instants and the blend phase are keyed off global sample
     indices, so any partition of a stream into chunks leaves identical state
-    at identical stream positions.
+    at identical stream positions, except ``union`` and the
+    ``screened_updates`` count that it moves.
+
+    ``union`` is a screening bound only: the unnormalised product
+    ``Y_U Y_U^T`` of the columns of the current group of update instants
+    seen so far (see ``processing._screen_unions``), or None when that group
+    has no live union (its union failed the screen or overflowed, or the
+    screen is off). Where chunks split a group decides how its product was
+    summed, so its rounding, and whether it is live at a given stream
+    position, depend on the partition; no output and no ``update_log`` entry
+    depends on it.
     """
 
     filter_state: np.ndarray  # (C, order) IIR delay-line memory
@@ -190,10 +200,13 @@ class ProcessorState:
     r_current: np.ndarray | None
     r_previous: np.ndarray | None
     stepsize: int  # samples between detection updates
+    union: np.ndarray | None = None  # (C, C) carried union product, or None
     total_samples_seen: int = 0
     # updates that rejected at least one component, all of them since the
     # stream began; update_log keeps only the most recent
     rejecting_updates: int = 0
+    # updates that a screen, union or per-update, cleared without eigh
+    screened_updates: int = 0
     # most recent update instants as (sample index, n_rejected)
     update_log: deque[tuple[int, int]] = field(
         default_factory=lambda: deque(maxlen=UPDATE_LOG_LIMIT)

@@ -556,10 +556,18 @@ def test_report_counts_updates_past_the_log_limit(workspace, monkeypatch, capsys
     # every rejecting update, though the log kept only the last four
     monkeypatch.undo()
     calibration, _, _ = load_calibration_data(workspace / "calib.csv")
-    _, proc = asr.clean_recording(record.data, asr.asr_calibrate(calibration, record.srate), 32)
+    # in the CLI's default chunks of 256, so the screens clear the same updates
+    _, proc = asr.clean_recording(record.data, asr.asr_calibrate(calibration, record.srate), 256)
     rejecting = sum(1 for _, r in proc.update_log if r)
     assert rejecting > 4
     assert f"rejecting_updates={rejecting}" in lines
+    # the screens' count comes last, after the keys that came before it
+    assert [line.split("=")[0] for line in lines] == [
+        "channels", "samples", "lookahead", "updates", "rejecting_updates", "output",
+        "screened_updates",
+    ]
+    assert 0 < proc.screened_updates <= n // 32 - rejecting
+    assert lines[-1] == f"screened_updates={proc.screened_updates}"
 
 
 def _stream_text_with(record, edits):

@@ -468,7 +468,7 @@ class TestProcessChunk:
         rng = np.random.default_rng(seed)
         n = sum(sizes)
         stream = rng.standard_normal((4, n)) * 3.0
-        whole, _ = run_stream(stream, state, chunk_size=n)
+        whole, ref = run_stream(stream, state, chunk_size=n)
         proc = asr.ProcessorState.initial(state)
         parts = []
         pos = 0
@@ -479,6 +479,7 @@ class TestProcessChunk:
             pos += size
         report = asr.compare(np.hstack(parts), whole, 1e-10)
         assert report.passed, report.summary()
+        assert proc.update_log == ref.update_log
 
     def test_empty_rejection_spans_are_exact(self, clean_calibration):
         _, state = clean_calibration
@@ -622,17 +623,17 @@ def _count_cleared(monkeypatch):
     the last entry of the returned lists, the updates that union screens
     cleared and the update covariances that passed one by one."""
     by_union, by_update = [], []
-    real_unscreened, real_screen = processing._unscreened, processing.screen
+    real_unions, real_screen = processing._screen_unions, processing.screen
     inside = []
 
-    def unscreened(tail, instants, t0, window, calib):
+    def screen_unions(tail, instants, t0, window, calib, union):
         inside.append(True)
         try:
-            open_ = real_unscreened(tail, instants, t0, window, calib)
+            open_, union = real_unions(tail, instants, t0, window, calib, union)
         finally:
             inside.clear()
         by_union[-1] += len(instants) - len(open_)
-        return open_
+        return open_, union
 
     def screen(covs, calib, shifts):
         passed = real_screen(covs, calib, shifts)
@@ -640,7 +641,7 @@ def _count_cleared(monkeypatch):
             by_update[-1] += int(np.count_nonzero(passed))
         return passed
 
-    monkeypatch.setattr(processing, "_unscreened", unscreened)
+    monkeypatch.setattr(processing, "_screen_unions", screen_unions)
     monkeypatch.setattr(processing, "screen", screen)
     return by_union, by_update
 
@@ -697,14 +698,17 @@ class TestScreen:
                 want, ref = asr.clean_recording(recording, state, chunk)
             assert np.array_equal(out, want), chunk
             assert proc.update_log == ref.update_log, chunk
+            assert proc.screened_updates == by_union[-1] + by_update[-1], chunk
+            assert ref.screened_updates == 0, chunk
         rejecting = sum(1 for _, n in ref.update_log if n)
         assert 0 < rejecting < len(ref.update_log) / 2
         # at every chunk size the screens cleared most clean updates, and
-        # only clean ones; from chunk 100 on (three instants) unions did too
+        # only clean ones, and unions did too: a group's union is carried
+        # across chunks that hold one update instant or none
         clean = len(ref.update_log) - rejecting
         cleared = [u + v for u, v in zip(by_union, by_update)]
         assert all(clean / 2 < n <= clean for n in cleared), (chunks, cleared)
-        assert by_union[:3] == [0] * 3 and all(by_union[3:]), (chunks, by_union)
+        assert all(by_union), (chunks, by_union)
 
     def test_the_largest_window_that_forms_unions_keeps_the_outputs(self, monkeypatch):
         # at 2 channels unions are formed up to W = 3002 samples; here W = 2900
@@ -713,7 +717,9 @@ class TestScreen:
         )
         assert state.window_samples() == 2900
         by_union, by_update = _count_cleared(monkeypatch)
-        for chunk in (256, recording.shape[1]):
+        # chunks of 32 carry each union across 91 chunks; 256 and the whole
+        # record form most of it in one product
+        for chunk in (32, 256, recording.shape[1]):
             by_union.append(0)
             by_update.append(0)
             out, proc = asr.clean_recording(recording, state, chunk)
@@ -726,12 +732,18 @@ class TestScreen:
 
     def test_no_union_is_formed_past_the_rounding_limit(self, clean_calibration):
         # 6 W u <= SCREEN_REL_TOL C holds up to W = 6004 at 4 channels; a
-        # zero union passes the screen, so only the limit can keep it open
+        # zero union passes the screen, so only the limit can keep it open,
+        # in a chunk that starts a group (t0 = 0) and in one that continues
+        # a live group (the eight instants after 10**6 are the 43rd to 50th
+        # of a group of 188)
         _, state = clean_calibration
         instants = range(31, 256, 32)
         for window, open_ in ((6004, []), (6005, list(range(8)))):
             tail = np.zeros((4, window + 256))
-            assert processing._unscreened(tail, instants, 10**6, window, state) == open_
+            for t0, union in ((0, None), (10**6, np.zeros((4, 4)))):
+                got, carried = processing._screen_unions(tail, instants, t0, window, state, union)
+                assert got == open_, (window, t0)
+                assert (carried is None) == bool(open_), (window, t0)
 
     def test_products_run_only_for_the_instants_of_failing_groups(
         self, clean_calibration, monkeypatch
@@ -773,46 +785,92 @@ class TestScreen:
             assert [len(v) for v in verdicts[1:]] == ([4 * failed[-1]] if failed[-1] else []), pos
         assert 0 < sum(failed) < 2 * len(failed)
         assert sum(1 for _, n in proc.update_log if n) > 0
-        # a chunk with a single instant forms no union
-        products.clear()
-        verdicts.clear()
-        last = asr.MultichannelChunk(stream[:, 2048:], SRATE, 2048)
-        _, proc = asr.asr_process_chunk(last, state, proc)
-        assert products == [window] and [len(v) for v in verdicts] == [1]
 
+        # chunks of 32 hold one instant each (the m-th at chunk 32 m): a
+        # window-sized product runs at a group's first instant and for each
+        # instant that no union clears, and every other instant extends its
+        # group's live union by one 32-column product
+        proc = asr.ProcessorState.initial(state)
+        extended = dead = 0
+        for pos in range(0, 2080, 32):
+            products.clear()
+            verdicts.clear()
+            live = proc.union is not None
+            chunk = asr.MultichannelChunk(stream[:, pos : pos + 32], SRATE, pos)
+            _, proc = asr.asr_process_chunk(chunk, state, proc)
+            starts = pos // 32 % 4 == 0
+            if starts or live:
+                extended += not starts
+                cleared = bool(verdicts[0][0])
+                assert products == [window if starts else 32] + [window] * (not cleared), pos
+                assert [len(v) for v in verdicts] == [1] * (2 - cleared), pos
+                assert (proc.union is not None) == cleared, pos
+            else:
+                # a group whose union failed in an earlier chunk
+                dead += 1
+                assert products == [window] and [len(v) for v in verdicts] == [1], pos
+                assert proc.union is None, pos
+        assert extended > 0 and dead > 0, (extended, dead)
+
+    # the windows that hold samples 1000-1039 end at 1023 ... 1151: at chunk
+    # 256 the second group of chunk 768 and the first of chunk 1024 overflow,
+    # so only one union of each of those chunks is screened, and their
+    # instants' covariances are rebuilt with a shift; at chunk 32 the union
+    # carried to 1023 overflows there, the next group's first union at 1055
+    # does too, and the rest of that group is open without a union
+    @pytest.mark.parametrize(
+        "chunk, removed",
+        [(256, [0] * 3 + [1] * 2 + [0] * 3), (32, [0] * 31 + [1] * 5 + [0] * 28)],
+    )
     def test_an_overflowing_union_falls_back_to_the_shifted_updates(
-        self, clean_calibration, monkeypatch
+        self, clean_calibration, monkeypatch, chunk, removed
     ):
         _, state = clean_calibration
         rec = np.random.default_rng(7).standard_normal((4, 2048))
-        rec[:, 1000:1040] *= 1e200
-        screens = []  # per chunk: (stack size, largest shift) of each screen call
-        real = processing.screen
+        screens = []  # per chunk: (in a union screen, stack size, largest shift) of each screen call
+        inside = []
+        real_unions, real_screen = processing._screen_unions, processing.screen
+
+        def screen_unions(*args):
+            inside.append(True)
+            try:
+                return real_unions(*args)
+            finally:
+                inside.clear()
 
         def recording(covs, calib, shifts):
-            screens[-1].append((len(covs), int(shifts.max(initial=0))))
-            return real(covs, calib, shifts)
+            screens[-1].append((bool(inside), len(covs), int(shifts.max(initial=0))))
+            return real_screen(covs, calib, shifts)
+
+        def run(x):
+            screens.clear()
+            proc = asr.ProcessorState.initial(state)
+            out = np.empty(x.shape)
+            for pos in range(0, 2048, chunk):
+                screens.append([])
+                piece = asr.MultichannelChunk(x[:, pos : pos + chunk], SRATE, pos)
+                cleaned, proc = asr.asr_process_chunk(piece, state, proc)
+                out[:, pos : pos + chunk] = cleaned.data
+            # at most one union stack per chunk, screened first and unshifted
+            for calls in screens:
+                assert all(not union for union, _, _ in calls[1:]), calls
+            unions = [calls[0][1:] if calls and calls[0][0] else (0, 0) for calls in screens]
+            assert all(k == 0 for _, k in unions)
+            shifted = [any(k for _, _, k in calls) for calls in screens]
+            return out, proc, [n for n, _ in unions], shifted
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning either
             with monkeypatch.context() as patch:
+                patch.setattr(processing, "_screen_unions", screen_unions)
                 patch.setattr(processing, "screen", recording)
-                proc = asr.ProcessorState.initial(state)
-                out = np.empty(rec.shape)
-                for pos in range(0, 2048, 256):
-                    screens.append([])
-                    piece = asr.MultichannelChunk(rec[:, pos : pos + 256], SRATE, pos)
-                    cleaned, proc = asr.asr_process_chunk(piece, state, proc)
-                    out[:, pos : pos + 256] = cleaned.data
+                _, _, plain, _ = run(rec)
+                rec[:, 1000:1040] *= 1e200
+                out, proc, unions, shifted = run(rec)
                 patch.setattr(processing, "screen", _no_screen)
-                want, ref = asr.clean_recording(rec, state, 256)
-        # the windows that hold samples 1000-1039 end at 1023 ... 1151: the
-        # second group of chunk 768 and the first of chunk 1024 overflow, so
-        # only one union of each of those chunks is screened, and their
-        # instants' covariances are rebuilt with a shift
-        assert [calls[0] for calls in screens] == [(2, 0)] * 3 + [(1, 0)] * 2 + [(2, 0)] * 3
-        shifted = [any(k for _, k in calls[1:]) for calls in screens]
-        assert shifted == [False] * 3 + [True] * 2 + [False] * 3
+                want, ref = asr.clean_recording(rec, state, chunk)
+        assert unions == [n - r for n, r in zip(plain, removed)]
+        assert shifted == [bool(r) for r in removed]
         assert np.array_equal(out, want)
         assert proc.update_log == ref.update_log
         assert sum(1 for _, n in proc.update_log if n) > 3  # the stretch was rejected
@@ -821,12 +879,15 @@ class TestScreen:
         _, state = clean_calibration
         rng = np.random.default_rng(4)
         proc = asr.ProcessorState.initial(state)
-        head = asr.MultichannelChunk(rng.standard_normal((4, 100)), SRATE, 0)
+        head = asr.MultichannelChunk(rng.standard_normal((4, 228)), SRATE, 0)
         _, proc = asr.asr_process_chunk(head, state, proc)
+        # three of the second group's four instants: its union is carried, and
+        # the failing chunk, which would extend it, must leave it as it was
+        assert proc.union is not None
         # a Cholesky factorization lets a NaN through, so the stack is checked first
         proc.cov_window[2, -1] = np.nan
         before = copy.deepcopy(proc)
-        chunk = asr.MultichannelChunk(rng.standard_normal((4, 64)), SRATE, 100)
+        chunk = asr.MultichannelChunk(rng.standard_normal((4, 64)), SRATE, 228)
         with pytest.raises(InvalidInput, match="covariance"):
             asr.asr_process_chunk(chunk, state, proc)
         for f in dataclasses.fields(proc):
@@ -835,6 +896,45 @@ class TestScreen:
                 assert np.array_equal(got, want, equal_nan=True), f.name
             else:
                 assert got == want, f.name
+
+    def test_a_chunk_passed_through_mid_group_leaves_the_union(
+        self, clean_calibration, monkeypatch
+    ):
+        _, state = clean_calibration
+        rng = np.random.default_rng(31)
+        stream = rng.standard_normal((4, 1200))
+        stream[:, 600:700] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(100))
+        skipped = rng.standard_normal((4, 45)) * 1e3  # never enters the statistics
+
+        def run():
+            proc = asr.ProcessorState.initial(state)
+            outs = []
+            for pos in range(0, 224, 32):  # the second group's first three instants
+                chunk = asr.MultichannelChunk(stream[:, pos : pos + 32], SRATE, pos)
+                cleaned, proc = asr.asr_process_chunk(chunk, state, proc)
+                outs.append(cleaned.data)
+            before = copy.deepcopy(proc)
+            skip = asr.MultichannelChunk(skipped, SRATE, 224)
+            outs.append(processing.pass_chunk_through(skip, proc).data)
+            for name in ("union", "cov_window", "filter_state", "r_current", "r_previous"):
+                got, want = getattr(proc, name), getattr(before, name)
+                assert (got is None and want is None) or np.array_equal(got, want), name
+            for name in ("total_samples_seen", "rejecting_updates", "screened_updates", "update_log"):
+                assert getattr(proc, name) == getattr(before, name), name
+            for pos in range(224, 1200, 32):
+                chunk = asr.MultichannelChunk(stream[:, pos : pos + 32], SRATE, pos + 45)
+                cleaned, proc = asr.asr_process_chunk(chunk, state, proc)
+                outs.append(cleaned.data)
+            return before, np.hstack(outs), proc
+
+        before, out, proc = run()
+        assert before.union is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(processing, "screen", _no_screen)
+            _, want, ref = run()
+        assert np.array_equal(out, want)
+        assert proc.update_log == ref.update_log
+        assert any(n for _, n in proc.update_log) and proc.screened_updates > 0
 
     def test_a_singular_threshold_turns_the_screen_off(self, clean_calibration):
         _, state = clean_calibration
