@@ -6,7 +6,13 @@ reproduce exactly:
 1. the raw sample enters the lookahead delay line; the L-delayed raw sample
    comes out,
 2. the raw sample is IIR-filtered (carried state); the state keeps the last
-   W filtered samples, oldest first, zeros before the stream starts,
+   W filtered samples, oldest first, zeros before the stream starts. Both
+   histories, the L raw and the W filtered samples, lie in buffers twice
+   their length (see ``ProcessorState``). A chunk reads them in place and
+   writes its own samples into the buffers' slack when it commits. It joins
+   history columns to its samples only for the delayed samples of a chunk
+   longer than L and for a window or union product that straddles the
+   boundary, which costs more than the join,
 3. at update instants (every ``stepsize`` samples, i.e. when
    ``(t + 1) % stepsize == 0``) the covariance ``sum(y y^T) / n_eff`` of the
    W filtered samples ending at ``t``, summed in time order, with
@@ -35,7 +41,9 @@ reproduce exactly:
    instants whose union fails the screen or is not finite, and for those
    of a group whose union failed in an earlier chunk, does the chunk build
    the ``(k, C, C)`` stack of update covariances, in one loop (one that
-   overflows is rebuilt from its segment times ``2**-k``), and screen it.
+   overflows is rebuilt from its segment times ``2**-k``), and screen it;
+   a failing union of a group's first instant alone is that instant's
+   covariance, which goes on as it is, neither formed nor screened again.
    The covariances neither screen clears go to one :func:`detect` call, one
    batched ``eigh`` for them all, so the outputs are those of running
    :func:`detect` on every update,
@@ -177,8 +185,8 @@ def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.
     :func:`detect`) passes iff ``4**-shifts[i] * calib.screen_bound -
     covs[i]`` has a Cholesky factor, and then :func:`detect` would keep all
     of its components. The stack is factored at once, and one matrix at a
-    time only when that raises. No covariance passes when the calibration
-    has no screen bound.
+    time only when that raises and it holds more than one. No covariance
+    passes when the calibration has no screen bound.
 
     The margin of ``screen_bound``, ``eps = 1e-12 C**2 cond(T^T T)``, covers
     the rounding of the factorization and of the ``eigh`` and limits that
@@ -197,6 +205,8 @@ def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.
         np.linalg.cholesky(margins)
         passed[:] = True
     except np.linalg.LinAlgError:
+        if len(margins) == 1:  # that one matrix failed
+            return passed
         for i, margin in enumerate(margins):
             try:
                 np.linalg.cholesky(margin)
@@ -213,9 +223,11 @@ def _screen_unions(
     window: int,
     calib: CalibrationState,
     union: np.ndarray | None,
-) -> tuple[list[int], np.ndarray | None]:
-    """The indices into ``instants`` that no union screen proves clean, and
-    the union to carry into the next chunk (see ``ProcessorState.union``).
+) -> tuple[list[int], np.ndarray | None, dict[int, np.ndarray]]:
+    """The indices into ``instants`` that no union screen proves clean, the
+    union to carry into the next chunk (see ``ProcessorState.union``), and
+    the update covariances of those instants that a failing union already
+    formed, by index.
 
     The stream's update instants are numbered from 0 and split into
     consecutive groups of ``W // stepsize + 1``, so that a group's windows
@@ -233,7 +245,10 @@ def _screen_unions(
     ``stepsize`` per instant. The finite unions are screened as one stack.
     A run whose union fails or overflows stays open, and so does a run of a
     group that has no live union: a union only grows in the PSD order, so
-    one that failed would fail again.
+    one that failed would fail again. A failing run of one instant that
+    starts its group spans that instant's W columns and divides by its
+    count, ``min((first + a + 1) stepsize, W) = min(t0 + j + 1, W)``, so its
+    union is that update's covariance, bit for bit, and is returned as such.
 
     A passing union vouches for update covariances it did not compute. Each
     entry of its product is a sum over at most 2W columns, whether formed in
@@ -247,9 +262,9 @@ def _screen_unions(
     1500 C``, 96,000 samples at 64 channels."""
     k, c = len(instants), tail.shape[0]
     if calib.screen_bound is None or 6 * window * _UNIT_ROUNDOFF > SCREEN_REL_TOL * c:
-        return list(range(k)), None
+        return list(range(k)), None, {}
     if not k:
-        return [], union
+        return [], union, {}
     step = instants.step
     size = window // step + 1
     first = (t0 + instants[0] + 1) // step - 1  # the stream-wide number of instants[0]
@@ -270,17 +285,80 @@ def _screen_unions(
             if position:
                 product += union
             if np.isfinite(product).all():
-                runs.append(range(a, b))
+                runs.append((range(a, b), position))
                 products.append(product)
                 # n_min, the sample count of the group's first window
                 counts.append(min((first + a - position + 1) * step, window))
     if not runs:
-        return list(range(k)), None
-    stack = np.array(products) / np.array(counts)[:, None, None]
+        return list(range(k)), None, {}
+    stack = np.empty((len(runs), c, c))
+    for cov, product, count in zip(stack, products, counts):
+        np.divide(product, count, out=cov)
     passed = screen(stack, calib, np.zeros(len(runs), dtype=int))
-    cleared = {q for run, ok in zip(runs, passed) if ok for q in run}
-    live = passed[-1] and runs[-1].stop == k
-    return [q for q in range(k) if q not in cleared], products[-1] if live else None
+    cleared = {q for (run, _), ok in zip(runs, passed) if ok for q in run}
+    formed = {
+        run.start: cov
+        for (run, position), ok, cov in zip(runs, passed, stack)
+        if not ok and len(run) == 1 and not position
+    }
+    live = passed[-1] and runs[-1][0].stop == k
+    return [q for q in range(k) if q not in cleared], products[-1] if live else None, formed
+
+
+def _delayed(state: ProcessorState, x: np.ndarray) -> np.ndarray:
+    """The chunk ``x`` delayed by L samples (zeros emerge during the first L
+    of the stream): the oldest n samples of the delay line, a view, or all
+    of it and the chunk's first n - L."""
+    n, lookahead = x.shape[1], state.lookahead
+    if n <= lookahead:
+        return state.delay_buffer[:, :n]
+    return np.concatenate([state.delay_buffer, x[:, : n - lookahead]], axis=1)
+
+
+class _Joined:
+    """The columns of ``old`` followed by those of ``new``, both ``(C, *)``,
+    read as one array without joining them: a column range ``[:, a:b]`` is a
+    view of the one that holds it. A range that straddles the two is a view
+    of one join of the columns from its start on, made at the first such
+    range and remade only for a later one that starts before it."""
+
+    def __init__(self, old: np.ndarray, new: np.ndarray):
+        self.old, self.new = old, new
+        self.shape = (old.shape[0], old.shape[1] + new.shape[1])
+        self.start, self.joined = old.shape[1], None  # nothing is joined yet
+
+    def __getitem__(self, key: tuple[slice, slice]) -> np.ndarray:
+        a, b, _ = key[1].indices(self.shape[1])
+        w = self.old.shape[1]
+        if b <= w:
+            return self.old[:, a:b]
+        if a >= w:
+            return self.new[:, a - w : b - w]
+        if a < self.start:
+            self.start = a
+            self.joined = np.concatenate([self.old[:, a:], self.new], axis=1)
+        return self.joined[:, a - self.start : b - self.start]
+
+
+def _advance(buffer: np.ndarray, end: int, new: np.ndarray) -> int:
+    """Move the history that ends at column ``end`` of ``buffer``, ``size``
+    columns of a buffer twice that long, on by the columns of ``new``;
+    returns the history's new end. Only the last ``m = min(n, size)`` of the
+    n new columns are written: after ``end`` while they fit, else behind the
+    history's last ``size - m`` columns, which move to the front. Moves come
+    at least ``size // m`` calls apart, so a call copies fewer than 3m
+    columns on average, whatever the chunk sizes. The new columns are
+    written first, so a ``new`` of the wrong shape raises before any column
+    is."""
+    size = buffer.shape[1] // 2
+    m = min(new.shape[1], size)
+    if end + m <= buffer.shape[1]:
+        buffer[:, end : end + m] = new[:, new.shape[1] - m :]
+        return end + m
+    # end > 2 size - m, so the columns that move lie behind size
+    buffer[:, size - m : size] = new[:, new.shape[1] - m :]
+    buffer[:, : size - m] = buffer[:, end - size + m : end]
+    return size
 
 
 @lru_cache(maxsize=8)
@@ -347,9 +425,10 @@ def asr_process_chunk(
     if not np.all(np.isfinite(x)):
         raise InvalidInput("chunk contains non-finite values")
 
-    # lookahead delay line (zeros emerge during the first L samples)
-    joined = np.concatenate([state.delay_buffer, x], axis=1)
-    delayed = joined[:, :n_samples]
+    # the histories are read in place, and only the columns that straddle
+    # one and the chunk are joined; the chunk's samples enter them at commit
+    window = state.window
+    delayed = _delayed(state, x)
     filtered, filter_state = iir_filter(
         x, calib.filter_b, calib.filter_a, state.filter_state
     )
@@ -358,39 +437,46 @@ def asr_process_chunk(
     t0 = state.total_samples_seen
     step = state.stepsize
     weights = _blend_weights(step)
-    window = state.cov_window.shape[1]
     # the W filtered samples ending at chunk sample j are columns j + 1 .. j + W
-    tail = np.concatenate([state.cov_window, filtered], axis=1)
+    tail = _Joined(state.cov_window, filtered)
     instants = range(step - 1 - t0 % step, n_samples, step)
     # a screened update rejects nothing; only the others reach detect
     recons: list[np.ndarray | None] = [None] * len(instants)
     rejected = [0] * len(instants)
-    open_, union = _screen_unions(tail, instants, t0, window, calib, state.union)
+    open_, union, formed = _screen_unions(tail, instants, t0, window, calib, state.union)
     screened = len(instants) - len(open_)
-    covs = np.empty((len(open_), c, c))
-    shifts = np.zeros(len(open_), dtype=int)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is mended at once
-        for i, q in enumerate(open_):
-            j = instants[q]
-            segment = tail[:, j + 1 : j + 1 + window]
-            np.matmul(segment, segment.T, out=covs[i])
-            if not np.isfinite(covs[i]).all():
-                # finite samples whose products overflow: rebuild the covariance
-                # from the segment times 2**-k, which scales it by exactly 4**-k
-                shifts[i] = _overflow_shift(segment)
-                scaled = np.ldexp(segment, -shifts[i])
-                np.matmul(scaled, scaled.T, out=covs[i])
-            covs[i] /= min(t0 + j + 1, window)
     if open_:
-        if not np.isfinite(covs).all():
-            raise InvalidInput("covariance contains non-finite entries")
-        passed = screen(covs, calib, shifts)
-        screened += int(np.count_nonzero(passed))
+        # the open instants whose covariance is still to be formed, then those
+        # whose failing union formed it, which skip the per-update screen
+        order = [q for q in open_ if q not in formed] + list(formed)
+        todo = len(order) - len(formed)
+        covs = np.empty((len(order), c, c))
+        shifts = np.zeros(len(order), dtype=int)
+        passed = np.zeros(len(order), dtype=bool)
+        for i, cov in enumerate(formed.values(), todo):
+            covs[i] = cov
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is mended at once
+            for i, q in enumerate(order[:todo]):
+                j = instants[q]
+                segment = tail[:, j + 1 : j + 1 + window]
+                np.matmul(segment, segment.T, out=covs[i])
+                if not np.isfinite(covs[i]).all():
+                    # finite samples whose products overflow: rebuild the covariance
+                    # from the segment times 2**-k, which scales it by exactly 4**-k
+                    shifts[i] = _overflow_shift(segment)
+                    scaled = np.ldexp(segment, -shifts[i])
+                    np.matmul(scaled, scaled.T, out=covs[i])
+                covs[i] /= min(t0 + j + 1, window)
+        if todo:
+            if not np.isfinite(covs[:todo]).all():
+                raise InvalidInput("covariance contains non-finite entries")
+            passed[:todo] = screen(covs[:todo], calib, shifts[:todo])
+            screened += int(np.count_nonzero(passed))
         suspects = np.flatnonzero(~passed)
         if suspects.size:
             _, _, keep, found = detect(covs[suspects], calib, shifts[suspects])
             for i, kept, r in zip(suspects, keep, found):
-                recons[open_[i]], rejected[open_[i]] = r, c - int(np.count_nonzero(kept))
+                recons[order[i]], rejected[order[i]] = r, c - int(np.count_nonzero(kept))
     r_current, r_previous = state.r_current, state.r_previous
     log = []
     pos = 0
@@ -402,8 +488,9 @@ def asr_process_chunk(
         pos = j + 1
     _emit(out, delayed, r_current, r_previous, weights, pos, n_samples, (t0 + pos + 1) % step)
 
-    # both copies exist before either is assigned, and nothing below can raise
-    state.delay_buffer, state.cov_window = joined[:, n_samples:].copy(), tail[:, n_samples:].copy()
+    # nothing below can raise
+    state.raw_end = _advance(state.raw, state.raw_end, x)
+    state.filtered_end = _advance(state.filtered, state.filtered_end, filtered)
     state.filter_state = filter_state
     state.r_current, state.r_previous = r_current, r_previous
     state.union = union
@@ -427,13 +514,13 @@ def pass_chunk_through(
     Only the delay line advances; the filter, covariance window, carried
     union, reconstruction pair and sample counters stay as they were, so the
     chunk never enters the statistics. The call is transactional like
-    ``asr_process_chunk``.
+    ``asr_process_chunk``, and its output is a new array, not a view of the
+    delay line's buffer.
     """
-    n_samples = chunk.data.shape[1]
-    joined = np.concatenate([state.delay_buffer, chunk.data], axis=1)
-    state.delay_buffer = joined[:, n_samples:].copy()
+    delayed = np.array(_delayed(state, chunk.data), dtype=float)
+    state.raw_end = _advance(state.raw, state.raw_end, chunk.data)
     return MultichannelChunk(
-        data=joined[:, :n_samples],
+        data=delayed,
         srate=chunk.srate,
         first_sample_index=chunk.first_sample_index,
     )

@@ -181,7 +181,18 @@ class ProcessorState:
     The update instants and the blend phase are keyed off global sample
     indices, so any partition of a stream into chunks leaves identical state
     at identical stream positions, except ``union`` and the
-    ``screened_updates`` count that it moves.
+    ``screened_updates`` count that it moves, and the layout of the two
+    history buffers.
+
+    The delay line and the covariance window live in two buffers allocated
+    once, ``raw`` and ``filtered``, each twice as long as its history: the
+    last L raw or W filtered samples, oldest first, in the columns that end
+    at ``raw_end`` or ``filtered_end``. The columns
+    after the end are slack that a chunk writes its new samples into when it
+    commits; when the slack is full, the history moves to the front (see
+    ``processing._advance``). ``delay_buffer`` and ``cov_window`` are views
+    of the two histories. Where in its buffer a history lies depends on the
+    partition; its content does not.
 
     ``union`` is a screening bound only: the unnormalised product
     ``Y_U Y_U^T`` of the columns of the current group of update instants
@@ -194,8 +205,10 @@ class ProcessorState:
     """
 
     filter_state: np.ndarray  # (C, order) IIR delay-line memory
-    delay_buffer: np.ndarray  # (C, L) most recent raw samples, oldest first
-    cov_window: np.ndarray  # (C, W) most recent filtered samples, oldest first; zeros at start
+    raw: np.ndarray  # (C, 2L) raw samples; the delay line ends at raw_end
+    raw_end: int
+    filtered: np.ndarray  # (C, 2W) filtered samples; the window ends at filtered_end
+    filtered_end: int
     # (C, C) reconstructions applied with weights w and 1 - w; None is the identity
     r_current: np.ndarray | None
     r_previous: np.ndarray | None
@@ -214,7 +227,24 @@ class ProcessorState:
 
     @property
     def lookahead(self) -> int:
-        return self.delay_buffer.shape[1]
+        """L, the delay in samples."""
+        return self.raw.shape[1] // 2
+
+    @property
+    def window(self) -> int:
+        """W, the samples in an update covariance."""
+        return self.filtered.shape[1] // 2
+
+    @property
+    def delay_buffer(self) -> np.ndarray:
+        """(C, L) the most recent raw samples, oldest first: a view of ``raw``."""
+        return self.raw[:, self.raw_end - self.lookahead : self.raw_end]
+
+    @property
+    def cov_window(self) -> np.ndarray:
+        """(C, W) the most recent filtered samples, oldest first, zeros
+        before the stream starts: a view of ``filtered``."""
+        return self.filtered[:, self.filtered_end - self.window : self.filtered_end]
 
     @classmethod
     def initial(
@@ -223,6 +253,7 @@ class ProcessorState:
         stepsize: int = DEFAULT_STEPSIZE,
         lookahead: int | None = None,
     ) -> "ProcessorState":
+        """A fresh state: zero histories, followed by their slack."""
         if stepsize < 1:
             raise InvalidValue("stepsize", "must be >= 1")
         c = calib.channels
@@ -232,8 +263,10 @@ class ProcessorState:
             raise InvalidValue("lookahead", "must be >= 0")
         return cls(
             filter_state=initial_filter_state(c, calib.filter_b, calib.filter_a),
-            delay_buffer=np.zeros((c, la)),
-            cov_window=np.zeros((c, w)),
+            raw=np.zeros((c, 2 * la)),
+            raw_end=la,
+            filtered=np.zeros((c, 2 * w)),
+            filtered_end=w,
             r_current=None,
             r_previous=None,
             stepsize=int(stepsize),

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 
@@ -629,11 +630,11 @@ def _count_cleared(monkeypatch):
     def screen_unions(tail, instants, t0, window, calib, union):
         inside.append(True)
         try:
-            open_, union = real_unions(tail, instants, t0, window, calib, union)
+            open_, union, formed = real_unions(tail, instants, t0, window, calib, union)
         finally:
             inside.clear()
         by_union[-1] += len(instants) - len(open_)
-        return open_, union
+        return open_, union, formed
 
     def screen(covs, calib, shifts):
         passed = real_screen(covs, calib, shifts)
@@ -741,7 +742,7 @@ class TestScreen:
         for window, open_ in ((6004, []), (6005, list(range(8)))):
             tail = np.zeros((4, window + 256))
             for t0, union in ((0, None), (10**6, np.zeros((4, 4)))):
-                got, carried = processing._screen_unions(tail, instants, t0, window, state, union)
+                got, carried, _ = processing._screen_unions(tail, instants, t0, window, state, union)
                 assert got == open_, (window, t0)
                 assert (carried is None) == bool(open_), (window, t0)
 
@@ -788,29 +789,44 @@ class TestScreen:
 
         # chunks of 32 hold one instant each (the m-th at chunk 32 m): a
         # window-sized product runs at a group's first instant and for each
-        # instant that no union clears, and every other instant extends its
-        # group's live union by one 32-column product
-        proc = asr.ProcessorState.initial(state)
-        extended = dead = 0
-        for pos in range(0, 2080, 32):
-            products.clear()
-            verdicts.clear()
-            live = proc.union is not None
-            chunk = asr.MultichannelChunk(stream[:, pos : pos + 32], SRATE, pos)
-            _, proc = asr.asr_process_chunk(chunk, state, proc)
-            starts = pos // 32 % 4 == 0
-            if starts or live:
-                extended += not starts
-                cleared = bool(verdicts[0][0])
-                assert products == [window if starts else 32] + [window] * (not cleared), pos
-                assert [len(v) for v in verdicts] == [1] * (2 - cleared), pos
-                assert (proc.union is not None) == cleared, pos
-            else:
-                # a group whose union failed in an earlier chunk
-                dead += 1
-                assert products == [window] and [len(v) for v in verdicts] == [1], pos
-                assert proc.union is None, pos
+        # later instant that no union clears, and every other instant extends
+        # its group's live union by one 32-column product; a failing union at
+        # a group's first instant is that instant's update covariance, so it
+        # goes to detect as it is, neither formed nor screened again
+        def chunks_of_32(x):
+            proc = asr.ProcessorState.initial(state)
+            extended = dead = wide = 0
+            for pos in range(0, x.shape[1], 32):
+                products.clear()
+                verdicts.clear()
+                live = proc.union is not None
+                chunk = asr.MultichannelChunk(x[:, pos : pos + 32], SRATE, pos)
+                _, proc = asr.asr_process_chunk(chunk, state, proc)
+                wide += products.count(window)
+                starts = pos // 32 % 4 == 0
+                if starts or live:
+                    extended += not starts
+                    cleared = bool(verdicts[0][0])
+                    again = not (cleared or starts)
+                    assert products == [window if starts else 32] + [window] * again, pos
+                    assert [len(v) for v in verdicts] == [1] * (1 + again), pos
+                    assert (proc.union is not None) == cleared, pos
+                else:
+                    # a group whose union failed in an earlier chunk
+                    dead += 1
+                    assert products == [window] and [len(v) for v in verdicts] == [1], pos
+                    assert proc.union is None, pos
+            return proc, extended, dead, wide
+
+        _, extended, dead, _ = chunks_of_32(stream)
         assert extended > 0 and dead > 0, (extended, dead)
+        # where most unions fail, no update forms two W-column products, so
+        # they do not outnumber the updates (first instants once counted twice)
+        dense = rng.standard_normal((4, 2048))
+        dense[:, 128:] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], rng.standard_normal(1920))
+        proc, _, _, wide = chunks_of_32(dense)
+        assert sum(1 for _, n in proc.update_log if n) > len(proc.update_log) / 2
+        assert wide <= len(proc.update_log), wide
 
     # the windows that hold samples 1000-1039 end at 1023 ... 1151: at chunk
     # 256 the second group of chunk 768 and the first of chunk 1024 overflow,
@@ -936,6 +952,37 @@ class TestScreen:
         assert proc.update_log == ref.update_log
         assert any(n for _, n in proc.update_log) and proc.screened_updates > 0
 
+    def test_a_failing_stack_of_one_is_factored_once(self, clean_calibration, monkeypatch):
+        _, state = clean_calibration
+        rng = np.random.default_rng(21)
+        stream = rng.standard_normal((4, 2048))
+        stream[:, 700:900] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(200))
+        factored, calls = [], []  # per screen call: (stack size, passed, factorizations)
+        real_cholesky, real_screen = np.linalg.cholesky, processing.screen
+
+        def counting(a):
+            factored.append(a.shape)
+            return real_cholesky(a)
+
+        def recording(covs, calib, shifts):
+            before = len(factored)
+            passed = real_screen(covs, calib, shifts)
+            calls.append((len(covs), int(np.count_nonzero(passed)), len(factored) - before))
+            return passed
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(processing, "screen", recording)
+        # chunks of 32 screen one union or one update at a time; chunks of 256
+        # screen two unions, or the four updates of a failing group, at once
+        for chunk in (32, 256):
+            asr.clean_recording(stream, state, chunk)
+        # a stack that fails is factored again matrix by matrix only when it
+        # holds two or more
+        for k, ok, n in calls:
+            assert n == 1 + k * (1 < k and ok < k), (k, ok, n)
+        assert any(k == 1 and not ok for k, ok, _ in calls)
+        assert any(1 < k and ok < k for k, ok, _ in calls)
+
     def test_a_singular_threshold_turns_the_screen_off(self, clean_calibration):
         _, state = clean_calibration
         threshold = state.threshold.copy()
@@ -945,6 +992,153 @@ class TestScreen:
         covs = np.array([np.zeros((4, 4)), 1e-30 * np.eye(4)])
         assert not processing.screen(covs, flat, np.zeros(2, dtype=int)).any()
         assert processing.screen(covs[1:], state, np.zeros(1, dtype=int)).all()
+
+
+class TestHistoryBuffers:
+    """The delay line and the covariance window live in buffers twice their
+    length, and a chunk's samples move them on at commit; where in its buffer
+    a history lies must never show."""
+
+    def test_a_mixed_partition_matches_the_whole_pieces(self, clean_calibration):
+        _, state = clean_calibration
+        proc = asr.ProcessorState.initial(state)
+        assert (proc.lookahead, proc.window) == (62, 125)
+        rng = np.random.default_rng(17)
+        n, split = 3100, 1200
+        stream = rng.standard_normal((4, n)) * 3.0
+        stream[:, 900:1100] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(200))
+        stream[:, 2300:2400] += 20 * np.outer([1.0, -0.3, 0.1, 0.6], np.ones(100))
+        skipped = rng.standard_normal((4, 45)) * 1e3  # passed through at the split
+
+        def partition(total, pattern):
+            sizes = []
+            for size in itertools.cycle(pattern):
+                if sum(sizes) == total:
+                    return sizes
+                sizes.append(min(size, total - sum(sizes)))
+
+        def run(pieces):
+            """Clean the first piece, pass ``skipped`` through, clean the
+            rest; returns the cleaned samples, the passed-through ones, the
+            state, the chunk starts and how often each history moved."""
+            proc = asr.ProcessorState.initial(state)
+            outs, starts, moves = [], [], np.zeros(2, dtype=int)
+            pos = 0
+            for i, sizes in enumerate(pieces):
+                if i:
+                    skip = asr.MultichannelChunk(skipped, SRATE, pos)
+                    end = proc.raw_end
+                    through = processing.pass_chunk_through(skip, proc).data
+                    moves[0] += proc.raw_end < end
+                for size in sizes:
+                    ends = np.array([proc.raw_end, proc.filtered_end])
+                    chunk = asr.MultichannelChunk(stream[:, pos : pos + size], SRATE, pos)
+                    cleaned, proc = asr.asr_process_chunk(chunk, state, proc)
+                    moves += np.array([proc.raw_end, proc.filtered_end]) < ends
+                    outs.append(cleaned.data)
+                    starts.append(pos)
+                    pos += size
+            return np.hstack(outs), through, proc, starts, moves
+
+        # chunks of 1, of 0 and longer than W + L, some of which fill the
+        # slack, and one passed through at the split
+        mixed = run([
+            partition(split, [1] * 140 + [0, 400, 7, 0] + [1] * 70),
+            partition(n - split, [1000, 0] + [1] * 150 + [33, 200, 7]),
+        ])
+        whole = run([[split], [n - split]])
+        out, through, proc, starts, moves = mixed
+        assert (moves >= 3).all(), moves
+        assert np.array_equal(through, whole[1])
+        assert proc.update_log == whole[2].update_log
+        assert proc.rejecting_updates == whole[2].rejecting_updates > 3
+        for name in ("delay_buffer", "cov_window", "filter_state", "r_current", "r_previous"):
+            assert np.array_equal(getattr(proc, name), getattr(whole[2], name)), name
+        # the blend is cut at update instants and chunk edges; between two
+        # cuts of the whole pieces that no chunk edge splits, the same
+        # products run, so the outputs agree bit for bit, and within 1e-10
+        # elsewhere (BLAS rounds a column by its block)
+        instants = range(31, n, 32)
+        cuts = sorted({0, split, n, *instants, *(j + 1 for j in instants)})
+        exact = np.zeros(n, dtype=bool)
+        for a, b in zip(cuts, cuts[1:]):
+            exact[a:b] = not any(a < s < b for s in starts)
+        assert 0.2 < exact.mean() < 0.9, exact.mean()
+        assert np.array_equal(out[:, exact], whole[0][:, exact])
+        report = asr.compare(out, whole[0], 1e-10)
+        assert report.passed, report.summary()
+
+    def test_a_failing_chunk_that_would_move_the_histories_leaves_every_field(
+        self, clean_calibration, monkeypatch
+    ):
+        _, state = clean_calibration
+        rng = np.random.default_rng(23)
+        stream = rng.standard_normal((4, 1024)) * 3.0
+        stream[:, 300:600] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(300))
+
+        def feed(proc, start):
+            parts = []
+            for pos in range(start, 1024, 32):
+                chunk = asr.MultichannelChunk(stream[:, pos : pos + 32], SRATE, pos)
+                cleaned, proc = asr.asr_process_chunk(chunk, state, proc)
+                parts.append(cleaned.data)
+            return np.hstack(parts), proc
+
+        # after three chunks of 32 the next moves both histories: the delay
+        # line ends at column 62 of 124, then 94, 62 after a move, and 94;
+        # the window at 125 of 250, then 157, 189 and 221
+        proc = asr.ProcessorState.initial(state)
+        for pos in range(0, 96, 32):
+            chunk = asr.MultichannelChunk(stream[:, pos : pos + 32], SRATE, pos)
+            _, proc = asr.asr_process_chunk(chunk, state, proc)
+        assert proc.raw_end + 32 > proc.raw.shape[1], proc.raw_end
+        assert proc.filtered_end + 32 > proc.filtered.shape[1], proc.filtered_end
+        before = copy.deepcopy(proc)
+
+        def failing(*args):
+            raise InvalidInput("covariance contains non-finite entries")
+
+        with monkeypatch.context() as patch:
+            # every update reaches detect, which raises
+            patch.setattr(processing, "screen", _no_screen)
+            patch.setattr(processing, "detect", failing)
+            with pytest.raises(InvalidInput, match="covariance"):
+                asr.asr_process_chunk(asr.MultichannelChunk(stream[:, 96:128], SRATE, 96), state, proc)
+        for f in dataclasses.fields(proc):
+            got, want = getattr(proc, f.name), getattr(before, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+
+        got, proc = feed(proc, 96)
+        want, ref = feed(before, 96)
+        assert np.array_equal(got, want)
+        assert proc.update_log == ref.update_log
+        assert any(n for _, n in proc.update_log)  # the burst was cleaned
+
+    def test_a_chunk_of_32_allocates_less_than_one_window(self):
+        # clean input at 64 ch / 1 kHz, where a window is (64, 500): a chunk
+        # joins no history columns unless it starts a group of update
+        # instants (one in 16) or holds an update no union clears
+        state, recording = _burst_case(64, 1000.0, 3, events=(), duration=3.0)
+        window = state.window_samples()
+        asr.clean_recording(recording[:, :512], state, 32)  # warm every lazy cost
+        proc = asr.ProcessorState.initial(state)
+        rises = []
+        tracemalloc.start()
+        try:
+            for pos in range(0, recording.shape[1], 32):
+                chunk = asr.MultichannelChunk(recording[:, pos : pos + 32], 1000.0, pos)
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                _, proc = asr.asr_process_chunk(chunk, state, proc)
+                rises.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert proc.screened_updates > len(proc.update_log) / 2
+        # the (64, 500 + 32) join of the window and the chunk alone is larger
+        assert np.median(rises) < 64 * window * 8, np.median(rises)
 
 
 def chunk_loop(stream, state, chunk):
