@@ -29,7 +29,7 @@ from .errors import AsrError, InvalidValue, ParseError, WorkerDied
 from .io_formats import (
     SignalRecord,
     atomic_write_text,
-    format_row,
+    format_rows,
     load_calibration_data,
     load_calibration_state,
     load_signal_record,
@@ -198,7 +198,7 @@ def _process_stream(args, stdin, stdout) -> int:
     registry.register(STREAM_VAR, channels, args.chunk)
 
     def write_rows(view, n, seq):  # each chunk as it drains, on this thread, inside process()
-        stdout.write("".join(format_row(col) + "\n" for col in view.T))
+        stdout.write(format_rows(view.T))
 
     pipeline = Pipeline(config, registry, output_sink=write_rows)
     pipeline.prepare(calibration)

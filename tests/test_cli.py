@@ -675,11 +675,18 @@ def test_stream_mode_rejects_a_rate_not_above_0_as_a_header_error(
 
 def test_stream_mode_rejects_a_ragged_line(workspace, monkeypatch, capsys):
     rec = load_signal_record(workspace / "rec.csv")
+    argv = ["process", "--calibration", str(workspace / "calib.csv"), "--stream", "--chunk", "32"]
     text = _stream_text_with(rec, {(50, 4): "1.0,2.0"})  # 5 cells on a 4-channel line
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    rc = main(["process", "--calibration", str(workspace / "calib.csv"), "--stream", "--chunk", "32"])
-    assert rc == 1
+    assert main(argv) == 1
     assert "error: row 50 has 5 cells, expected 4" in capsys.readouterr().err
+    # 3 cells on line 50 and 5 on line 51: the block of 32 lines they share
+    # holds as many cells as it should
+    lines = _stream_text_with(rec, {(51, 4): "1.0,2.0"}).split("\n")
+    lines[49] = lines[49].rpartition(",")[0]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines)))
+    assert main(argv) == 1
+    assert "error: row 50 has 3 cells, expected 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import stat
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +27,7 @@ from asrstream.io_formats import (
     SignalRecord,
     atomic_write_text,
     format_row,
+    format_rows,
     load_calibration_data,
     load_calibration_state,
     load_signal_record,
@@ -283,6 +285,37 @@ class TestTextFormat:
             "0.1,-0.0,1e-05,1e+16,5e-324\n"
         )
 
+    def test_writers_spell_each_float_as_repr(self, tmp_path):
+        # orjson writes a piece whose values are each 0 or 1e-4 <= |x| < 1e16,
+        # repr any other piece: both must give repr's text
+        edges = np.array([np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16,
+                          0.0, -0.0, 5e-324, sys.float_info.max])
+        rng = np.random.default_rng(41)
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64)
+        anywhere = bits.view(float)[np.isfinite(bits.view(float))]
+        # the same patterns with exponents from 2**-13 to 2**52, all in range
+        exponents = rng.integers(1010, 1076, len(bits), dtype=np.uint64) << np.uint64(52)
+        near = ((bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | exponents).view(float)
+        width = io_formats.PIECE_VALUES + 1000  # two pieces a row
+        in_range = near[: 18 * width].reshape(18, width)
+        in_range[0, :4] = edges[[1, 2, 4, 5]]
+        mixed = anywhere[: 18 * width].reshape(18, width)
+        mixed[0, :16] = np.concatenate([edges, -edges])
+        mixed[1, : io_formats.PIECE_VALUES] = near[-io_formats.PIECE_VALUES :]
+        # in range but for one value past a bound
+        mixed[2:6] = in_range[2:6]
+        mixed[[2, 3, 4, 5], [7, 8, 9, 10]] = edges[[0, 3, 6, 7]]
+        for m in (in_range, mixed):
+            rows = "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
+            assert format_rows(m) == rows
+            chunk = m.T[:32]  # a stream chunk: its columns, not contiguous
+            assert format_rows(chunk) == "".join(
+                ",".join(map(repr, row)) + "\n" for row in chunk.tolist()
+            )
+            save_signal_record(tmp_path / "r.csv", SignalRecord(m, 250.0))
+            header = f"# channels: {len(m)}\n# srate: 250.0\n"
+            assert (tmp_path / "r.csv").read_text() == header + rows
+
 
 class TestLineAtATime:
     """The tables are read and written one line at a time: memory stays a
@@ -486,9 +519,16 @@ _GOOD_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**20), 10**20).map(str),
     st.sampled_from(["-0.0", "+.5", "1_000.5", "1e-05", "1E+16", "5e-324", "1.7e308"]),
+    # where JSON reads otherwise or not at all: signed int zero, zeros,
+    # forms JSON lacks, underflow, ints past 64 bits
+    st.sampled_from(
+        ["-0", "0", "-0e0", "1.", "-.5e3", "1e-400", "-1e-400", str(2**64),
+         "-9223372036854775809"]
+    ),
 )
 _BAD_CELLS = st.sampled_from(
-    ["", " ", "\t", "x", "#", "nan", "-inf", "Infinity", "1e999", "1,5", "1 2", "1__0", "0x1", "1e"]
+    ["", " ", "\t", "x", "#", "nan", "-inf", "Infinity", "1e999", "1,5", "1 2", "1__0", "0x1", "1e",
+     "true", "null", "[1]", '"1"', "{}"]  # JSON values that are not numbers
 )
 
 
@@ -508,6 +548,46 @@ class TestSlicedRows:
         width = data.draw(st.sampled_from([None, len(cells), len(cells) + 1, len(cells) - 1]))
         expected = _per_cell(line, 7, width)
         got = _sliced(line, 7, width, slice_chars=data.draw(st.integers(0, 8)))
+        if isinstance(expected, list):
+            assert np.array(got).tobytes() == np.array(expected, dtype=float).tobytes()
+        else:
+            assert got == expected
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_row_groups_match_the_per_cell_grammar(self, data):
+        # parse_rows reads groups of lines in one go; its values, or its first
+        # fault, are those of the lines read one at a time
+        width = data.draw(st.integers(1, 4))
+        padded = st.tuples(_PAD, _GOOD_CELLS, _PAD).map("".join)
+        lines = data.draw(st.lists(st.lists(padded, min_size=width, max_size=width),
+                                   min_size=1, max_size=6))
+        lines = [",".join(cells) + "\n" for cells in lines]
+        if data.draw(st.booleans()):
+            row = data.draw(st.integers(0, len(lines) - 1))
+            cells = lines[row].split(",")
+            cells[data.draw(st.integers(0, width - 1))] = data.draw(_BAD_CELLS)
+            lines[row] = ",".join(cells)
+        if data.draw(st.booleans()):  # ragged lines, whose cells may add up
+            for row in data.draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
+                lines[row] = lines[row].rstrip("\n") + ",1\n"
+        expected = []
+        for lineno, line in enumerate(lines, start=7):
+            values = _per_cell(line, lineno, width)
+            if not isinstance(values, list):
+                expected = values
+                break
+            expected.append(values)
+        out = np.empty((len(lines) + 1, width))
+        slice_chars = data.draw(st.integers(0, 40))
+        with mock.patch.object(io_formats, "SLICE_CHARS", slice_chars):
+            try:
+                count = io_formats.parse_rows(enumerate(lines, start=7), out)
+            except (ParseError, RaggedCsv) as err:
+                got = type(err), err.row, getattr(err, "col", None)
+            else:
+                assert count == len(lines)
+                got = out[:count].tolist()
         if isinstance(expected, list):
             assert np.array(got).tobytes() == np.array(expected, dtype=float).tobytes()
         else:
