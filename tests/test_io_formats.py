@@ -568,9 +568,12 @@ class TestSlicedRows:
             cells = lines[row].split(",")
             cells[data.draw(st.integers(0, width - 1))] = data.draw(_BAD_CELLS)
             lines[row] = ",".join(cells)
-        if data.draw(st.booleans()):  # ragged lines, whose cells may add up
+        if data.draw(st.booleans()):  # ragged lines, a cell too many or too few: they may balance
             for row in data.draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
-                lines[row] = lines[row].rstrip("\n") + ",1\n"
+                if width > 1 and data.draw(st.booleans()):
+                    lines[row] = lines[row].rpartition(",")[0] + "\n"
+                else:
+                    lines[row] = lines[row].rstrip("\n") + ",1\n"
         expected = []
         for lineno, line in enumerate(lines, start=7):
             values = _per_cell(line, lineno, width)
