@@ -1,22 +1,28 @@
 #!/usr/bin/env python3
-"""Cross-check the streaming pipeline against the naive offline reference on
-the five pre-registered quality-control specs (``QC_SPECS``); print one
-report per spec plus machine-readable key=value lines.
+"""Cross-check ``clean_recording`` against the naive offline reference
+(``oracle_process``) on the five pre-registered quality-control specs
+(``QC_SPECS``), at each chunk size given; print one report per spec and
+chunk size plus machine-readable key=value lines, each named by its spec and
+chunk size (``qc2-one-burst.chunk256.pass=1``). The reference runs once per
+spec, whatever the number of chunk sizes.
 
-Usage: python3 scripts/run_quality_check.py [--tolerance 1e-5] [--chunk 32]
+Usage: python3 scripts/run_quality_check.py [--tolerance 1e-5] [--chunk 32[,256,...]]
 """
 
 import argparse
 import sys
 import time
+from pathlib import Path
 
-import asrstream as asr
-from asrstream.oracle import oracle_process
-from asrstream.synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's package
+
+import asrstream as asr  # noqa: E402
+from asrstream.oracle import oracle_process  # noqa: E402
+from asrstream.synthetic import ArtifactEvent, SyntheticSpec, generate_synthetic  # noqa: E402
 
 # the five pre-registered quality-control specs: 8 ch, 250 Hz, 60 s, with and
 # without artifact bursts, as (name, spec, shaping filter (b, a) or None);
-# tests/test_acceptance.py checks the runtime against the oracle on these
+# tests/test_acceptance.py checks the runtime (criterion 01) on these
 QC_SPECS = [
     ("qc1-clean", SyntheticSpec(noise_seed=101, mixing_seed=11), None),
     (
@@ -54,41 +60,60 @@ QC_SPECS = [
 ]
 
 
-def run_spec(name, spec, coeffs, tolerance, chunk):
+def run_spec(name, spec, coeffs, tolerance, chunks):
+    """Compare ``clean_recording`` at each chunk size with one reference run;
+    return one pass flag per chunk size."""
     started = time.perf_counter()
     calibration, recording, mask = generate_synthetic(spec)
     filter_b, filter_a = coeffs or (None, None)
     state = asr.asr_calibrate(calibration, spec.srate, filter_b=filter_b, filter_a=filter_a)
-    streamed, proc = asr.clean_recording(recording, state, chunk)
     reference = oracle_process(
         recording, calibration, srate=spec.srate, filter_b=filter_b, filter_a=filter_a
     )
-    report = asr.compare(streamed, reference, tolerance)
-    elapsed = time.perf_counter() - started
-
     print(f"== {name} ({spec.channels} ch, {spec.duration:g} s, "
-          f"{len(spec.events)} burst(s){', filtered' if coeffs else ''}, {elapsed:.1f} s) ==")
-    print("   " + report.summary())
-    if mask.any():
-        aligned = asr.align_for_delay(streamed, recording, mask, proc.lookahead)
-        metrics = asr.attenuation_metrics(*aligned)
-        print(
-            f"   artifact RMS reduction {metrics.artifact_rms_reduction:.3f}, "
-            f"clean-segment change {metrics.clean_rms_change:.4f}"
-        )
-    for line in report.machine_lines():
-        print(f"   {name}.{line}")
-    return report.passed
+          f"{len(spec.events)} burst(s){', filtered' if coeffs else ''}; "
+          f"reference {time.perf_counter() - started:.1f} s) ==")
+    passed = []
+    for chunk in chunks:
+        started = time.perf_counter()
+        streamed, proc = asr.clean_recording(recording, state, chunk)
+        report = asr.compare(streamed, reference, tolerance)
+        print(f"   chunk {chunk} ({time.perf_counter() - started:.2f} s): {report.summary()}")
+        if mask.any():
+            aligned = asr.align_for_delay(streamed, recording, mask, proc.lookahead)
+            metrics = asr.attenuation_metrics(*aligned)
+            print(
+                f"   artifact RMS reduction {metrics.artifact_rms_reduction:.3f}, "
+                f"clean-segment change {metrics.clean_rms_change:.4f}"
+            )
+        for line in report.machine_lines():
+            print(f"   {name}.chunk{chunk}.{line}")
+        passed.append(report.passed)
+    return passed
+
+
+def chunk_list(text):
+    """``--chunk``'s comma-separated chunk sizes, each an integer >= 1."""
+    try:
+        chunks = [int(part) for part in text.split(",")]
+    except ValueError:
+        chunks = []
+    if not chunks or min(chunks) < 1:
+        raise argparse.ArgumentTypeError(f"must be integers >= 1, comma-separated, got {text!r}")
+    return chunks
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tolerance", type=float, default=1e-5)
-    parser.add_argument("--chunk", type=int, default=32)
+    parser.add_argument("--chunk", type=chunk_list, default=[32], help="e.g. 32,256,7")
     args = parser.parse_args(argv)
     results = [run_spec(*qc, args.tolerance, args.chunk) for qc in QC_SPECS]
-    print(f"\n{sum(results)}/{len(results)} specs passed at tolerance {args.tolerance:g}")
-    return 0 if all(results) else 1
+    print()
+    for i, chunk in enumerate(args.chunk):
+        passed = sum(r[i] for r in results)
+        print(f"chunk {chunk}: {passed}/{len(results)} specs passed at tolerance {args.tolerance:g}")
+    return 0 if all(all(r) for r in results) else 1
 
 
 if __name__ == "__main__":

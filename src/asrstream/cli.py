@@ -1,5 +1,6 @@
 """Command-line front end: calibrate, process (file/stream), simulate,
-compare, bench.
+compare, bench. Each prints its result on stdout as ``key=value`` lines,
+except ``process --stream``, whose stdout is the cleaned stream.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad inputs, failed
 comparison, an array too large to allocate), 2 runtime error mid-stream (I/O
@@ -103,29 +104,18 @@ def cmd_calibrate(args) -> int:
     state = asr_calibrate(matrix, args.srate, params, filter_b=file_b, filter_a=file_a)
     save_calibration_state(args.output, state)
     amplitudes = np.linalg.norm(state.threshold, axis=1)
-    if args.report:
-        _print_report(
-            [
-                f"channels={state.channels}",
-                f"window_samples={state.window_samples()}",
-                f"threshold_min={float(amplitudes.min())!r}",
-                f"threshold_max={float(amplitudes.max())!r}",
-                f"output={args.output}",
-                f"gain={state.gain!r}",
-                f"n_eff={state.n_eff!r}",
-            ]
-        )
-    else:
-        print(
-            f"calibrated {state.channels} channels; statistics window "
-            f"{state.window_samples()} samples"
-        )
-        print(
-            "per-component thresholds: "
-            f"min {amplitudes.min():.4g}, median {median(amplitudes):.4g}, "
-            f"max {amplitudes.max():.4g}"
-        )
-        print(f"wrote {args.output}")
+    _print_report(
+        [
+            f"channels={state.channels}",
+            f"window_samples={state.window_samples()}",
+            f"threshold_min={float(amplitudes.min())!r}",
+            f"threshold_max={float(amplitudes.max())!r}",
+            f"output={args.output}",
+            f"gain={state.gain!r}",
+            f"n_eff={state.n_eff!r}",
+            f"threshold_median={float(median(amplitudes))!r}",
+        ]
+    )
     return 0
 
 
@@ -142,22 +132,18 @@ def _process_file(args, record: SignalRecord, state: CalibrationState) -> int:
         lookahead=args.lookahead,
         out=record.data,
     )
-    n = record.samples
     save_signal_record(args.output, record)  # cleaned in place
-    if args.report:
-        _print_report(
-            [
-                f"channels={record.channels}",
-                f"samples={n}",
-                f"lookahead={proc.lookahead}",
-                f"updates={proc.total_samples_seen // proc.stepsize}",
-                f"rejecting_updates={proc.rejecting_updates}",
-                f"output={args.output}",
-                f"screened_updates={proc.screened_updates}",
-            ]
-        )
-    else:
-        print(f"processed {n} samples x {record.channels} channels -> {args.output}")
+    _print_report(
+        [
+            f"channels={record.channels}",
+            f"samples={record.samples}",
+            f"lookahead={proc.lookahead}",
+            f"updates={proc.total_samples_seen // proc.stepsize}",
+            f"rejecting_updates={proc.rejecting_updates}",
+            f"output={args.output}",
+            f"screened_updates={proc.screened_updates}",
+        ]
+    )
     return 0
 
 
@@ -266,17 +252,19 @@ def cmd_simulate(args) -> int:
     )
     calibration, recording, mask = generate_synthetic(spec)
     save_signal_record(args.output_record, SignalRecord(recording, spec.srate))
-    written = [args.output_record]
+    lines = [
+        f"channels={spec.channels}",
+        f"samples={recording.shape[1]}",
+        f"artifact_samples={int(mask.sum())}",
+        f"output_record={args.output_record}",
+    ]
     if args.output_calibration:
         save_calibration_csv(args.output_calibration, calibration)
-        written.append(args.output_calibration)
+        lines.append(f"output_calibration={args.output_calibration}")
     if args.output_mask:
         atomic_write_text(args.output_mask, [",".join(str(int(v)) for v in mask), "\n"])
-        written.append(args.output_mask)
-    print(
-        f"synthesized {spec.channels} ch x {recording.shape[1]} samples "
-        f"({int(mask.sum())} artifact samples): " + ", ".join(written)
-    )
+        lines.append(f"output_mask={args.output_mask}")
+    _print_report(lines)
     return 0
 
 
@@ -284,10 +272,7 @@ def cmd_compare(args) -> int:
     rec_a = load_signal_record(args.a)
     rec_b = load_signal_record(args.b)
     report = compare(rec_a.data, rec_b.data, args.tolerance)
-    if args.report:
-        _print_report(report.machine_lines())
-    else:
-        print(report.summary())
+    _print_report(report.machine_lines())
     return 0 if report.passed else 1
 
 
@@ -308,22 +293,16 @@ def cmd_bench(args) -> int:
     elapsed = time.perf_counter() - start
     samples_per_second = n / elapsed
     real_time_factor = samples_per_second / spec.srate
-    if args.report:
-        _print_report(
-            [
-                f"channels={args.channels}",
-                f"srate={args.srate!r}",
-                f"samples={n}",
-                f"elapsed_seconds={elapsed!r}",
-                f"samples_per_second={samples_per_second!r}",
-                f"real_time_factor={real_time_factor!r}",
-            ]
-        )
-    else:
-        print(
-            f"{args.channels} ch @ {args.srate:g} Hz: "
-            f"{samples_per_second:,.0f} samples/s ({real_time_factor:.1f}x real time)"
-        )
+    _print_report(
+        [
+            f"channels={args.channels}",
+            f"srate={args.srate!r}",
+            f"samples={n}",
+            f"elapsed_seconds={elapsed!r}",
+            f"samples_per_second={samples_per_second!r}",
+            f"real_time_factor={real_time_factor!r}",
+        ]
+    )
     return 0
 
 
@@ -357,7 +336,6 @@ def build_parser() -> _Parser:
     cal.add_argument("--window-overlap", type=float, default=defaults.window_overlap)
     cal.add_argument("--max-dims-fraction", type=float, default=defaults.max_dims_fraction)
     cal.add_argument("--output", required=True, help="calibration state file to write")
-    cal.add_argument("--report", action="store_true", help="machine-readable output")
     cal.set_defaults(func=cmd_calibrate)
 
     proc = sub.add_parser("process", help="clean a recording or a stream")
@@ -371,7 +349,6 @@ def build_parser() -> _Parser:
     proc.add_argument("--stream", action="store_true", help="stdin -> stdout streaming")
     proc.add_argument("--stepsize", type=_int_at_least(1), default=DEFAULT_STEPSIZE)
     proc.add_argument("--lookahead", type=_int_at_least(0), default=None)
-    proc.add_argument("--report", action="store_true")
     proc.set_defaults(func=cmd_process)
 
     sim = sub.add_parser("simulate", help="synthesize calibration/recording/mask files")
@@ -393,7 +370,6 @@ def build_parser() -> _Parser:
     cmp_.add_argument("--a", required=True)
     cmp_.add_argument("--b", required=True)
     cmp_.add_argument("--tolerance", type=float, default=1e-5)
-    cmp_.add_argument("--report", action="store_true")
     cmp_.set_defaults(func=cmd_compare)
 
     bench = sub.add_parser("bench", help="measure sustained throughput")
@@ -402,7 +378,6 @@ def build_parser() -> _Parser:
     bench.add_argument("--duration", type=float, default=10.0)
     bench.add_argument("--chunk", type=_int_at_least(1), default=256)
     bench.add_argument("--stepsize", type=_int_at_least(1), default=DEFAULT_STEPSIZE)
-    bench.add_argument("--report", action="store_true")
     bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -60,7 +61,7 @@ def test_calibrate_reports_window(workspace, capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert "125 samples" in out
+    assert "window_samples=125" in out.splitlines()
     state = load_calibration_state(workspace / "state.json")
     assert state.channels == 4
 
@@ -68,20 +69,80 @@ def test_calibrate_reports_window(workspace, capsys):
 def test_calibrate_report_values_are_plain_numbers(workspace, capsys):
     output = str(workspace / "state.json")
     argv = ["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250"]
-    assert main([*argv, "--output", output, "--report"]) == 0
+    assert main([*argv, "--output", output]) == 0
     fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
-    # the gain lines come after the older ones, which keep their order
+    # the gain lines come after the older ones, which keep their order, and
+    # the median threshold after them
     assert list(fields) == [
-        "channels", "window_samples", "threshold_min", "threshold_max", "output", "gain", "n_eff"
+        "channels", "window_samples", "threshold_min", "threshold_max", "output", "gain", "n_eff",
+        "threshold_median",
     ]
     assert fields.pop("output") == output
     for key, value in fields.items():
         float(value)  # np.float64(...) would not parse
     assert 0 < float(fields["threshold_min"]) <= float(fields["threshold_max"])
+    assert float(fields["threshold_min"]) <= float(fields["threshold_median"])
+    assert float(fields["threshold_median"]) <= float(fields["threshold_max"])
     # the gain is 1 + sqrt(C / n_eff), the Marchenko-Pastur edge
     channels, n_eff = int(fields["channels"]), float(fields["n_eff"])
     assert float(fields["gain"]) == pytest.approx(1.0 + np.sqrt(channels / n_eff))
     assert 1.0 < float(fields["gain"]) < 1.0 + np.sqrt(channels)
+
+
+# each command's argv in the workspace ({w}) and the keys it prints first, in
+# this order: for all but simulate, those the removed --report flag printed
+_OUTPUT_GRAMMAR = {
+    "calibrate": (
+        "calibrate --input {w}/calib.csv --srate 250 --output {w}/state.json",
+        ["channels", "window_samples", "threshold_min", "threshold_max", "output", "gain",
+         "n_eff"],
+    ),
+    "process": (
+        "process --calibration {w}/calib.csv --input {w}/rec.csv --output {w}/out.csv",
+        ["channels", "samples", "lookahead", "updates", "rejecting_updates", "output",
+         "screened_updates"],
+    ),
+    "compare": (
+        "compare --a {w}/rec.csv --b {w}/rec.csv",
+        ["pass", "max_relative_error", "max_absolute_error", "tolerance",
+         "first_divergent_sample"],
+    ),
+    "bench": (
+        "bench --channels 4 --srate 250 --duration 1",
+        ["channels", "srate", "samples", "elapsed_seconds", "samples_per_second",
+         "real_time_factor"],
+    ),
+    "simulate": (
+        "simulate --channels 4 --duration 2 --calibration-duration 2 --burst 1:0.5:5"
+        " --output-record {w}/r.csv --output-calibration {w}/c.csv --output-mask {w}/m.csv",
+        ["channels", "samples", "artifact_samples", "output_record", "output_calibration",
+         "output_mask"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_GRAMMAR))
+def test_every_command_prints_key_value_lines(workspace, capsys, command):
+    template, first_keys = _OUTPUT_GRAMMAR[command]
+    argv = [part.format(w=workspace) for part in template.split()]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(re.fullmatch(r"[a-z_]+=.+", line) for line in lines), lines
+    fields = dict(line.split("=", 1) for line in lines)
+    assert len(fields) == len(lines)  # no key twice
+    assert list(fields)[: len(first_keys)] == first_keys
+    for key, value in fields.items():
+        if key.startswith("output"):
+            assert value == argv[argv.index("--" + key.replace("_", "-")) + 1]
+        elif not (key == "first_divergent_sample" and value == "None"):  # None: no divergence
+            # a plain int or float literal, as int() or repr(float) writes it
+            assert re.fullmatch(r"-?\d+|-?\d+(\.\d+)?(e[+-]\d+)?|-?inf|nan", value), (key, value)
+
+    # the flag that used to select these lines is gone: a usage error
+    assert main([*argv, "--report"]) == 1
+    captured = capsys.readouterr()
+    assert "--report" in captured.err
+    assert captured.out == ""
 
 
 def test_calibrate_window_rule_exit_code_and_message(workspace, capsys):
@@ -230,7 +291,6 @@ def test_compare_exit_codes_and_report(workspace, capsys):
             "--a", str(workspace / "rec.csv"),
             "--b", str(workspace / "shifted.csv"),
             "--tolerance", "1e-5",
-            "--report",
         ]
     )
     out = capsys.readouterr().out
@@ -246,7 +306,6 @@ def test_bench_reports_rate(capsys):
             "--channels", "8",
             "--srate", "250",
             "--duration", "4",
-            "--report",
         ]
     )
     out = capsys.readouterr().out
@@ -544,7 +603,6 @@ def test_report_counts_updates_past_the_log_limit(workspace, monkeypatch, capsys
             "--input", str(workspace / "rec.csv"),
             "--output", str(workspace / "out.csv"),
             "--stepsize", "32",
-            "--report",
         ]
     )
     assert rc == 0
