@@ -35,12 +35,13 @@ class ComparisonReport:
         )
 
     def machine_lines(self) -> list[str]:
+        where = self.first_divergent_sample
         return [
             f"pass={int(self.passed)}",
             f"max_relative_error={self.max_relative_error!r}",
             f"max_absolute_error={self.max_absolute_error!r}",
             f"tolerance={self.tolerance!r}",
-            f"first_divergent_sample={self.first_divergent_sample}",
+            f"first_divergent_sample={-1 if where is None else where}",  # -1: none diverges
         ]
 
 

@@ -9,10 +9,10 @@ reproduce exactly:
    W filtered samples, oldest first, zeros before the stream starts. Both
    histories, the L raw and the W filtered samples, lie in buffers twice
    their length (see ``ProcessorState``). A chunk reads them in place and
-   writes its own samples into the buffers' slack when it commits. It joins
-   history columns to its samples only for the delayed samples of a chunk
-   longer than L and for a window or union product that straddles the
-   boundary, which costs more than the join,
+   writes its own samples into the buffers' slack when it commits. It reads
+   each history followed by its own samples as one array (see
+   :class:`_Joined`), joining the two only for a run of delayed samples, or
+   a window or union product, that straddles the boundary,
 3. at update instants (every ``stepsize`` samples, i.e. when
    ``(t + 1) % stepsize == 0``) the covariance ``sum(y y^T) / n_eff`` of the
    W filtered samples ending at ``t``, summed in time order, with
@@ -41,9 +41,7 @@ reproduce exactly:
    instants whose union fails the screen or is not finite, and for those
    of a group whose union failed in an earlier chunk, does the chunk build
    the ``(k, C, C)`` stack of update covariances, in one loop (one that
-   overflows is rebuilt from its segment times ``2**-k``), and screen it;
-   a failing union of a group's first instant alone is that instant's
-   covariance, which goes on as it is, neither formed nor screened again.
+   overflows is rebuilt from its segment times ``2**-k``), and screen it.
    The covariances neither screen clears go to one :func:`detect` call, one
    batched ``eigh`` for them all, so the outputs are those of running
    :func:`detect` on every update,
@@ -223,11 +221,9 @@ def _screen_unions(
     window: int,
     calib: CalibrationState,
     union: np.ndarray | None,
-) -> tuple[list[int], np.ndarray | None, dict[int, np.ndarray]]:
-    """The indices into ``instants`` that no union screen proves clean, the
-    union to carry into the next chunk (see ``ProcessorState.union``), and
-    the update covariances of those instants that a failing union already
-    formed, by index.
+) -> tuple[list[int], np.ndarray | None]:
+    """The indices into ``instants`` that no union screen proves clean, and
+    the union to carry into the next chunk (see ``ProcessorState.union``).
 
     The stream's update instants are numbered from 0 and split into
     consecutive groups of ``W // stepsize + 1``, so that a group's windows
@@ -245,10 +241,7 @@ def _screen_unions(
     ``stepsize`` per instant. The finite unions are screened as one stack.
     A run whose union fails or overflows stays open, and so does a run of a
     group that has no live union: a union only grows in the PSD order, so
-    one that failed would fail again. A failing run of one instant that
-    starts its group spans that instant's W columns and divides by its
-    count, ``min((first + a + 1) stepsize, W) = min(t0 + j + 1, W)``, so its
-    union is that update's covariance, bit for bit, and is returned as such.
+    one that failed would fail again.
 
     A passing union vouches for update covariances it did not compute. Each
     entry of its product is a sum over at most 2W columns, whether formed in
@@ -262,9 +255,9 @@ def _screen_unions(
     1500 C``, 96,000 samples at 64 channels."""
     k, c = len(instants), tail.shape[0]
     if calib.screen_bound is None or 6 * window * _UNIT_ROUNDOFF > SCREEN_REL_TOL * c:
-        return list(range(k)), None, {}
+        return list(range(k)), None
     if not k:
-        return [], union, {}
+        return [], union
     step = instants.step
     size = window // step + 1
     first = (t0 + instants[0] + 1) // step - 1  # the stream-wide number of instants[0]
@@ -285,34 +278,19 @@ def _screen_unions(
             if position:
                 product += union
             if np.isfinite(product).all():
-                runs.append((range(a, b), position))
+                runs.append(range(a, b))
                 products.append(product)
                 # n_min, the sample count of the group's first window
                 counts.append(min((first + a - position + 1) * step, window))
     if not runs:
-        return list(range(k)), None, {}
+        return list(range(k)), None
     stack = np.empty((len(runs), c, c))
     for cov, product, count in zip(stack, products, counts):
         np.divide(product, count, out=cov)
     passed = screen(stack, calib, np.zeros(len(runs), dtype=int))
-    cleared = {q for (run, _), ok in zip(runs, passed) if ok for q in run}
-    formed = {
-        run.start: cov
-        for (run, position), ok, cov in zip(runs, passed, stack)
-        if not ok and len(run) == 1 and not position
-    }
-    live = passed[-1] and runs[-1][0].stop == k
-    return [q for q in range(k) if q not in cleared], products[-1] if live else None, formed
-
-
-def _delayed(state: ProcessorState, x: np.ndarray) -> np.ndarray:
-    """The chunk ``x`` delayed by L samples (zeros emerge during the first L
-    of the stream): the oldest n samples of the delay line, a view, or all
-    of it and the chunk's first n - L."""
-    n, lookahead = x.shape[1], state.lookahead
-    if n <= lookahead:
-        return state.delay_buffer[:, :n]
-    return np.concatenate([state.delay_buffer, x[:, : n - lookahead]], axis=1)
+    cleared = {q for run, ok in zip(runs, passed) if ok for q in run}
+    live = passed[-1] and runs[-1].stop == k
+    return [q for q in range(k) if q not in cleared], products[-1] if live else None
 
 
 class _Joined:
@@ -374,7 +352,7 @@ def _blend_weights(stepsize: int) -> np.ndarray:
 
 def _emit(
     out: np.ndarray,
-    delayed: np.ndarray,
+    delayed: _Joined,
     r_current: np.ndarray | None,
     r_previous: np.ndarray | None,
     weights: np.ndarray,
@@ -426,9 +404,11 @@ def asr_process_chunk(
         raise InvalidInput("chunk contains non-finite values")
 
     # the histories are read in place, and only the columns that straddle
-    # one and the chunk are joined; the chunk's samples enter them at commit
+    # one and the chunk are joined; the chunk's samples enter them at commit.
+    # The chunk delayed by L is the first n columns of the delay line and the
+    # chunk (zeros emerge during the first L of the stream)
     window = state.window
-    delayed = _delayed(state, x)
+    delayed = _Joined(state.delay_buffer, x)
     filtered, filter_state = iir_filter(
         x, calib.filter_b, calib.filter_a, state.filter_state
     )
@@ -443,20 +423,13 @@ def asr_process_chunk(
     # a screened update rejects nothing; only the others reach detect
     recons: list[np.ndarray | None] = [None] * len(instants)
     rejected = [0] * len(instants)
-    open_, union, formed = _screen_unions(tail, instants, t0, window, calib, state.union)
+    open_, union = _screen_unions(tail, instants, t0, window, calib, state.union)
     screened = len(instants) - len(open_)
     if open_:
-        # the open instants whose covariance is still to be formed, then those
-        # whose failing union formed it, which skip the per-update screen
-        order = [q for q in open_ if q not in formed] + list(formed)
-        todo = len(order) - len(formed)
-        covs = np.empty((len(order), c, c))
-        shifts = np.zeros(len(order), dtype=int)
-        passed = np.zeros(len(order), dtype=bool)
-        for i, cov in enumerate(formed.values(), todo):
-            covs[i] = cov
+        covs = np.empty((len(open_), c, c))
+        shifts = np.zeros(len(open_), dtype=int)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is mended at once
-            for i, q in enumerate(order[:todo]):
+            for i, q in enumerate(open_):
                 j = instants[q]
                 segment = tail[:, j + 1 : j + 1 + window]
                 np.matmul(segment, segment.T, out=covs[i])
@@ -467,23 +440,20 @@ def asr_process_chunk(
                     scaled = np.ldexp(segment, -shifts[i])
                     np.matmul(scaled, scaled.T, out=covs[i])
                 covs[i] /= min(t0 + j + 1, window)
-        if todo:
-            if not np.isfinite(covs[:todo]).all():
-                raise InvalidInput("covariance contains non-finite entries")
-            passed[:todo] = screen(covs[:todo], calib, shifts[:todo])
-            screened += int(np.count_nonzero(passed))
+        if not np.isfinite(covs).all():
+            raise InvalidInput("covariance contains non-finite entries")
+        passed = screen(covs, calib, shifts)
+        screened += int(np.count_nonzero(passed))
         suspects = np.flatnonzero(~passed)
         if suspects.size:
             _, _, keep, found = detect(covs[suspects], calib, shifts[suspects])
             for i, kept, r in zip(suspects, keep, found):
-                recons[order[i]], rejected[order[i]] = r, c - int(np.count_nonzero(kept))
+                recons[open_[i]], rejected[open_[i]] = r, c - int(np.count_nonzero(kept))
     r_current, r_previous = state.r_current, state.r_previous
-    log = []
     pos = 0
     for i, j in enumerate(instants):
         _emit(out, delayed, r_current, r_previous, weights, pos, j, (t0 + pos + 1) % step)
         r_previous, r_current = r_current, recons[i]
-        log.append((t0 + j, rejected[i]))
         _emit(out, delayed, r_current, r_previous, weights, j, j + 1, 0)
         pos = j + 1
     _emit(out, delayed, r_current, r_previous, weights, pos, n_samples, (t0 + pos + 1) % step)
@@ -494,7 +464,7 @@ def asr_process_chunk(
     state.filter_state = filter_state
     state.r_current, state.r_previous = r_current, r_previous
     state.union = union
-    state.update_log.extend(log)
+    state.rejected_counts.extend(rejected)
     state.rejecting_updates += len(rejected) - rejected.count(0)
     state.screened_updates += screened
     state.total_samples_seen = t0 + n_samples
@@ -517,7 +487,8 @@ def pass_chunk_through(
     ``asr_process_chunk``, and its output is a new array, not a view of the
     delay line's buffer.
     """
-    delayed = np.array(_delayed(state, chunk.data), dtype=float)
+    n = chunk.data.shape[1]
+    delayed = np.array(_Joined(state.delay_buffer, chunk.data)[:, :n], dtype=float)
     state.raw_end = _advance(state.raw, state.raw_end, chunk.data)
     return MultichannelChunk(
         data=delayed,

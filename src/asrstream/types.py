@@ -84,7 +84,9 @@ DEFAULT_STEPSIZE = 32  # samples between detection updates
 # union screen also vouches for window products it did not compute, whose
 # rounding grows as 3 W C u, so processing forms unions only for W <= ~1500 C
 SCREEN_REL_TOL = 1e-12
-UPDATE_LOG_LIMIT = 65536  # bounded diagnostic history of (sample, n_rejected)
+# updates whose n_rejected ProcessorState keeps, one int each (8 B);
+# ProcessorState.update_log derives their sample indices
+UPDATE_LOG_LIMIT = 65536
 
 
 @dataclass(frozen=True)
@@ -220,10 +222,19 @@ class ProcessorState:
     rejecting_updates: int = 0
     # updates that a screen, union or per-update, cleared without eigh
     screened_updates: int = 0
-    # most recent update instants as (sample index, n_rejected)
-    update_log: deque[tuple[int, int]] = field(
+    # n_rejected of the most recent updates, oldest first (see update_log)
+    rejected_counts: deque[int] = field(
         default_factory=lambda: deque(maxlen=UPDATE_LOG_LIMIT)
     )
+
+    @property
+    def update_log(self) -> list[tuple[int, int]]:
+        """The most recent updates as ``(sample index, n_rejected)``, oldest
+        first. Update k of the stream is at sample ``(k + 1) * stepsize - 1``,
+        so only the counts are kept."""
+        step = self.stepsize
+        first = self.total_samples_seen // step - len(self.rejected_counts)
+        return [((k + 1) * step - 1, n) for k, n in enumerate(self.rejected_counts, first)]
 
     @property
     def lookahead(self) -> int:

@@ -630,11 +630,11 @@ def _count_cleared(monkeypatch):
     def screen_unions(tail, instants, t0, window, calib, union):
         inside.append(True)
         try:
-            open_, union, formed = real_unions(tail, instants, t0, window, calib, union)
+            open_, union = real_unions(tail, instants, t0, window, calib, union)
         finally:
             inside.clear()
         by_union[-1] += len(instants) - len(open_)
-        return open_, union, formed
+        return open_, union
 
     def screen(covs, calib, shifts):
         passed = real_screen(covs, calib, shifts)
@@ -742,7 +742,7 @@ class TestScreen:
         for window, open_ in ((6004, []), (6005, list(range(8)))):
             tail = np.zeros((4, window + 256))
             for t0, union in ((0, None), (10**6, np.zeros((4, 4)))):
-                got, carried, _ = processing._screen_unions(tail, instants, t0, window, state, union)
+                got, carried = processing._screen_unions(tail, instants, t0, window, state, union)
                 assert got == open_, (window, t0)
                 assert (carried is None) == bool(open_), (window, t0)
 
@@ -789,13 +789,13 @@ class TestScreen:
 
         # chunks of 32 hold one instant each (the m-th at chunk 32 m): a
         # window-sized product runs at a group's first instant and for each
-        # later instant that no union clears, and every other instant extends
-        # its group's live union by one 32-column product; a failing union at
-        # a group's first instant is that instant's update covariance, so it
-        # goes to detect as it is, neither formed nor screened again
+        # instant that no union clears, and every other instant extends its
+        # group's live union by one 32-column product; so a failing union at
+        # a group's first instant forms that instant's W-column product twice
+        # and is screened twice, once as a union and once as an update
         def chunks_of_32(x):
             proc = asr.ProcessorState.initial(state)
-            extended = dead = wide = 0
+            extended = dead = failed_starts = by_union = wide = 0
             for pos in range(0, x.shape[1], 32):
                 products.clear()
                 verdicts.clear()
@@ -807,7 +807,9 @@ class TestScreen:
                 if starts or live:
                     extended += not starts
                     cleared = bool(verdicts[0][0])
-                    again = not (cleared or starts)
+                    failed_starts += starts and not cleared
+                    by_union += cleared
+                    again = not cleared
                     assert products == [window if starts else 32] + [window] * again, pos
                     assert [len(v) for v in verdicts] == [1] * (1 + again), pos
                     assert (proc.union is not None) == cleared, pos
@@ -816,17 +818,18 @@ class TestScreen:
                     dead += 1
                     assert products == [window] and [len(v) for v in verdicts] == [1], pos
                     assert proc.union is None, pos
-            return proc, extended, dead, wide
+            return proc, extended, dead, failed_starts, by_union, wide
 
-        _, extended, dead, _ = chunks_of_32(stream)
-        assert extended > 0 and dead > 0, (extended, dead)
-        # where most unions fail, no update forms two W-column products, so
-        # they do not outnumber the updates (first instants once counted twice)
+        _, extended, dead, failed_starts, _, _ = chunks_of_32(stream)
+        assert extended > 0 and dead > 0 and failed_starts > 0, (extended, dead, failed_starts)
+        # where most unions fail, the W-column products are one per group
+        # start (64 updates, 16 groups) and one per update no union clears
         dense = rng.standard_normal((4, 2048))
         dense[:, 128:] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], rng.standard_normal(1920))
-        proc, _, _, wide = chunks_of_32(dense)
+        proc, _, _, failed_starts, by_union, wide = chunks_of_32(dense)
         assert sum(1 for _, n in proc.update_log if n) > len(proc.update_log) / 2
-        assert wide <= len(proc.update_log), wide
+        assert failed_starts > 16 / 2, failed_starts
+        assert wide == 16 + len(proc.update_log) - by_union, (wide, by_union)
 
     # the windows that hold samples 1000-1039 end at 1023 ... 1151: at chunk
     # 256 the second group of chunk 768 and the first of chunk 1024 overflow,
@@ -1203,6 +1206,26 @@ class TestCleanRecording:
         assert proc.update_log == ref.update_log
         assert peaks[0] >= data.nbytes  # the default output is a new array
         assert peaks[1] <= 0.2 * data.nbytes
+
+    def test_the_update_log_keeps_no_object_per_update(self, clean_calibration):
+        # the state keeps one small int per update, its n_rejected, and
+        # derives the sample index, so the log grows by about 8 B an update
+        _, state = clean_calibration
+        rng = np.random.default_rng(9)
+        asr.clean_recording(rng.standard_normal((4, 500)), state, 256)  # warm every lazy cost
+        kept = {}
+        for n in (20000, 80000):  # 625 and 2,500 updates
+            data = rng.standard_normal((4, n)) * 3.0
+            data[:, 5000:6000] += 20 * np.array([[0.2], [1.0], [-0.7], [0.4]])
+            tracemalloc.start()
+            try:
+                _, proc = asr.clean_recording(data, state, 256, out=data)
+                kept[n] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(proc.update_log) == n // 32
+            assert proc.rejecting_updates > 0
+        assert kept[80000] - kept[20000] <= 16 * (80000 - 20000) // 32, kept
 
     def test_out_of_another_shape_rejected(self, clean_calibration):
         _, state = clean_calibration

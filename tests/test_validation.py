@@ -84,6 +84,7 @@ class TestCompare:
         assert report.passed
         assert report.max_relative_error == 0.0
         assert report.first_divergent_sample is None
+        assert report.machine_lines()[-1] == "first_divergent_sample=-1"  # a number, not None
 
     def test_relative_scaling(self):
         rng = np.random.default_rng(2)
@@ -98,6 +99,7 @@ class TestCompare:
         b[0, 6] = 2.0
         report = compare(a, b, 1e-9)
         assert report.first_divergent_sample == 6
+        assert report.machine_lines()[-1] == "first_divergent_sample=6"
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
