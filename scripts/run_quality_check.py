@@ -6,10 +6,19 @@ chunk size plus machine-readable key=value lines, each named by its spec and
 chunk size (``qc2-one-burst.chunk256.pass=1``). The reference runs once per
 spec, whatever the number of chunk sizes.
 
+Besides the comparison, each spec and chunk size prints its update counts
+(``updates``, ``rejecting_updates``, ``screened_updates``) and the sha256
+``digest`` of the cleaned output, so that two checkouts whose cleaning is
+bit-identical print the same key=value lines:
+
+    diff <(python3 scripts/run_quality_check.py --chunk 32,256 | grep -F .chunk) \
+         <(python3 ../other/scripts/run_quality_check.py --chunk 32,256 | grep -F .chunk)
+
 Usage: python3 scripts/run_quality_check.py [--tolerance 1e-5] [--chunk 32[,256,...]]
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -86,7 +95,14 @@ def run_spec(name, spec, coeffs, tolerance, chunks):
                 f"   artifact RMS reduction {metrics.artifact_rms_reduction:.3f}, "
                 f"clean-segment change {metrics.clean_rms_change:.4f}"
             )
-        for line in report.machine_lines():
+        lines = [
+            *report.machine_lines(),
+            f"updates={proc.total_samples_seen // proc.stepsize}",
+            f"rejecting_updates={proc.rejecting_updates}",
+            f"screened_updates={proc.screened_updates}",
+            f"digest={hashlib.sha256(streamed.tobytes()).hexdigest()}",
+        ]
+        for line in lines:
             print(f"   {name}.chunk{chunk}.{line}")
         passed.append(report.passed)
     return passed

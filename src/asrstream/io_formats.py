@@ -30,10 +30,12 @@ of that reference:
   numbers as cells, and no zero read from an int (JSON reads ``-0`` as the
   int 0, which has no sign). Any other text is read by ``float()``, which
   raises the located errors.
-- A piece, or a stream chunk, is written by orjson when each of its values
-  is 0 or has 1e-4 <= |x| < 1e16, where orjson spells every float as repr
-  does; outside that range the two differ (``0.00001`` for ``1e-05``), so
-  any other piece is written by ``repr``.
+- A piece, or a stream chunk, is written by orjson. orjson spells every
+  float as repr does when it is 0 or has 1e-4 <= |x| < 1e16; outside that
+  range the two differ (``0.00001`` for ``1e-05``), so the tokens of those
+  values are found by their comma offsets and replaced by repr's text. A
+  piece that is more than a quarter such values (data in volts) is written
+  by ``repr``.
 """
 
 from __future__ import annotations
@@ -312,33 +314,54 @@ def load_calibration_data(path):
 
 def format_row(row) -> str:
     """Comma-separated shortest-repr floats: value-exact on reload."""
-    row = np.ascontiguousarray(row, dtype=float)
-    if (text := _json_text(row)) is not None:
-        return text[1:-1].decode()
-    return ",".join(map(repr, row.tolist()))
+    return _float_text(np.ascontiguousarray(row, dtype=float))
 
 
 def format_rows(matrix) -> str:
     """:func:`format_row` of each row of the 2-D ``matrix``, each ending in a
     newline."""
     matrix = np.ascontiguousarray(matrix, dtype=float)
-    if matrix.size and (text := _json_text(matrix)) is not None:
-        return text[2:-2].replace(b"],[", b"\n").decode() + "\n"
-    return "".join(format_row(row) + "\n" for row in matrix)
+    if not matrix.size:
+        return "\n" * len(matrix)
+    return _float_text(matrix) + "\n"
 
 
-def _json_text(values: np.ndarray) -> bytes | None:
-    """orjson's JSON array of the contiguous float array ``values``, or None
-    unless it spells each value as repr does. That holds for 0 and for
-    1e-4 <= |x| < 1e16, where both write the shortest round-trip digits in
-    the same notation; outside it they switch to exponents at other bounds.
+def _float_text(values: np.ndarray) -> str:
+    """The contiguous float array ``values`` as repr spells each value, the
+    values of a row comma-separated and a matrix's rows newline-separated.
+
+    orjson writes the text, and repr the values it would spell otherwise:
+    all but 0 and 1e-4 <= |x| < 1e16, where both write the shortest
+    round-trip digits in the same notation; outside it they switch to
+    exponents at other bounds. Each such value's token, found by its
+    separator offsets, is replaced by repr's. When more than a quarter of
+    the values are such (data in volts), repr writes them all, as splicing
+    would then save little or cost more.
     """
     import orjson  # deferred, as in _json_numbers
 
     mag = np.abs(values)
-    if not ((mag == 0) | ((mag >= 1e-4) & (mag < 1e16))).all():
-        return None
-    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    plain = (mag == 0) | ((mag >= 1e-4) & (mag < 1e16))
+    kept = np.count_nonzero(plain)
+    if 4 * (values.size - kept) > values.size:
+        rows = values.reshape(-1, values.shape[-1]).tolist()
+        return "\n".join(",".join(map(repr, row)) for row in rows)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text[1:-1] if values.ndim == 1 else text[2:-2].replace(b"],[", b"\n")
+    if kept == values.size:
+        return text.decode()
+    buf = np.frombuffer(text, np.uint8)
+    sep = buf == ord(",")
+    sep |= buf == ord("\n")
+    # value i's token lies between separators i - 1 and i, or the text's ends
+    bounds = np.concatenate([[-1], np.flatnonzero(sep), [len(text)]])
+    flat = values.ravel()
+    parts, done = [], 0
+    for i in np.flatnonzero(~plain).tolist():
+        parts += text[done : bounds[i] + 1], repr(float(flat[i])).encode()
+        done = bounds[i + 1]
+    parts.append(text[done:])
+    return b"".join(parts).decode()
 
 
 def _table_text(preamble, matrix):

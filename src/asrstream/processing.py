@@ -21,17 +21,17 @@ reproduce exactly:
    update builds ``R = M pinv(D V^T M) V^T`` in its closed complement form
    ``I - V_r pinv(M^-1 V_r) M^-1`` from a thin QR of ``M^-1 V_r`` over the
    rejected eigenvectors ``V_r`` (no SVD, numpy only). A covariance S for
-   which ``4**-k (1 - eps) T^T T - S`` has a Cholesky factor (one batched
-   factorization per stack; see :func:`screen` and
-   ``CalibrationState.screen_bound``) provably keeps every component, so
-   its update is the identity with nothing rejected and needs no ``eigh``.
-   The stream's update instants fall into consecutive groups of
-   ``W // stepsize + 1``, numbered from the stream's start, whose windows
-   span at most 2W samples. A chunk screens, for each group it reaches, the
-   covariance ``Y_U Y_U^T / n_min`` of the union U of the group's windows up
-   to its last instant in the chunk (see :func:`_screen_unions`): each
-   window lies inside U and each ``n_i >= n_min``, so a union that passes
-   proves every update of its group so far clean. A group's product is
+   which ``4**-k (1 - eps) T^T T - S`` has a Cholesky factor (see
+   :func:`screen` and ``CalibrationState.screen_bound``) provably keeps
+   every component, so its update is the identity with nothing rejected and
+   needs no ``eigh``. The stream's update instants fall into consecutive
+   groups of ``W // stepsize + 1``, numbered from the stream's start, whose
+   windows span at most 2W samples. A chunk screens, for each group it
+   reaches and as soon as it forms it, the covariance
+   ``Y_U Y_U^T / n_min`` of the union U of the group's windows up to its
+   last instant in the chunk (see :func:`_screen_unions`): each window lies
+   inside U and each ``n_i >= n_min``, so a union that passes proves every
+   update of its group so far clean. A group's product is
    carried across chunks in ``ProcessorState.union``, so a chunk that
    continues a group adds the product of its new columns only. The union
    sums at most 2W columns, in one product or several; unions are formed
@@ -41,10 +41,10 @@ reproduce exactly:
    instants whose union fails the screen or is not finite, and for those
    of a group whose union failed in an earlier chunk, does the chunk build
    the ``(k, C, C)`` stack of update covariances, in one loop (one that
-   overflows is rebuilt from its segment times ``2**-k``), and screen it.
-   The covariances neither screen clears go to one :func:`detect` call, one
-   batched ``eigh`` for them all, so the outputs are those of running
-   :func:`detect` on every update,
+   overflows is rebuilt from its segment times ``2**-k``), and screen it in
+   one batched factorization. The covariances neither screen clears go to
+   one :func:`detect` call, one batched ``eigh`` for them all, so the
+   outputs are those of running :func:`detect` on every update,
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
    ``ssu = (t + 1) mod stepsize`` counts samples since the last update (0 at
@@ -52,7 +52,8 @@ reproduce exactly:
    identity, so the weight is never read). The weights are tabulated once
    per ``stepsize``. An identity operator is held as ``None`` and applied as
    the delayed sample itself; when both are ``None`` the blend is skipped
-   and the delayed sample is passed through bit-exactly.
+   and the delayed sample is passed through bit-exactly, and a chunk whose
+   operators all stay ``None`` is copied in one piece.
 
 The implementation below vectorizes runs of samples between update instants;
 all state is keyed off global sample indices, so chunk boundaries are
@@ -79,6 +80,7 @@ from .types import (
 )
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u = 2**-53
+_NO_SHIFT = np.zeros(1, dtype=int)  # the shifts of one unscaled covariance
 
 
 def load_kernels(calib: CalibrationState) -> None:
@@ -190,7 +192,8 @@ def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.
     the rounding of the factorization and of the ``eigh`` and limits that
     :func:`detect` would compute, and, for a union covariance (see
     :func:`_screen_unions`), that of the products it vouches for, whether
-    its own product was summed in one piece or carried across chunks.
+    its own product was summed in one piece or carried across chunks. A
+    union is screened alone, as a stack of one, as soon as it is formed.
     """
     passed = np.zeros(len(covs), dtype=bool)
     bound = calib.screen_bound
@@ -238,10 +241,11 @@ def _screen_unions(
     starts its group forms the product ``Y_U Y_U^T`` over the ``tail``
     columns of its windows; a run that continues a group whose product so
     far, ``union``, is live adds to it the product of its new columns only,
-    ``stepsize`` per instant. The finite unions are screened as one stack.
-    A run whose union fails or overflows stays open, and so does a run of a
-    group that has no live union: a union only grows in the PSD order, so
-    one that failed would fail again.
+    ``stepsize`` per instant. Each union is screened as it is formed, so one
+    product is alive at a time, and the last run's, if it passes, is the
+    union carried on. A run whose union fails or overflows stays open, and
+    so does a run of a group that has no live union: a union only grows in
+    the PSD order, so one that failed would fail again.
 
     A passing union vouches for update covariances it did not compute. Each
     entry of its product is a sum over at most 2W columns, whether formed in
@@ -263,34 +267,25 @@ def _screen_unions(
     first = (t0 + instants[0] + 1) // step - 1  # the stream-wide number of instants[0]
     # a run ends where the next group starts, at a number divisible by size
     bounds = [0, *range(-first % size or size, k, size), k]
-    runs, products, counts = [], [], []
+    open_ = []
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(bounds, bounds[1:]):
             position = (first + a) % size  # of instants[a] in its group
             end = instants[b - 1] + 1 + window
             if not position:
                 span = tail[:, instants[a] + 1 : end]
-            elif union is not None:
+                union = np.matmul(span, span.T)
+            elif union is not None:  # not in place: the carried union is the state's
                 span = tail[:, end - (b - a) * step : end]
-            else:
-                continue
-            product = np.matmul(span, span.T)
-            if position:
-                product += union
-            if np.isfinite(product).all():
-                runs.append(range(a, b))
-                products.append(product)
-                # n_min, the sample count of the group's first window
-                counts.append(min((first + a - position + 1) * step, window))
-    if not runs:
-        return list(range(k)), None
-    stack = np.empty((len(runs), c, c))
-    for cov, product, count in zip(stack, products, counts):
-        np.divide(product, count, out=cov)
-    passed = screen(stack, calib, np.zeros(len(runs), dtype=int))
-    cleared = {q for run, ok in zip(runs, passed) if ok for q in run}
-    live = passed[-1] and runs[-1].stop == k
-    return [q for q in range(k) if q not in cleared], products[-1] if live else None
+                union = union + np.matmul(span, span.T)
+            # n_min, the sample count of the group's first window
+            n_min = min((first + a - position + 1) * step, window)
+            if union is None or not (
+                np.isfinite(union).all() and screen((union / n_min)[None], calib, _NO_SHIFT)[0]
+            ):
+                open_ += range(a, b)
+                union = None
+    return open_, union
 
 
 class _Joined:
@@ -400,7 +395,7 @@ def asr_process_chunk(
     n_samples = x.shape[1]
     if n_samples == 0:
         return chunk, state
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInput("chunk contains non-finite values")
 
     # the histories are read in place, and only the columns that straddle
@@ -450,13 +445,16 @@ def asr_process_chunk(
             for i, kept, r in zip(suspects, keep, found):
                 recons[open_[i]], rejected[open_[i]] = r, c - int(np.count_nonzero(kept))
     r_current, r_previous = state.r_current, state.r_previous
-    pos = 0
-    for i, j in enumerate(instants):
-        _emit(out, delayed, r_current, r_previous, weights, pos, j, (t0 + pos + 1) % step)
-        r_previous, r_current = r_current, recons[i]
-        _emit(out, delayed, r_current, r_previous, weights, j, j + 1, 0)
-        pos = j + 1
-    _emit(out, delayed, r_current, r_previous, weights, pos, n_samples, (t0 + pos + 1) % step)
+    if r_current is None and r_previous is None and not any(rejected):
+        out[:] = delayed[:, :n_samples]  # every operator of the chunk is the identity
+    else:
+        pos = 0
+        for i, j in enumerate(instants):
+            _emit(out, delayed, r_current, r_previous, weights, pos, j, (t0 + pos + 1) % step)
+            r_previous, r_current = r_current, recons[i]
+            _emit(out, delayed, r_current, r_previous, weights, j, j + 1, 0)
+            pos = j + 1
+        _emit(out, delayed, r_current, r_previous, weights, pos, n_samples, (t0 + pos + 1) % step)
 
     # nothing below can raise
     state.raw_end = _advance(state.raw, state.raw_end, x)

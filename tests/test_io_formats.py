@@ -316,6 +316,31 @@ class TestTextFormat:
             header = f"# channels: {len(m)}\n# srate: 250.0\n"
             assert (tmp_path / "r.csv").read_text() == header + rows
 
+    def test_a_few_values_out_of_range_are_spliced_in_as_repr(self):
+        # orjson writes the piece and repr the values it would spell
+        # otherwise: at a row's ends, side by side, across a row boundary
+        rng = np.random.default_rng(42)
+        odd = [1e-05, -3e-07, 1e16, -2.5e20, 5e-324, -0.0, math.inf, -math.inf, math.nan]
+        m = rng.standard_normal((4, 40))
+        m[0, [0, 1, -1]] = odd[:3]
+        m[1, -1], m[2, 0] = odd[3:5]
+        m[3, 10:14] = odd[5:]
+        for row in m:
+            assert format_row(row) == ",".join(map(repr, row.tolist()))
+        for matrix in (m, m.T):
+            assert format_rows(matrix) == "".join(
+                ",".join(map(repr, row)) + "\n" for row in matrix.tolist()
+            )
+        # matrices of a few to mostly out-of-range values, and zeros of both signs
+        for _ in range(300):
+            shape = rng.integers(1, 6), rng.integers(1, 60)
+            m = rng.standard_normal(shape)
+            out = rng.random(shape) < rng.random() ** 2
+            m[out] *= 10.0 ** rng.uniform(-8, 20, out.sum())
+            m[rng.random(shape) < 0.05] = rng.choice([0.0, -0.0])
+            assert format_rows(m) == "".join(",".join(map(repr, r)) + "\n" for r in m.tolist())
+            assert format_row(m[0]) == ",".join(map(repr, m[0].tolist()))
+
 
 class TestLineAtATime:
     """The tables are read and written one line at a time: memory stays a

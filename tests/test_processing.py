@@ -499,6 +499,26 @@ class TestProcessChunk:
         # and samples inside the rejected window must actually differ
         assert not np.allclose(out[:, 800 + lookahead : 900], delayed[:, 800 + lookahead : 900])
 
+    @pytest.mark.parametrize("chunk", [1, 7, 32, 256, None])
+    def test_samples_under_two_identity_operators_are_the_delayed_input(self, chunk):
+        # an operator is the identity when its update rejected nothing; the
+        # pair at sample t comes from the updates before and at the last
+        # instant up to t, and the identity before the stream's first two
+        state, recording = _burst_case(8, 250.0, 6)
+        n = recording.shape[1]
+        chunk = chunk or n
+        out, proc = asr.clean_recording(recording, state, chunk)
+        rejected = np.array([0, 0, *(r for _, r in proc.update_log)])
+        done = (np.arange(n) + 1) // proc.stepsize  # updates at or before each sample
+        identity = (rejected[done] == 0) & (rejected[done + 1] == 0)
+        delayed = np.concatenate([np.zeros((8, proc.lookahead)), recording], axis=1)[:, :n]
+        assert 0 < identity.sum() < n  # the burst was cleaned
+        assert out[:, identity].tobytes() == delayed[:, identity].tobytes()
+        if chunk > 1:
+            # the pair turns to the identity inside a chunk, not only at its start
+            turns = np.flatnonzero(identity[1:] & ~identity[:-1]) + 1
+            assert (turns % chunk).any(), turns
+
     def test_update_cadence_and_counter_invariants(self, clean_calibration):
         _, state = clean_calibration
         rng = np.random.default_rng(66)
@@ -776,14 +796,14 @@ class TestScreen:
             verdicts.clear()
             chunk = asr.MultichannelChunk(stream[:, pos : pos + 256], SRATE, pos)
             _, proc = asr.asr_process_chunk(chunk, state, proc)
-            # two unions, each over four windows 32 samples apart
+            # two unions, each over four windows 32 samples apart, and two
+            # union verdicts of one covariance each, before any per-update screen
             assert products[:2] == [3 * 32 + window] * 2, pos
-            unions = verdicts[0]
-            assert len(unions) == 2, pos
-            failed.append(int(np.count_nonzero(~unions)))
+            assert [len(v) for v in verdicts[:2]] == [1, 1], pos
+            failed.append(sum(not v[0] for v in verdicts[:2]))
             # then one product, and one screened covariance, per instant of a failing group
             assert products[2:] == [window] * 4 * failed[-1], pos
-            assert [len(v) for v in verdicts[1:]] == ([4 * failed[-1]] if failed[-1] else []), pos
+            assert [len(v) for v in verdicts[2:]] == ([4 * failed[-1]] if failed[-1] else []), pos
         assert 0 < sum(failed) < 2 * len(failed)
         assert sum(1 for _, n in proc.update_log if n) > 0
 
@@ -870,13 +890,15 @@ class TestScreen:
                 piece = asr.MultichannelChunk(x[:, pos : pos + chunk], SRATE, pos)
                 cleaned, proc = asr.asr_process_chunk(piece, state, proc)
                 out[:, pos : pos + chunk] = cleaned.data
-            # at most one union stack per chunk, screened first and unshifted
-            for calls in screens:
-                assert all(not union for union, _, _ in calls[1:]), calls
-            unions = [calls[0][1:] if calls and calls[0][0] else (0, 0) for calls in screens]
-            assert all(k == 0 for _, k in unions)
+            # the union screens come first, one per run (a group holds four
+            # instants 32 samples apart), each of one covariance and unshifted
+            unions = [sum(union for union, _, _ in calls) for calls in screens]
+            for calls, n in zip(screens, unions):
+                assert n <= -(-chunk // (4 * 32)), calls
+                assert all(union for union, _, _ in calls[:n]), calls
+                assert all(size == 1 and k == 0 for _, size, k in calls[:n]), calls
             shifted = [any(k for _, _, k in calls) for calls in screens]
-            return out, proc, [n for n, _ in unions], shifted
+            return out, proc, unions, shifted
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning either
