@@ -193,8 +193,15 @@ def _process_stream(args, stdin, stdout) -> int:
         stdout.write(f"# channels={channels} srate={srate!r}\n")
         _, lines = read_preamble(stdin, {}, start=2)
         block = np.empty((args.chunk, channels))  # publish copies each chunk out of it
-        while n := parse_rows(lines, block):
-            pipeline.feed(block[:n].T)
+        try:
+            while n := parse_rows(lines, block):
+                pipeline.feed(block[:n].T)
+        except WorkerDied:
+            raise
+        except AsrError:  # a bad line: write every chunk before it, then exit 1
+            pipeline.flush()
+            stdout.flush()
+            raise
         pipeline.flush()
         stdout.flush()
     except (OSError, WorkerDied) as exc:

@@ -3,9 +3,10 @@ FIFO pair, a worker cleaning thread, and a named side-channel registry.
 
 Each runtime fact is read from its one owner: the input variable's capacity
 sizes every chunk buffer (a registered variable is never replaced or
-resized), the inbound ring counts the chunks pushed, the input variable's
-sample counter gives each chunk's sample index, and a running worker thread
-is what "prepared" means.
+resized), the inbound ring counts the chunks pushed and popped, the
+outbound ring the chunks drained, each ring the chunks it refused, the input
+variable's sample counter gives each chunk's sample index, and a running
+worker thread is what "prepared" means.
 
 Concurrency model: exactly two roles per pipeline. The caller thread runs
 ``process()`` (real-time side: no locks, no blocking, no buffer allocation
@@ -13,7 +14,8 @@ after prepare), and ``feed()``/``flush()``, which wrap it for a producer
 that may wait; one worker thread runs the cleaning loop. All shared state
 flows through the two single-producer/single-consumer rings plus plain
 attribute flags and counters, which CPython's GIL makes atomic to read and
-write; each counter has a single writer.
+write; each counter has a single writer. A full ring refuses a chunk rather
+than overwrite one, so no slot is written while the other side reads it.
 """
 
 from __future__ import annotations
@@ -49,14 +51,11 @@ class ChunkFifo:
     """Bounded wait-free SPSC ring of fixed-size chunk slots.
 
     All slots are allocated at construction; push and pop copy payloads into
-    and out of them. When the ring is full, a push overwrites the oldest
-    unconsumed slot (drop-oldest) and bumps ``dropped``. Per-slot ticket
-    markers written around each payload (seqlock style) let the consumer
-    detect and discard a slot that was overwritten mid-read, so a torn copy
-    never escapes. The producer counts the drop at overwrite time using its
-    snapshot of the consumer index; if the consumer empties that very slot
-    within the same push, the count can transiently exceed the true losses by
-    one, which quiesced accounting never observes.
+    and out of them. A push into a full ring is refused and counted in
+    ``dropped`` (Lamport's ring), so the producer never writes a slot the
+    consumer may be reading. Each index has one writer, and ``pushed``,
+    ``popped`` and ``dropped`` are exact at every moment: every chunk pushed
+    is popped, refused, or still in the ring.
     """
 
     def __init__(self, capacity: int, channels: int, chunk_capacity: int):
@@ -66,52 +65,43 @@ class ChunkFifo:
         self._slots = [np.zeros((channels, chunk_capacity)) for _ in range(capacity)]
         self._sizes = [0] * capacity
         self._seqs = [0] * capacity
-        self._begin = [-1] * capacity  # ticket whose write into slot i started last
-        self._done = [-1] * capacity  # ticket whose write into slot i completed last
-        self._head = 0  # next ticket to pop; written only by the consumer
-        self._tail = 0  # next ticket to push; written only by the producer
-        self.dropped = 0  # written only by the producer
+        self._head = 0  # chunks popped; written only by the consumer
+        self._tail = 0  # chunks accepted; written only by the producer
+        self.dropped = 0  # chunks refused; written only by the producer
 
     @property
     def pushed(self) -> int:
-        return self._tail
+        """Chunks offered to the ring, accepted or refused."""
+        return self._tail + self.dropped
+
+    @property
+    def popped(self) -> int:
+        return self._head
 
     def push(self, data: np.ndarray, n: int, seq: int) -> None:
-        """Copy ``data[:, :n]`` into the ring, dropping the oldest unconsumed
-        chunk when it is full."""
-        ticket = self._tail
-        if ticket - self._head >= self._capacity:
+        """Copy ``data[:, :n]`` into the ring, or refuse it and count it in
+        ``dropped`` when the ring is full."""
+        tail = self._tail
+        if tail - self._head >= self._capacity:
             self.dropped += 1
-        i = ticket % self._capacity
-        self._begin[i] = ticket
-        slot = self._slots[i]
-        np.copyto(slot[:, :n], data[:, :n])
+            return
+        i = tail % self._capacity
+        np.copyto(self._slots[i][:, :n], data[:, :n])
         self._sizes[i] = n
         self._seqs[i] = seq
-        self._done[i] = ticket
-        self._tail = ticket + 1
+        self._tail = tail + 1  # hands the slot to the consumer
 
     def pop_into(self, dst: np.ndarray):
-        """Copy the oldest valid chunk into ``dst``; returns (n, seq) or None.
-
-        Slots invalidated by an overwrite are skipped (the producer already
-        counted them as dropped)."""
-        while True:
-            ticket = self._head
-            if ticket >= self._tail:
-                return None
-            i = ticket % self._capacity
-            if self._done[i] != ticket:
-                self._head = ticket + 1  # overwritten before we got to it
-                continue
-            n = self._sizes[i]
-            seq = self._seqs[i]
-            np.copyto(dst[:, :n], self._slots[i][:, :n])
-            if self._begin[i] != ticket:
-                self._head = ticket + 1  # overwritten while we were copying
-                continue
-            self._head = ticket + 1
-            return n, seq
+        """Copy the oldest chunk into ``dst[:, :n]`` and return (n, seq), or
+        return None, leaving ``dst`` as it was, when the ring is empty."""
+        head = self._head
+        if head == self._tail:
+            return None
+        i = head % self._capacity
+        n, seq = self._sizes[i], self._seqs[i]
+        np.copyto(dst[:, :n], self._slots[i][:, :n])
+        self._head = head + 1  # hands the slot back to the producer
+        return n, seq
 
 
 class SideChannelVariable:
@@ -195,9 +185,10 @@ class Pipeline:
     """Streaming cleaner with a prepare/process/release lifecycle.
 
     ``output_sink``, if given, is called as ``sink(view, n, seq)`` from
-    inside ``process()`` for every drained chunk; the view is only valid for
-    the duration of the call and the sink must be cheap enough for the
-    caller's real-time budget.
+    inside ``process()`` for every drained chunk. The view is the first
+    ``n`` columns of the ``<var>_clean`` payload, which the next drained
+    chunk overwrites, so it is valid only for the duration of the call; the
+    sink must be cheap enough for the caller's real-time budget.
     """
 
     def __init__(
@@ -258,14 +249,11 @@ class Pipeline:
         self._out_var = out_var
         self._inbound = ChunkFifo(cfg.fifo_capacity, c, chunk)
         self._outbound = ChunkFifo(cfg.fifo_capacity, c, chunk)
-        self._drain_buf = np.zeros((c, chunk))
         self._proc_state = ProcessorState.initial(
             calib, stepsize=cfg.stepsize, lookahead=cfg.lookahead
         )
         self._first_published = self._consumed_published = in_var.published_total
         self._overwritten_in_samples = 0
-        self._drained_chunks = 0
-        self._popped_chunks = 0
         self._processed_chunks = 0
         self._error_chunks = 0
         self._last_error_sample = -1
@@ -281,7 +269,7 @@ class Pipeline:
         """Real-time callback: enqueue any newly published input chunk and
         move at most one cleaned chunk into the output variable, so a host
         that reads the variable after each call sees every chunk. Never
-        blocks; a full inbound ring drops the oldest chunk and counts it.
+        blocks; a full inbound ring refuses the new chunk and counts it.
         Returns the number of chunks moved, 0 or 1."""
         if self._thread is None:
             raise InvalidLifecycle("pipeline is not prepared")
@@ -293,24 +281,21 @@ class Pipeline:
             self._overwritten_in_samples += published - self._consumed_published - n
             self._consumed_published = published
             self._inbound.push(in_var.payload, n, published - n - self._first_published)
-        buf = self._drain_buf
-        res = self._outbound.pop_into(buf)
+        out_var = self._out_var
+        res = self._outbound.pop_into(out_var.payload)
         if res is None:
             return 0
         n, seq = res
-        out_var = self._out_var
-        np.copyto(out_var.payload[:, :n], buf[:, :n])
         out_var.valid_samples = n
         out_var.published_total += n
-        self._drained_chunks += 1
         if self._sink is not None:
-            self._sink(buf[:, :n], n, seq)
+            self._sink(out_var.payload[:, :n], n, seq)
         return 1
 
     def _worker_loop(self) -> None:
         calib = self._calib
         srate = calib.srate
-        work = np.zeros_like(self._drain_buf)
+        work = np.zeros((calib.channels, self._in_var.capacity))
         inbound, outbound = self._inbound, self._outbound
         unlogged = 0  # fail-open chunks since the last warning
         logged_at = 0.0
@@ -321,7 +306,6 @@ class Pipeline:
                 time.sleep(IDLE_PARK_S)
                 continue
             n, seq = res
-            self._popped_chunks += 1
             chunk = MultichannelChunk(work[:, :n], srate, seq)
             try:
                 cleaned, self._proc_state = asr_process_chunk(chunk, calib, self._proc_state)
@@ -401,7 +385,8 @@ class Pipeline:
     def in_flight(self) -> int:
         if self._thread is None:
             raise InvalidLifecycle("pipeline is not prepared")
-        return self._inbound.pushed - self._drained_chunks - self._inbound.dropped - self._outbound.dropped
+        inbound, outbound = self._inbound, self._outbound
+        return inbound.pushed - inbound.dropped - outbound.popped - outbound.dropped
 
     def stats(self) -> dict[str, int]:
         """Monitoring counters, all integers; not for use inside the real-time
@@ -413,10 +398,10 @@ class Pipeline:
             raise InvalidLifecycle("pipeline was never prepared")
         return {
             "pushed": self._inbound.pushed,
-            "popped": self._popped_chunks,
+            "popped": self._inbound.popped,
             "processed": self._processed_chunks,
             "errors": self._error_chunks,
-            "drained": self._drained_chunks,
+            "drained": self._outbound.popped,
             "dropped_in": self._inbound.dropped,
             "dropped_out": self._outbound.dropped,
             "overwritten_in_samples": self._overwritten_in_samples,

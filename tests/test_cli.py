@@ -734,17 +734,26 @@ def test_stream_mode_rejects_a_rate_not_above_0_as_a_header_error(
 def test_stream_mode_rejects_a_ragged_line(workspace, monkeypatch, capsys):
     rec = load_signal_record(workspace / "rec.csv")
     argv = ["process", "--calibration", str(workspace / "calib.csv"), "--stream", "--chunk", "32"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_stream_text_with(rec, {})))
+    assert main(argv) == 0
+    # line 50 holds sample 47, in the second chunk of 32: the header and the
+    # first chunk are written, byte for byte as a clean run writes them
+    prefix = "".join(capsys.readouterr().out.splitlines(keepends=True)[: 1 + 32])
     text = _stream_text_with(rec, {(50, 4): "1.0,2.0"})  # 5 cells on a 4-channel line
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert main(argv) == 1
-    assert "error: row 50 has 5 cells, expected 4" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: row 50 has 5 cells, expected 4" in captured.err
+    assert captured.out == prefix
     # 3 cells on line 50 and 5 on line 51: the block of 32 lines they share
     # holds as many cells as it should
     lines = _stream_text_with(rec, {(51, 4): "1.0,2.0"}).split("\n")
     lines[49] = lines[49].rpartition(",")[0]
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines)))
     assert main(argv) == 1
-    assert "error: row 50 has 3 cells, expected 4" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: row 50 has 3 cells, expected 4" in captured.err
+    assert captured.out == prefix
 
 
 @pytest.mark.parametrize(

@@ -41,18 +41,29 @@ class TestChunkFifo:
         fifo = make_fifo()
         assert fifo.pop_into(np.zeros((2, 8))) is None
 
-    def test_overwrite_drops_oldest_and_counts(self):
+    def test_pop_empty_leaves_dst_untouched(self):
+        fifo = make_fifo()
+        dst = np.full((2, 8), 7.0)
+        assert fifo.pop_into(dst) is None
+        fifo.push(np.ones((2, 3)), 3, 0)
+        assert fifo.pop_into(dst) == (3, 0)
+        assert fifo.pop_into(dst) is None  # emptied again: the last chunk stays
+        assert np.array_equal(dst, np.hstack([np.ones((2, 3)), np.full((2, 5), 7.0)]))
+
+    def test_full_ring_refuses_the_push_and_counts_it(self):
         fifo = make_fifo(capacity=4)
         for i in range(4):
             fifo.push(np.full((2, 2), float(i)), 2, i)
         assert fifo.dropped == 0
-        fifo.push(np.full((2, 2), 4.0), 2, 4)  # fifth push overwrites chunk 0
-        assert fifo.dropped == 1
+        fifo.push(np.full((2, 2), 4.0), 2, 4)  # fifth push: the ring is full
+        assert (fifo.dropped, fifo.pushed) == (1, 5)
         dst = np.zeros((2, 8))
         seqs = []
         while (res := fifo.pop_into(dst)) is not None:
             seqs.append(res[1])
-        assert seqs == [1, 2, 3, 4]  # oldest (0) is gone
+            assert dst[0, 0] == res[1]  # each payload with its own seq
+        assert seqs == [0, 1, 2, 3]  # the newest (4) was refused
+        assert fifo.popped == 4
 
     def test_quiesced_accounting_exact(self):
         fifo = make_fifo(capacity=3)
@@ -65,12 +76,13 @@ class TestChunkFifo:
         assert fifo.pushed == popped + fifo.dropped
 
     def test_threaded_hammer_no_duplicates_order_kept(self):
-        fifo = make_fifo(capacity=8, channels=1, chunk=1)
+        fifo = make_fifo(capacity=8, channels=1, chunk=4)
         total = 20000
         popped: list[int] = []
+        torn: list[int] = []
 
         def consumer():
-            dst = np.zeros((1, 1))
+            dst = np.zeros((1, 4))
             misses = 0
             while misses < 2000:
                 res = fifo.pop_into(dst)
@@ -80,18 +92,28 @@ class TestChunkFifo:
                     time.sleep(0)
                     continue
                 misses = 0
-                popped.append(int(dst[0, 0]))
+                popped.append(res[1])
+                if not np.all(dst == res[1]):
+                    torn.append(res[1])
 
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        for i in range(total):
-            fifo.push(np.full((1, 1), float(i)), 1, i)
-        thread.join(timeout=30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as CPython allows
+        try:
+            thread = threading.Thread(target=consumer)
+            thread.start()
+            for i in range(total):
+                fifo.push(np.full((1, 4), float(i)), 4, i)
+            thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
         assert not thread.is_alive()
-        # popped payloads are a strictly increasing subsequence of pushes
+        assert torn == []  # every payload arrives whole, with its own seq
+        # popped chunks are a strictly increasing subsequence of pushes, and
+        # every push was either popped or refused
         assert all(b > a for a, b in zip(popped, popped[1:]))
-        assert len(popped) + fifo.dropped >= total
+        assert len(popped) + fifo.dropped == total
         assert len(set(popped)) == len(popped)
+        assert fifo.popped == len(popped) and fifo.pushed == total
 
 
 class TestRegistry:
@@ -142,6 +164,14 @@ def pipeline_setup(tmp_path, clean_calibration):
     registry = SideChannelRegistry()
     registry.register("eeg", stride=state.channels, capacity=64)
     return config, registry, state
+
+
+def wait_for(condition, timeout=5.0):
+    """Poll ``condition`` until it holds; fails the test after ``timeout`` s."""
+    deadline = time.perf_counter() + timeout
+    while not condition():
+        assert time.perf_counter() < deadline, "timed out waiting for the worker"
+        time.sleep(0.001)
 
 
 def collecting_pipeline(config, registry):
@@ -374,7 +404,7 @@ class TestPipelineDataPath:
         pipeline.release()
         assert before == after
 
-    def test_stalled_worker_drops_oldest_without_blocking(self, pipeline_setup, monkeypatch):
+    def test_stalled_worker_refuses_the_newest_without_blocking(self, pipeline_setup, monkeypatch):
         config, registry, _ = pipeline_setup
         small = asr.PipelineConfig(
             sampling_rate=config.sampling_rate,
@@ -407,6 +437,90 @@ class TestPipelineDataPath:
         released = pipeline.stats()  # the counters outlive the worker
         assert released.pop("worker_alive") == 0
         assert released == {k: v for k, v in stats.items() if k != "worker_alive"}
+
+    def test_full_outbound_ring_refuses_and_the_output_keeps_its_last_chunk(
+        self, pipeline_setup, monkeypatch
+    ):
+        from asrstream import runtime
+
+        gate = threading.Event()
+        gate.set()
+        real = runtime.asr_process_chunk
+
+        def gated(chunk, calib, state):
+            gate.wait(5.0)
+            return real(chunk, calib, state)
+
+        monkeypatch.setattr(runtime, "asr_process_chunk", gated)
+        config, registry, _ = pipeline_setup
+        config = dataclasses.replace(config, fifo_capacity=4)
+        seqs: list[int] = []
+        pipeline = Pipeline(config, registry, lambda view, n, seq: seqs.append(seq))
+        pipeline.prepare()
+        out = registry.get("eeg_clean")
+        try:
+            rng = np.random.default_rng(8)
+            pipeline.feed(rng.standard_normal((4, 16)))
+            pipeline.flush()
+            delivered = out.payload[:, : out.valid_samples].copy()
+            gate.clear()
+            # the worker holds the first of five chunks at the gate, the
+            # inbound ring the other four; once let go it pushes all five
+            # into an outbound ring of four, with nothing drained meanwhile
+            for i in range(5):
+                registry.publish("eeg", rng.standard_normal((4, 16)))
+                assert pipeline.process() == 0
+                if i == 0:
+                    wait_for(lambda: pipeline.stats()["popped"] == 2)
+            gate.set()
+            wait_for(lambda: pipeline.stats()["processed"] == 6)
+            stats = pipeline.stats()
+            kept = out.payload[:, : out.valid_samples].copy()
+            pipeline.flush()
+            final = pipeline.stats()
+        finally:
+            pipeline.release()
+        assert (stats["processed"], stats["dropped_in"], stats["dropped_out"]) == (6, 0, 1)
+        assert stats["drained"] == 1
+        assert np.array_equal(kept, delivered)  # a refused push leaves the output as it was
+        assert seqs == [0, 16, 32, 48, 64]  # the newest chunk, at sample 80, was refused
+        assert final["pushed"] == final["drained"] + final["dropped_in"] + final["dropped_out"]
+
+    def test_popped_and_drained_are_read_from_the_rings(self, pipeline_setup, monkeypatch):
+        from asrstream import runtime
+
+        gate = threading.Event()
+        real = runtime.asr_process_chunk
+        calls = 0
+
+        def stalls_on_the_third(chunk, calib, state):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                gate.wait(5.0)
+            return real(chunk, calib, state)
+
+        monkeypatch.setattr(runtime, "asr_process_chunk", stalls_on_the_third)
+        config, registry, _ = pipeline_setup
+        pipeline = Pipeline(config, registry)
+        pipeline.prepare()
+        try:
+            rng = np.random.default_rng(9)
+            for _ in range(4):
+                registry.publish("eeg", rng.standard_normal((4, 16)))
+                pipeline.process()
+            wait_for(lambda: pipeline.stats()["popped"] == 3)  # the first two pushed out
+            pipeline.process()
+            pipeline.process()
+            stats, in_flight = pipeline.stats(), pipeline.in_flight()
+            rings = pipeline._inbound.popped, pipeline._outbound.popped
+        finally:
+            gate.set()
+            pipeline.release()
+        # mid-run: two chunks drained, the third held by the worker, the
+        # fourth still in the inbound ring
+        assert (stats["popped"], stats["drained"]) == rings == (3, 2)
+        assert (stats["pushed"], in_flight) == (4, 2)
 
     def test_nan_chunk_fails_open(self, pipeline_setup):
         config, registry, _ = pipeline_setup
