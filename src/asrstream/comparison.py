@@ -160,11 +160,10 @@ def quality_metrics(cleaned, raw, clean, mask, margin: int) -> QualityMetrics:
 
 def align_for_delay(cleaned, raw, mask, lookahead: int):
     """Trim so cleaned[:, t] lines up with raw[:, t]: the pipeline emits the
-    input delayed by ``lookahead`` samples."""
+    input delayed by ``lookahead`` samples. All three keep ``max(N - L, 0)``
+    samples of their N."""
     cleaned = np.atleast_2d(np.asarray(cleaned, dtype=float))
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     mask = np.asarray(mask, dtype=bool)
-    if lookahead == 0:
-        return cleaned, raw, mask
-    n = raw.shape[1] - lookahead
-    return cleaned[:, lookahead:], raw[:, :n], mask[:n]
+    n = max(raw.shape[1] - lookahead, 0)
+    return cleaned[:, lookahead : lookahead + n], raw[:, :n], mask[:n]

@@ -39,12 +39,12 @@ reproduce exactly:
    ``3 W C u`` relative, stays within half of
    ``eps = 1e-12 C**2 cond(T^T T)`` (W up to about 1500 C). Only for the
    instants whose union fails the screen or is not finite, and for those
-   of a group whose union failed in an earlier chunk, does the chunk build
-   the ``(k, C, C)`` stack of update covariances, in one loop (one that
-   overflows is rebuilt from its segment times ``2**-k``), and screen it in
-   one batched factorization. The covariances neither screen clears go to
-   one :func:`detect` call, one batched ``eigh`` for them all, so the
-   outputs are those of running :func:`detect` on every update,
+   of a group whose union failed in an earlier chunk, does the chunk form
+   the update covariance, one instant at a time (one that overflows is
+   rebuilt from its segment times ``2**-k``), and screen it as soon as it
+   is formed. Every covariance is factored once. Those that fail go to one
+   :func:`detect` call, one batched ``eigh`` for them all, so the outputs
+   are those of running :func:`detect` on every update,
 4. the output sample is ``[w R_cur + (1 - w) R_prev] @ delayed`` with the
    raised-cosine weight ``w = (1 - cos(pi (ssu + 1) / stepsize)) / 2``, where
    ``ssu = (t + 1) mod stepsize`` counts samples since the last update (0 at
@@ -67,7 +67,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationDegenerate, ChannelMismatch, InvalidInput, InvalidValue
-from .filters import filter_order, iir_filter
+from .filters import iir_filter
 # pinv and symmetric_eig stay bound though unused: perfbench/tracing.py wraps
 # processing.pinv and processing.symmetric_eig
 from .linalg import pinv, symmetric_eig  # noqa: F401
@@ -80,17 +80,6 @@ from .types import (
 )
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u = 2**-53
-_NO_SHIFT = np.zeros(1, dtype=int)  # the shifts of one unscaled covariance
-
-
-def load_kernels(calib: CalibrationState) -> None:
-    """Import the deferred library that cleaning with ``calib`` can call:
-    ``scipy.signal``, and only when ``calib`` has a shaping filter. Its
-    import takes about a second, so a live stream and ``clean_recording``
-    do it before their first chunk rather than in the middle of the pass.
-    Without a filter, cleaning loads no part of scipy."""
-    if filter_order(calib.filter_b, calib.filter_a):
-        import scipy.signal  # noqa: F401
 
 
 def _reconstruct(calib: CalibrationState, rejected: np.ndarray) -> np.ndarray:
@@ -179,42 +168,31 @@ def _overflow_shift(segment: np.ndarray) -> int:
     return max(0, int(exponent) - (1020 - segment.shape[1].bit_length()) // 2)
 
 
-def screen(covs: np.ndarray, calib: CalibrationState, shifts: np.ndarray) -> np.ndarray:
-    """Which covariances of the finite ``(k, C, C)`` stack ``covs`` are
-    proven clean: ``covs[i]`` (scaled by ``4**-shifts[i]``, as in
-    :func:`detect`) passes iff ``4**-shifts[i] * calib.screen_bound -
-    covs[i]`` has a Cholesky factor, and then :func:`detect` would keep all
-    of its components. The stack is factored at once, and one matrix at a
-    time only when that raises and it holds more than one. No covariance
-    passes when the calibration has no screen bound.
+def screen(cov: np.ndarray, calib: CalibrationState, shift: int = 0) -> bool:
+    """Whether the ``(C, C)`` covariance ``cov`` (scaled by ``4**-shift``,
+    as in :func:`detect`) is proven clean: it passes iff it is finite and
+    ``4**-shift * calib.screen_bound - cov`` has a Cholesky factor, and then
+    :func:`detect` would keep all of its components. Nothing passes when the
+    calibration has no screen bound. A factorization lets NaN through, so
+    finiteness is checked first.
 
     The margin of ``screen_bound``, ``eps = 1e-12 C**2 cond(T^T T)``, covers
     the rounding of the factorization and of the ``eigh`` and limits that
     :func:`detect` would compute, and, for a union covariance (see
     :func:`_screen_unions`), that of the products it vouches for, whether
-    its own product was summed in one piece or carried across chunks. A
-    union is screened alone, as a stack of one, as soon as it is formed.
+    its own product was summed in one piece or carried across chunks. Each
+    covariance, union or update, is screened once, as soon as it is formed.
     """
-    passed = np.zeros(len(covs), dtype=bool)
     bound = calib.screen_bound
-    if bound is None:
-        return passed
-    if shifts.any():
-        bound = np.ldexp(bound, -2 * shifts[:, None, None])
-    margins = bound - covs
+    if bound is None or not np.isfinite(cov).all():
+        return False
+    if shift:
+        bound = np.ldexp(bound, -2 * shift)
     try:
-        np.linalg.cholesky(margins)
-        passed[:] = True
+        np.linalg.cholesky(bound - cov)
     except np.linalg.LinAlgError:
-        if len(margins) == 1:  # that one matrix failed
-            return passed
-        for i, margin in enumerate(margins):
-            try:
-                np.linalg.cholesky(margin)
-                passed[i] = True
-            except np.linalg.LinAlgError:
-                pass
-    return passed
+        return False
+    return True
 
 
 def _screen_unions(
@@ -280,9 +258,7 @@ def _screen_unions(
                 union = union + np.matmul(span, span.T)
             # n_min, the sample count of the group's first window
             n_min = min((first + a - position + 1) * step, window)
-            if union is None or not (
-                np.isfinite(union).all() and screen((union / n_min)[None], calib, _NO_SHIFT)[0]
-            ):
+            if union is None or not screen(union / n_min, calib):
                 open_ += range(a, b)
                 union = None
     return open_, union
@@ -420,30 +396,29 @@ def asr_process_chunk(
     rejected = [0] * len(instants)
     open_, union = _screen_unions(tail, instants, t0, window, calib, state.union)
     screened = len(instants) - len(open_)
-    if open_:
-        covs = np.empty((len(open_), c, c))
-        shifts = np.zeros(len(open_), dtype=int)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is mended at once
-            for i, q in enumerate(open_):
-                j = instants[q]
-                segment = tail[:, j + 1 : j + 1 + window]
-                np.matmul(segment, segment.T, out=covs[i])
-                if not np.isfinite(covs[i]).all():
-                    # finite samples whose products overflow: rebuild the covariance
-                    # from the segment times 2**-k, which scales it by exactly 4**-k
-                    shifts[i] = _overflow_shift(segment)
-                    scaled = np.ldexp(segment, -shifts[i])
-                    np.matmul(scaled, scaled.T, out=covs[i])
-                covs[i] /= min(t0 + j + 1, window)
-        if not np.isfinite(covs).all():
-            raise InvalidInput("covariance contains non-finite entries")
-        passed = screen(covs, calib, shifts)
-        screened += int(np.count_nonzero(passed))
-        suspects = np.flatnonzero(~passed)
-        if suspects.size:
-            _, _, keep, found = detect(covs[suspects], calib, shifts[suspects])
-            for i, kept, r in zip(suspects, keep, found):
-                recons[open_[i]], rejected[open_[i]] = r, c - int(np.count_nonzero(kept))
+    suspects, covs, shifts = [], [], []  # the open instants no screen clears
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is mended at once
+        for q in open_:
+            j = instants[q]
+            segment = tail[:, j + 1 : j + 1 + window]
+            cov, shift = np.matmul(segment, segment.T), 0
+            if not np.isfinite(cov).all():
+                # finite samples whose products overflow: rebuild the covariance
+                # from the segment times 2**-k, which scales it by exactly 4**-k
+                shift = _overflow_shift(segment)
+                scaled = np.ldexp(segment, -shift)
+                cov = np.matmul(scaled, scaled.T)
+            cov /= min(t0 + j + 1, window)
+            if screen(cov, calib, shift):
+                screened += 1
+            else:
+                suspects.append(q)
+                covs.append(cov)
+                shifts.append(shift)
+    if suspects:
+        _, _, keep, found = detect(np.array(covs), calib, np.array(shifts))
+        for q, kept, r in zip(suspects, keep, found):
+            recons[q], rejected[q] = r, c - int(np.count_nonzero(kept))
     r_current, r_previous = state.r_current, state.r_previous
     if r_current is None and r_previous is None and not any(rejected):
         out[:] = delayed[:, :n_samples]  # every operator of the chunk is the identity
@@ -520,7 +495,6 @@ def clean_recording(
     elif out.shape != data.shape:
         raise InvalidValue("out", f"must have the shape of data, {data.shape}")
     state = ProcessorState.initial(calib, stepsize=stepsize, lookahead=lookahead)
-    load_kernels(calib)
     n = data.shape[1]
     for pos in range(0, n, chunk):
         end = min(n, pos + chunk)

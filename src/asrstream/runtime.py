@@ -36,7 +36,7 @@ from .errors import (
     WorkerDied,
 )
 from .io_formats import load_calibration_data, load_calibration_state
-from .processing import asr_process_chunk, load_kernels, pass_chunk_through
+from .processing import asr_process_chunk, pass_chunk_through
 from .types import CalibrationState, MultichannelChunk, PipelineConfig, ProcessorState
 
 logger = logging.getLogger(__name__)
@@ -260,7 +260,6 @@ class Pipeline:
         self._stop = False
         self._calib = calib  # last: stats() reads the counters once it is set
 
-        load_kernels(calib)  # an import in the worker would stall a live stream
         thread = threading.Thread(target=self._worker_loop, name="asr-worker", daemon=True)
         thread.start()
         self._thread = thread

@@ -13,7 +13,7 @@ from math import inf
 import numpy as np
 
 from .errors import InvalidValue, WindowTooShort
-from .filters import initial_filter_state
+from .filters import filter_order, initial_filter_state
 from .linalg import PINV_REL_TOL
 
 
@@ -264,7 +264,10 @@ class ProcessorState:
         stepsize: int = DEFAULT_STEPSIZE,
         lookahead: int | None = None,
     ) -> "ProcessorState":
-        """A fresh state: zero histories, followed by their slack."""
+        """A fresh state: zero histories, followed by their slack. With a
+        shaping filter in ``calib`` it also imports ``scipy.signal``, which
+        cleaning calls and which takes about a second to import, so that no
+        chunk, of a live stream or a recording, pays for it."""
         if stepsize < 1:
             raise InvalidValue("stepsize", "must be >= 1")
         c = calib.channels
@@ -272,6 +275,8 @@ class ProcessorState:
         la = calib.default_lookahead() if lookahead is None else int(lookahead)
         if la < 0:
             raise InvalidValue("lookahead", "must be >= 0")
+        if filter_order(calib.filter_b, calib.filter_a):
+            import scipy.signal  # noqa: F401
         return cls(
             filter_state=initial_filter_state(c, calib.filter_b, calib.filter_a),
             raw=np.zeros((c, 2 * la)),

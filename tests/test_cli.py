@@ -232,6 +232,20 @@ def test_process_channel_mismatch_exits_1(workspace, tmp_path, capsys):
     assert rc == 1
 
 
+def test_process_srate_mismatch_with_a_saved_state_exits_1(workspace, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert main(["calibrate", "--input", str(workspace / "calib.csv"), "--srate", "250",
+                 "--output", str(state)]) == 0
+    rec = tmp_path / "rec500.csv"
+    save_signal_record(rec, asr.SignalRecord(np.random.default_rng(0).standard_normal((4, 500)), 500.0))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    rc = main(["process", "--calibration", str(state), "--input", str(rec), "--output", str(out)])
+    assert rc == 1
+    assert "error: srate: record is 500.0 Hz, calibration is 250.0 Hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_full_pipeline_determinism_bytes(workspace, capsys):
     args = [
         "process",

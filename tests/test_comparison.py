@@ -7,6 +7,7 @@ from asrstream.comparison import (
     COMPARE_COLUMNS,
     REL_EPS,
     ComparisonReport,
+    align_for_delay,
     compare,
     quality_metrics,
 )
@@ -73,6 +74,19 @@ def test_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < a.nbytes / 2
+
+
+@pytest.mark.parametrize("lookahead", [0, 3, 10, 15])
+def test_align_for_delay_keeps_one_length(lookahead):
+    # 10 samples: a lookahead of N or more leaves nothing to line up
+    raw = np.arange(20.0).reshape(2, 10)
+    cleaned = np.hstack([np.zeros((2, min(lookahead, 10))), raw])[:, :10]  # raw delayed
+    mask = np.arange(10) % 2 == 0
+    got_cleaned, got_raw, got_mask = align_for_delay(cleaned, raw, mask, lookahead)
+    n = max(10 - lookahead, 0)
+    assert got_cleaned.shape == got_raw.shape == (2, n) and got_mask.shape == (n,)
+    assert np.array_equal(got_cleaned, got_raw)
+    assert np.array_equal(got_mask, mask[:n])
 
 
 class TestQualityMetrics:

@@ -149,3 +149,24 @@ def test_import_leaves_scipy_signal_unloaded():
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_a_fresh_processor_state_imports_what_cleaning_needs(filtered):
+    """ProcessorState.initial loads scipy.signal with a shaping filter, so
+    that no chunk pays for the import, and not without one."""
+    src = os.path.dirname(os.path.dirname(asrstream.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import dataclasses, sys\n"
+        "import numpy as np\n"
+        "import asrstream as asr\n"
+        "state = asr.asr_calibrate(np.random.default_rng(1).standard_normal((4, 2500)), 250.0)\n"
+        f"if {filtered}:\n"
+        "    state = dataclasses.replace(state, filter_b=(0.5, 0.5), filter_a=(1.0,))\n"
+        "assert 'scipy.signal' not in sys.modules\n"
+        "asr.ProcessorState.initial(state)\n"
+        f"assert ('scipy.signal' in sys.modules) is {filtered}\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

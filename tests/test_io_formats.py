@@ -402,6 +402,14 @@ class TestLineAtATime:
         assert peak <= 0.15 * long_rows.nbytes
         assert np.array_equal(load_signal_record(p).data, long_rows)
 
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_finite_cells_whose_slice_sum_overflows_are_read(self, width):
+        # '+1e308' is not JSON, so the slice falls to float(); its sum
+        # overflows, so the line is parsed again cell by cell, which finds
+        # every cell finite and keeps the values
+        row = parse_row("+1e308,+1e308", 5, width)
+        assert row.tolist() == [1e308, 1e308]
+
     def test_saved_bytes_are_the_joined_lines(self, tmp_path):
         m = np.random.default_rng(32).standard_normal((3, 50))
         save_signal_record(tmp_path / "r.csv", SignalRecord(m, 250.0))

@@ -635,8 +635,8 @@ def _burst_case(
     return asr.asr_calibrate(calibration, srate, asr.CalibrationParams(**params)), recording
 
 
-def _no_screen(covs, calib, shifts):
-    return np.zeros(len(covs), dtype=bool)
+def _no_screen(cov, calib, shift=0):
+    return False
 
 
 def _count_cleared(monkeypatch):
@@ -656,10 +656,10 @@ def _count_cleared(monkeypatch):
         by_union[-1] += len(instants) - len(open_)
         return open_, union
 
-    def screen(covs, calib, shifts):
-        passed = real_screen(covs, calib, shifts)
+    def screen(cov, calib, shift=0):
+        passed = real_screen(cov, calib, shift)
         if not inside:
-            by_update[-1] += int(np.count_nonzero(passed))
+            by_update[-1] += passed
         return passed
 
     monkeypatch.setattr(processing, "_screen_unions", screen_unions)
@@ -691,15 +691,17 @@ class TestScreen:
                     covs += [base * (1.0 + sign * step), base + sign * step * size * np.outer(u, u)]
         covs = np.ldexp(np.array(covs), -2 * shift)
         shifts = np.full(len(covs), shift)
-        passed = processing.screen(covs, state, shifts)
+        passed = np.array([processing.screen(cov, state, shift) for cov in covs])
         assert 0 < passed.sum() < len(covs)
         _, _, keep, recons = processing.detect(covs[passed], state, shifts[passed])
         assert keep.all() and all(r is None for r in recons)
-        # a stack of passing covariances is factored at once, to the same verdict
-        assert processing.screen(covs[passed], state, shifts[passed]).all()
+        # a factorization lets NaN through: a passing covariance with one NaN fails
+        poisoned = covs[passed][0].copy()
+        poisoned[0, 0] = np.nan
+        assert not processing.screen(poisoned, state, shift)
         if shift:
-            # scaling by 4**-k is exact, so the verdicts are those of the unscaled stack
-            unscaled = processing.screen(np.ldexp(covs, 2 * shift), state, np.zeros_like(shifts))
+            # scaling by 4**-k is exact, so the verdicts are those of the unscaled covariances
+            unscaled = [processing.screen(cov, state) for cov in np.ldexp(covs, 2 * shift)]
             assert np.array_equal(passed, unscaled)
 
     @pytest.mark.parametrize("channels, srate", [(8, 250.0), (24, 500.0), (64, 1000.0)])
@@ -782,8 +784,8 @@ class TestScreen:
             products.append(a.shape[1])
             return real_matmul(a, b, *args, **kwargs)
 
-        def recording(covs, calib, shifts):
-            passed = real_screen(covs, calib, shifts)
+        def recording(cov, calib, shift=0):
+            passed = real_screen(cov, calib, shift)
             verdicts.append(passed)
             return passed
 
@@ -797,13 +799,13 @@ class TestScreen:
             chunk = asr.MultichannelChunk(stream[:, pos : pos + 256], SRATE, pos)
             _, proc = asr.asr_process_chunk(chunk, state, proc)
             # two unions, each over four windows 32 samples apart, and two
-            # union verdicts of one covariance each, before any per-update screen
+            # union verdicts, before any per-update screen
             assert products[:2] == [3 * 32 + window] * 2, pos
-            assert [len(v) for v in verdicts[:2]] == [1, 1], pos
-            failed.append(sum(not v[0] for v in verdicts[:2]))
+            assert len(verdicts) >= 2, pos
+            failed.append(sum(not v for v in verdicts[:2]))
             # then one product, and one screened covariance, per instant of a failing group
             assert products[2:] == [window] * 4 * failed[-1], pos
-            assert [len(v) for v in verdicts[2:]] == ([4 * failed[-1]] if failed[-1] else []), pos
+            assert len(verdicts[2:]) == 4 * failed[-1], pos
         assert 0 < sum(failed) < 2 * len(failed)
         assert sum(1 for _, n in proc.update_log if n) > 0
 
@@ -826,17 +828,17 @@ class TestScreen:
                 starts = pos // 32 % 4 == 0
                 if starts or live:
                     extended += not starts
-                    cleared = bool(verdicts[0][0])
+                    cleared = verdicts[0]
                     failed_starts += starts and not cleared
                     by_union += cleared
                     again = not cleared
                     assert products == [window if starts else 32] + [window] * again, pos
-                    assert [len(v) for v in verdicts] == [1] * (1 + again), pos
+                    assert len(verdicts) == 1 + again, pos
                     assert (proc.union is not None) == cleared, pos
                 else:
                     # a group whose union failed in an earlier chunk
                     dead += 1
-                    assert products == [window] and [len(v) for v in verdicts] == [1], pos
+                    assert products == [window] and len(verdicts) == 1, pos
                     assert proc.union is None, pos
             return proc, extended, dead, failed_starts, by_union, wide
 
@@ -853,7 +855,7 @@ class TestScreen:
 
     # the windows that hold samples 1000-1039 end at 1023 ... 1151: at chunk
     # 256 the second group of chunk 768 and the first of chunk 1024 overflow,
-    # so only one union of each of those chunks is screened, and their
+    # so only one union of each of those chunks is factored, and their
     # instants' covariances are rebuilt with a shift; at chunk 32 the union
     # carried to 1023 overflows there, the next group's first union at 1055
     # does too, and the rest of that group is open without a union
@@ -866,7 +868,7 @@ class TestScreen:
     ):
         _, state = clean_calibration
         rec = np.random.default_rng(7).standard_normal((4, 2048))
-        screens = []  # per chunk: (in a union screen, stack size, largest shift) of each screen call
+        screens = []  # per chunk: (in a union screen, finite, shift) of each screen call
         inside = []
         real_unions, real_screen = processing._screen_unions, processing.screen
 
@@ -877,9 +879,9 @@ class TestScreen:
             finally:
                 inside.clear()
 
-        def recording(covs, calib, shifts):
-            screens[-1].append((bool(inside), len(covs), int(shifts.max(initial=0))))
-            return real_screen(covs, calib, shifts)
+        def recording(cov, calib, shift=0):
+            screens[-1].append((bool(inside), bool(np.isfinite(cov).all()), shift))
+            return real_screen(cov, calib, shift)
 
         def run(x):
             screens.clear()
@@ -890,13 +892,15 @@ class TestScreen:
                 piece = asr.MultichannelChunk(x[:, pos : pos + chunk], SRATE, pos)
                 cleaned, proc = asr.asr_process_chunk(piece, state, proc)
                 out[:, pos : pos + chunk] = cleaned.data
-            # the union screens come first, one per run (a group holds four
-            # instants 32 samples apart), each of one covariance and unshifted
-            unions = [sum(union for union, _, _ in calls) for calls in screens]
-            for calls, n in zip(screens, unions):
+            # the union screens come first, at most one per run (a group
+            # holds four instants 32 samples apart), each unshifted; an
+            # overflowing union fails without a factorization
+            unions = [sum(union and finite for union, finite, _ in calls) for calls in screens]
+            for calls in screens:
+                n = sum(union for union, _, _ in calls)
                 assert n <= -(-chunk // (4 * 32)), calls
                 assert all(union for union, _, _ in calls[:n]), calls
-                assert all(size == 1 and k == 0 for _, size, k in calls[:n]), calls
+                assert all(k == 0 for _, _, k in calls[:n]), calls
             shifted = [any(k for _, _, k in calls) for calls in screens]
             return out, proc, unions, shifted
 
@@ -925,7 +929,7 @@ class TestScreen:
         # three of the second group's four instants: its union is carried, and
         # the failing chunk, which would extend it, must leave it as it was
         assert proc.union is not None
-        # a Cholesky factorization lets a NaN through, so the stack is checked first
+        # a Cholesky factorization lets a NaN through, so the screen checks first
         proc.cov_window[2, -1] = np.nan
         before = copy.deepcopy(proc)
         chunk = asr.MultichannelChunk(rng.standard_normal((4, 64)), SRATE, 228)
@@ -977,36 +981,50 @@ class TestScreen:
         assert proc.update_log == ref.update_log
         assert any(n for _, n in proc.update_log) and proc.screened_updates > 0
 
-    def test_a_failing_stack_of_one_is_factored_once(self, clean_calibration, monkeypatch):
+    def test_every_covariance_the_screen_sees_is_factored_once(
+        self, clean_calibration, monkeypatch
+    ):
         _, state = clean_calibration
         rng = np.random.default_rng(21)
         stream = rng.standard_normal((4, 2048))
         stream[:, 700:900] += 20 * np.outer([0.2, 1.0, -0.7, 0.4], np.ones(200))
-        factored, calls = [], []  # per screen call: (stack size, passed, factorizations)
-        real_cholesky, real_screen = np.linalg.cholesky, processing.screen
+        factored, calls = [], []  # per screen call: (in a union screen, passed, factorizations)
+        inside = []
+        real_cholesky, real_unions, real_screen = (
+            np.linalg.cholesky, processing._screen_unions, processing.screen
+        )
 
         def counting(a):
             factored.append(a.shape)
             return real_cholesky(a)
 
-        def recording(covs, calib, shifts):
+        def screen_unions(*args):
+            inside.append(True)
+            try:
+                return real_unions(*args)
+            finally:
+                inside.clear()
+
+        def recording(cov, calib, shift=0):
             before = len(factored)
-            passed = real_screen(covs, calib, shifts)
-            calls.append((len(covs), int(np.count_nonzero(passed)), len(factored) - before))
+            passed = real_screen(cov, calib, shift)
+            calls.append((bool(inside), passed, len(factored) - before))
             return passed
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(processing, "_screen_unions", screen_unions)
         monkeypatch.setattr(processing, "screen", recording)
         # chunks of 32 screen one union or one update at a time; chunks of 256
-        # screen two unions, or the four updates of a failing group, at once
+        # screen two unions, or the four updates of a failing group, one by one
         for chunk in (32, 256):
             asr.clean_recording(stream, state, chunk)
-        # a stack that fails is factored again matrix by matrix only when it
-        # holds two or more
-        for k, ok, n in calls:
-            assert n == 1 + k * (1 < k and ok < k), (k, ok, n)
-        assert any(k == 1 and not ok for k, ok, _ in calls)
-        assert any(1 < k and ok < k for k, ok, _ in calls)
+        # one factorization of one C x C matrix per covariance, passing or not
+        assert all(n == 1 for _, _, n in calls), calls
+        assert factored == [(4, 4)] * len(calls)
+        # unions and update covariances alike both pass and fail
+        assert {(union, passed) for union, passed, _ in calls} == {
+            (True, True), (True, False), (False, True), (False, False)
+        }
 
     def test_a_singular_threshold_turns_the_screen_off(self, clean_calibration):
         _, state = clean_calibration
@@ -1014,9 +1032,9 @@ class TestScreen:
         threshold[0] = 0.0  # a component with mu = sigma = 0
         flat = dataclasses.replace(state, threshold=threshold)
         assert flat.screen_bound is None
-        covs = np.array([np.zeros((4, 4)), 1e-30 * np.eye(4)])
-        assert not processing.screen(covs, flat, np.zeros(2, dtype=int)).any()
-        assert processing.screen(covs[1:], state, np.zeros(1, dtype=int)).all()
+        covs = [np.zeros((4, 4)), 1e-30 * np.eye(4)]
+        assert not any(processing.screen(cov, flat) for cov in covs)
+        assert processing.screen(covs[1], state)
 
 
 class TestHistoryBuffers:

@@ -654,6 +654,36 @@ class TestPipelineDataPath:
         assert sum(r.args[0] for r in summaries) == 19
         assert summaries[-1].args[1] == 19 * 16
 
+    def test_fail_open_summaries_are_logged_while_the_worker_runs(
+        self, pipeline_setup, monkeypatch, caplog
+    ):
+        from asrstream import runtime
+
+        def failing(chunk, calib, state):
+            raise np.linalg.LinAlgError("injected failure")
+
+        monkeypatch.setattr(runtime, "asr_process_chunk", failing)
+        monkeypatch.setattr(runtime, "FAIL_OPEN_LOG_INTERVAL_S", 0.0)
+        config, registry, _ = pipeline_setup
+        pipeline = Pipeline(config, registry)
+        pipeline.prepare()
+        with caplog.at_level(logging.WARNING, logger=runtime.__name__):
+            try:
+                for _ in range(20):
+                    pipeline.feed(np.zeros((4, 16)))
+                pipeline.flush()
+                # a chunk is logged before it is pushed, so all 20 are logged by now
+                running = [r for r in caplog.records if r.name == runtime.__name__]
+            finally:
+                pipeline.release()
+        after = [r for r in caplog.records if r.name == runtime.__name__]
+
+        assert after == running  # nothing was held back for release
+        first, *summaries = running
+        assert first.args[0] == 0
+        # with no interval, each later failure gets its own summary, of one chunk
+        assert [r.args[:2] for r in summaries] == [(1, i * 16) for i in range(1, 20)]
+
     def test_flush_stops_waiting_for_a_dead_worker(self, pipeline_setup, monkeypatch):
         from asrstream import runtime
 
